@@ -35,8 +35,6 @@ from .probe import (
     TemplateName,
     probe_rationales,
     render_probe_prompt,
-    render_rationale_guided_prompt,
-    render_zero_shot_prompt,
 )
 from .rationale import (
     Aspect,
@@ -48,7 +46,6 @@ from .rationale import (
     parse_probe_response,
     parse_rationale,
     serialize_rationale,
-    validate_rationale,
 )
 from .selection import (
     ScoredCandidate,

@@ -33,7 +33,7 @@ def _common_parser() -> argparse.ArgumentParser:
         help="dataset profile carrying default n_samples and lda_k",
     )
     common.add_argument("--seed", type=int, help="base RNG seed")
-    common.add_argument("--jobs", type=int, help="worker pool size for probe/select/eval")
+    common.add_argument("--jobs", type=int, help="worker pool size for probe/select")
     common.add_argument("--n-samples", type=int, dest="n_samples")
     common.add_argument("--lda-k", type=int, dest="lda_k")
     common.add_argument("--lda-iterations", type=int, dest="lda_iterations")

@@ -27,7 +27,6 @@ class PipelineConfig:
     phi_alpha: float = 0.6
     phi_beta: float = 1.3
     lambda_cs: float = 1.5
-    normalize_scores: bool = False
     lambda_rationale: float = 0.8
     lambda_summary: float = 1.2
     max_doc_tokens: int = 1024
@@ -47,19 +46,13 @@ class PipelineConfig:
         return stable_digest(json.dumps(values, sort_keys=True))[:16]
 
     def probe_config(self) -> ProbeConfig:
-        return ProbeConfig(
-            n_samples=self.n_samples,
-            model_id=self.model_id,
-            max_retries=self.max_retries,
-            seed=self.seed,
-        )
+        return ProbeConfig(n_samples=self.n_samples, max_retries=self.max_retries)
 
     def selection_config(self) -> SelectionConfig:
         return SelectionConfig(
             phi_alpha=self.phi_alpha,
             phi_beta=self.phi_beta,
             lambda_cs=self.lambda_cs,
-            normalize_scores=self.normalize_scores,
             fold_in_iterations=self.fold_in_iterations,
             inference_seed=self.seed + 2,
         )

@@ -192,15 +192,58 @@ def _triext_input(d: Document, aspects_segment: str) -> str:
     return f"{TaskKind.TRI_EXT.prefix} {ARTICLE_TOKEN} {d.text} {ASPECTS_TOKEN} {aspects_segment}"
 
 
-def _sumgen_input(d: Document, aspects_segment: str, triples_segment: str) -> str:
-    return (
+def _ratgen_input(d: Document) -> str:
+    return f"{TaskKind.RAT_GEN.prefix} {ARTICLE_TOKEN} {d.text}"
+
+
+def _document_examples(
+    d: Document,
+    r: Rationale,
+    aspects_segment: str,
+    triples_segment: str,
+    provenance: str,
+) -> tuple[TrainingExample, TrainingExample, TrainingExample]:
+    """The AspExt, TriExt and SumGen examples of one document.
+
+    Targets always come from the golden rationale and summary; the caller
+    picks the conditioning segments and the provenance they carry.
+    """
+    sumgen_input = (
         f"{TaskKind.SUM_GEN.prefix} {ARTICLE_TOKEN} {d.text} "
         f"{ASPECTS_TOKEN} {aspects_segment} {TRIPLES_TOKEN} {triples_segment}"
     )
+    return (
+        TrainingExample(
+            TaskKind.ASP_EXT, _aspext_input(d), serialize_aspects(r.aspects), d.id,
+            provenance=provenance,
+        ),
+        TrainingExample(
+            TaskKind.TRI_EXT, _triext_input(d, aspects_segment), serialize_triples(r.triples), d.id,
+            provenance=provenance,
+        ),
+        TrainingExample(
+            TaskKind.SUM_GEN, sumgen_input, d.ground_truth_summary, d.id, provenance=provenance
+        ),
+    )
 
 
-def _ratgen_input(d: Document) -> str:
-    return f"{TaskKind.RAT_GEN.prefix} {ARTICLE_TOKEN} {d.text}"
+def _teacher_forced_examples(pairs: list[Pair]):
+    """Per document, its three examples conditioned on the golden rationale."""
+    for d, r in pairs:
+        r = _check_pair(d, r)
+        yield _document_examples(
+            d, r, serialize_aspects(r.aspects), serialize_triples(r.triples), PROVENANCE_GOLDEN
+        )
+
+
+_SINGULAR_STAGES = (Stage.SINGULAR_ASPECT, Stage.SINGULAR_TRIPLE, Stage.SINGULAR_SUMMARY)
+
+
+def _singular_manifest(stage: Stage, pairs: list[Pair]) -> StageManifest:
+    task = _SINGULAR_STAGES.index(stage)
+    return StageManifest(
+        stage, tuple(examples[task] for examples in _teacher_forced_examples(pairs))
+    )
 
 
 def build_singular_manifests(
@@ -208,56 +251,13 @@ def build_singular_manifests(
 ) -> tuple[StageManifest, StageManifest, StageManifest]:
     """One manifest per singular task: aspects from D, triples from (D, A*),
     summary from (D, A*, T*)."""
-    aspect_examples = []
-    triple_examples = []
-    summary_examples = []
-    for d, r in pairs:
-        r = _check_pair(d, r)
-        aspects_segment = serialize_aspects(r.aspects)
-        triples_segment = serialize_triples(r.triples)
-        aspect_examples.append(
-            TrainingExample(TaskKind.ASP_EXT, _aspext_input(d), aspects_segment, d.id)
-        )
-        triple_examples.append(
-            TrainingExample(TaskKind.TRI_EXT, _triext_input(d, aspects_segment), triples_segment, d.id)
-        )
-        summary_examples.append(
-            TrainingExample(
-                TaskKind.SUM_GEN,
-                _sumgen_input(d, aspects_segment, triples_segment),
-                d.ground_truth_summary,
-                d.id,
-            )
-        )
-    return (
-        StageManifest(Stage.SINGULAR_ASPECT, tuple(aspect_examples)),
-        StageManifest(Stage.SINGULAR_TRIPLE, tuple(triple_examples)),
-        StageManifest(Stage.SINGULAR_SUMMARY, tuple(summary_examples)),
-    )
+    return tuple(_singular_manifest(stage, pairs) for stage in _SINGULAR_STAGES)
 
 
 def build_concurrent_early_manifest(pairs: list[Pair]) -> StageManifest:
     """All three tasks per document, every conditioning segment teacher-forced
     from the golden rationale."""
-    examples = []
-    for d, r in pairs:
-        r = _check_pair(d, r)
-        aspects_segment = serialize_aspects(r.aspects)
-        triples_segment = serialize_triples(r.triples)
-        examples.append(
-            TrainingExample(TaskKind.ASP_EXT, _aspext_input(d), aspects_segment, d.id)
-        )
-        examples.append(
-            TrainingExample(TaskKind.TRI_EXT, _triext_input(d, aspects_segment), triples_segment, d.id)
-        )
-        examples.append(
-            TrainingExample(
-                TaskKind.SUM_GEN,
-                _sumgen_input(d, aspects_segment, triples_segment),
-                d.ground_truth_summary,
-                d.id,
-            )
-        )
+    examples = [ex for per_doc in _teacher_forced_examples(pairs) for ex in per_doc]
     return StageManifest(Stage.CONCURRENT_EARLY, tuple(examples))
 
 
@@ -273,8 +273,6 @@ def build_concurrent_late_manifest(pairs: list[Pair], adapter: TrainerAdapter) -
     skipped = []
     for d, r in pairs:
         r = _check_pair(d, r)
-        aspects_segment = serialize_aspects(r.aspects)
-        triples_segment = serialize_triples(r.triples)
         try:
             decoded_aspects = adapter.greedy_decode(TaskKind.ASP_EXT, _aspext_input(d))
             decoded_triples = adapter.greedy_decode(
@@ -287,26 +285,8 @@ def build_concurrent_late_manifest(pairs: list[Pair], adapter: TrainerAdapter) -
         except DecodeFailure as exc:
             skipped.append(SkipRecord(d.id, str(exc)))
             continue
-        examples.append(
-            TrainingExample(
-                TaskKind.ASP_EXT, _aspext_input(d), aspects_segment, d.id,
-                provenance=PROVENANCE_MODEL,
-            )
-        )
-        examples.append(
-            TrainingExample(
-                TaskKind.TRI_EXT, _triext_input(d, decoded_aspects), triples_segment, d.id,
-                provenance=PROVENANCE_MODEL,
-            )
-        )
-        examples.append(
-            TrainingExample(
-                TaskKind.SUM_GEN,
-                _sumgen_input(d, decoded_aspects, decoded_triples),
-                d.ground_truth_summary,
-                d.id,
-                provenance=PROVENANCE_MODEL,
-            )
+        examples.extend(
+            _document_examples(d, r, decoded_aspects, decoded_triples, PROVENANCE_MODEL)
         )
     return StageManifest(Stage.CONCURRENT_LATE, tuple(examples), skipped=tuple(skipped))
 
@@ -404,12 +384,8 @@ def _validate_plan(plan: CurriculumPlan) -> None:
 
 
 def _build_stage(stage: Stage, pairs: list[Pair], adapter: TrainerAdapter) -> StageManifest:
-    if stage is Stage.SINGULAR_ASPECT:
-        return build_singular_manifests(pairs)[0]
-    if stage is Stage.SINGULAR_TRIPLE:
-        return build_singular_manifests(pairs)[1]
-    if stage is Stage.SINGULAR_SUMMARY:
-        return build_singular_manifests(pairs)[2]
+    if stage in _SINGULAR_STAGES:
+        return _singular_manifest(stage, pairs)
     if stage is Stage.CONCURRENT_EARLY:
         return build_concurrent_early_manifest(pairs)
     if stage is Stage.CONCURRENT_LATE:

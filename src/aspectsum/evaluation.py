@@ -8,7 +8,6 @@ whose preprocessing differs.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 
@@ -124,9 +123,6 @@ class EvalReport:
         )
         return "\n".join(lines) + "\n"
 
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
-
 
 class EmptyInput(AspectsumError):
     """evaluate_corpus received no pairs."""
@@ -150,21 +146,11 @@ def _score_pair(pair: tuple[str, str]) -> DocumentScores:
     )
 
 
-def evaluate_corpus(pairs: list[tuple[str, str]], jobs: int = 1) -> EvalReport:
-    """Score (candidate, reference) pairs and aggregate arithmetic means.
-
-    Pairs may be scored on a bounded worker pool; the reduction order is
-    always the input order, so the report is identical either way.
-    """
+def evaluate_corpus(pairs: list[tuple[str, str]]) -> EvalReport:
+    """Score (candidate, reference) pairs and aggregate arithmetic means."""
     if not pairs:
         raise EmptyInput("no (candidate, reference) pairs to evaluate")
-    if jobs > 1 and len(pairs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_doc = list(pool.map(_score_pair, pairs))
-    else:
-        per_doc = [_score_pair(pair) for pair in pairs]
+    per_doc = [_score_pair(pair) for pair in pairs]
     return EvalReport(
         scores=tuple(per_doc),
         mean_rouge1=_mean_score([d.rouge1 for d in per_doc]),

@@ -347,12 +347,19 @@ def stage_eval(
     ids = []
     pairs = []
     for record in ws.load_selections():
-        doc_id = record["document_id"]
-        candidate = candidate_sets[doc_id].candidates[record["golden_index"]]
+        doc_id, golden_index = record["document_id"], record["golden_index"]
+        # Selections can be stale against a later ingest or probe run.
+        if doc_id not in documents:
+            raise MissingPrerequisite(f"corpus document {doc_id}")
+        if doc_id not in candidate_sets:
+            raise MissingPrerequisite(f"candidate set of document {doc_id}")
+        candidates = candidate_sets[doc_id].candidates
+        if not 0 <= golden_index < len(candidates):
+            raise MissingPrerequisite(f"candidate {golden_index} of document {doc_id}")
         ids.append(doc_id)
-        pairs.append((candidate.summary, documents[doc_id].ground_truth_summary))
+        pairs.append((candidates[golden_index].summary, documents[doc_id].ground_truth_summary))
 
-    report = evaluate_corpus(pairs, jobs=cfg.jobs)
+    report = evaluate_corpus(pairs)
     obj = report.to_json()
     obj["document_ids"] = ids
     if external_scores is not None:

@@ -26,23 +26,18 @@ from .rationale import (
     Document,
     Rationale,
     parse_probe_response,
-    serialize_rationale,
 )
 
 
 class TemplateName(enum.Enum):
     RATIONALE_PROBE = "rationale_probe"
-    ZERO_SHOT_SUMMARY = "zero_shot_summary"
-    RATIONALE_GUIDED_SUMMARY = "rationale_guided_summary"
 
 
 _REQUIRED_PLACEHOLDERS = {
     TemplateName.RATIONALE_PROBE: ("{document}", "{ground_truth_summary}"),
-    TemplateName.ZERO_SHOT_SUMMARY: ("{document}",),
-    TemplateName.RATIONALE_GUIDED_SUMMARY: ("{document}", "{rationale}"),
 }
 
-_PLACEHOLDER_RE = re.compile(r"\{(document|ground_truth_summary|rationale)\}")
+_PLACEHOLDER_RE = re.compile(r"\{(document|ground_truth_summary)\}")
 
 
 @dataclass(frozen=True)
@@ -91,30 +86,10 @@ def render_probe_prompt(d: Document, template: PromptTemplate | None = None) -> 
     return template.render({"document": d.text, "ground_truth_summary": d.ground_truth_summary})
 
 
-def render_zero_shot_prompt(d: Document, template: PromptTemplate | None = None) -> str:
-    """Plain summarization prompt; never embeds the ground-truth summary."""
-    if not d.text:
-        raise EmptyField("document text is empty")
-    template = template or PromptTemplate.load(TemplateName.ZERO_SHOT_SUMMARY)
-    return template.render({"document": d.text})
-
-
-def render_rationale_guided_prompt(
-    d: Document, r: Rationale, template: PromptTemplate | None = None
-) -> str:
-    """Summarization prompt guided by a serialized rationale."""
-    if not d.text:
-        raise EmptyField("document text is empty")
-    template = template or PromptTemplate.load(TemplateName.RATIONALE_GUIDED_SUMMARY)
-    return template.render({"document": d.text, "rationale": serialize_rationale(r)})
-
-
 @dataclass(frozen=True)
 class ProbeConfig:
     n_samples: int
-    model_id: str = "mock"
     max_retries: int = 2
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -164,7 +139,12 @@ class EmbeddingCache:
         path = self._path(namespace, text)
         if not path.exists():
             return None
-        return np.asarray(json.loads(path.read_text(encoding="utf-8")), dtype=np.float64)
+        try:
+            return np.asarray(json.loads(path.read_text(encoding="utf-8")), dtype=np.float64)
+        except ValueError:
+            # A truncated or corrupt entry is a miss; the caller re-embeds
+            # the text and store() overwrites the entry.
+            return None
 
     def store(self, namespace: str, text: str, vector: np.ndarray) -> None:
         path = self._path(namespace, text)

@@ -14,10 +14,10 @@ tolerates (and ignores) that tail so that whole responses can be parsed, and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import MalformedRationale
-from .textutil import token_count, words
+from .textutil import token_count
 
 _ASPECTS_RE = re.compile(r"^[ \t]*Aspects:", re.MULTILINE)
 _TRIPLES_RE = re.compile(r"^[ \t]*Triples:", re.MULTILINE)
@@ -226,57 +226,6 @@ def rationale_text(r: Rationale) -> str:
     for t in r.triples:
         parts.extend((t.subject, t.relation, t.object))
     return " ".join(parts)
-
-
-@dataclass(frozen=True)
-class Violation:
-    severity: str  # "error" or "warning"
-    code: str
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...] = field(default_factory=tuple)
-
-    @property
-    def ok(self) -> bool:
-        return not any(v.severity == "error" for v in self.violations)
-
-
-def validate_rationale(r: Rationale, d: Document) -> ValidationReport:
-    """Quality gate before scoring; grounding problems are warnings, not errors."""
-    violations: list[Violation] = []
-    if not r.aspects:
-        violations.append(Violation("error", "empty-aspects", "rationale has no aspects"))
-    if not r.triples:
-        violations.append(Violation("error", "empty-triples", "rationale has no triples"))
-
-    seen: dict[Triple, int] = {}
-    for t in r.triples:
-        seen[t] = seen.get(t, 0) + 1
-    for t, count in seen.items():
-        if count > 1:
-            violations.append(
-                Violation(
-                    "warning",
-                    "duplicate-triple",
-                    f"triple [{t.subject} | {t.relation} | {t.object}] appears {count} times",
-                )
-            )
-
-    doc_words = set(words(d.text))
-    for t in r.triples:
-        if not (set(words(t.subject)) & doc_words) and not (set(words(t.object)) & doc_words):
-            violations.append(
-                Violation(
-                    "warning",
-                    "ungrounded-triple",
-                    f"subject and object of [{t.subject} | {t.relation} | {t.object}] "
-                    "share no word with the document",
-                )
-            )
-    return ValidationReport(tuple(violations))
 
 
 def rationale_to_json(r: Rationale) -> dict:

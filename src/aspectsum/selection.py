@@ -49,7 +49,6 @@ class SelectionConfig:
     phi_beta: float = 1.3
     lambda_cs: float = 1.5
     # Plumbing knobs; not part of the scoring formulas.
-    normalize_scores: bool = False
     fold_in_iterations: int = 50
     inference_seed: int = 0
 
@@ -172,7 +171,6 @@ class SelectionResult:
                 "phi_alpha": config.phi_alpha,
                 "phi_beta": config.phi_beta,
                 "lambda_cs": config.lambda_cs,
-                "normalize_scores": config.normalize_scores,
             },
             "candidates": [
                 {
@@ -205,15 +203,6 @@ def argmax_combined(table) -> int:
     return best.index
 
 
-def _znormalize(values: list[float]) -> list[float]:
-    mean = sum(values) / len(values)
-    var = sum((v - mean) ** 2 for v in values) / len(values)
-    std = math.sqrt(var)
-    if std == 0.0:
-        return [0.0 for _ in values]
-    return [(v - mean) / std for v in values]
-
-
 def select_golden(
     cs: CandidateSet,
     d: Document,
@@ -226,9 +215,7 @@ def select_golden(
 
     A candidate whose scoring fails (transport, degenerate vectors) is
     excluded with a recorded reason rather than scored as -inf; if nothing
-    remains, AllCandidatesFailed is raised. With config.normalize_scores the
-    combined column is computed from z-normalized score columns instead of
-    raw values (experimental knob; default off).
+    remains, AllCandidatesFailed is raised.
     """
     p_doc = infer_topics(model, d.text, config.fold_in_iterations, config.inference_seed)
 
@@ -254,19 +241,6 @@ def select_golden(
         raise AllCandidatesFailed(
             f"document {d.id}: all {len(cs.candidates)} candidates failed scoring"
         )
-
-    if config.normalize_scores and len(scored) > 1:
-        z_summary = _znormalize([sc.summary_score for sc in scored])
-        z_coherence = _znormalize([sc.coherence_score for sc in scored])
-        scored = [
-            ScoredCandidate(
-                index=sc.index,
-                summary_score=sc.summary_score,
-                coherence_score=sc.coherence_score,
-                combined=combine_scores(zs, zc, config.lambda_cs),
-            )
-            for sc, zs, zc in zip(scored, z_summary, z_coherence)
-        ]
 
     golden_index = argmax_combined(scored)
     return SelectionResult(

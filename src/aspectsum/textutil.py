@@ -1,8 +1,8 @@
 """Tokenizers and stable hashing helpers used across modules.
 
 Two tokenizers exist on purpose: token limits and token counts use plain
-whitespace splitting, while word-level processing (vocabulary, ROUGE,
-grounding checks) lowercases and splits on non-alphanumeric runs.
+whitespace splitting, while word-level processing (vocabulary, ROUGE)
+lowercases and splits on non-alphanumeric runs.
 """
 
 from __future__ import annotations
@@ -11,11 +11,6 @@ import hashlib
 import re
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
-
-
-def whitespace_tokens(text: str) -> list[str]:
-    """Split on whitespace; the tokenizer behind every token-count limit."""
-    return text.split()
 
 
 def token_count(text: str) -> int:

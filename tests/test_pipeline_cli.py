@@ -167,6 +167,41 @@ def test_select_before_probe_names_missing_artifact(tmp_path, corpus_file):
         stage_select(ws, cfg, MockLlmClient(seed=cfg.seed))
 
 
+def test_eval_golden_index_past_reprobed_set(tmp_path, corpus_file):
+    ws = Workspace(tmp_path / "ws")
+    cfg = small_config(n_samples=3)
+    client = MockLlmClient(seed=cfg.seed)
+    stage_ingest(ws, cfg, corpus_file)
+    stage_probe(ws, cfg, client)
+    stage_select(ws, cfg, client)
+    assert max(record["golden_index"] for record in ws.load_selections()) >= 1
+
+    # Re-probing with fewer samples leaves the selections pointing past the
+    # end of some candidate sets.
+    smaller = small_config(n_samples=1)
+    stage_probe(ws, smaller, client)
+    with pytest.raises(MissingPrerequisite, match="candidate"):
+        stage_eval(ws, smaller)
+
+
+def test_select_recovers_from_truncated_embedding_entry(tmp_path, corpus_file):
+    ws = Workspace(tmp_path / "ws")
+    cfg = small_config()
+    stage_ingest(ws, cfg, corpus_file)
+    stage_probe(ws, cfg, MockLlmClient(seed=cfg.seed))
+    stage_select(ws, cfg, MockLlmClient(seed=cfg.seed))
+    selections = ws.selections_path.read_bytes()
+
+    entry = sorted((ws.cache_dir / "embeddings").rglob("*.json"))[0]
+    entry.write_bytes(entry.read_bytes()[:20])
+    (ws.state_dir / "select.json").unlink()
+    client = MockLlmClient(seed=cfg.seed)
+    stage_select(ws, cfg, client)
+    assert client.embed_calls == 1  # only the corrupt entry is re-embedded
+    assert ws.selections_path.read_bytes() == selections
+    json.loads(entry.read_text())  # and rewritten whole
+
+
 # -- full pipeline through the stage API ---------------------------------------
 
 
@@ -353,6 +388,20 @@ def test_cli_run_all_idempotent(tmp_path, corpus_file, capsys):
 def test_cli_missing_prerequisite_exit_code(tmp_path, capsys):
     assert cli("probe", "--workspace", tmp_path / "ws", "--mock-llm",
                "--n-samples", "2", "--lda-k", "3") == 2
+    assert "missing prerequisite" in capsys.readouterr().err
+
+
+def test_cli_eval_after_new_corpus_names_missing_artifact(tmp_path, corpus_file, capsys):
+    ws_root = tmp_path / "ws"
+    assert cli(*run_all_args(ws_root, corpus_file)) == 0
+    records = [dict(r, id=f"b{i}") for i, r in enumerate(synthetic_records(3, seed=1))]
+    other = write_jsonl(tmp_path / "other.jsonl", records)
+    scale = ["--workspace", ws_root, "--mock-llm", "--n-samples", "2", "--lda-k", "3"]
+    assert cli("ingest", "--input", other, *scale) == 0
+    assert cli("probe", *scale) == 0
+    capsys.readouterr()
+    # The selections still name the first corpus's documents.
+    assert cli("eval", *scale) == 2
     assert "missing prerequisite" in capsys.readouterr().err
 
 

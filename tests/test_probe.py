@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from importlib import resources
+
 import pytest
 
 from aspectsum.clients import LlmClient
@@ -16,8 +18,6 @@ from aspectsum.probe import (
     TemplateName,
     probe_rationales,
     render_probe_prompt,
-    render_rationale_guided_prompt,
-    render_zero_shot_prompt,
 )
 from aspectsum.rationale import Document, parse_rationale, serialize_rationale
 
@@ -50,11 +50,13 @@ BAD = "no structure here"
 
 
 def test_template_placeholder_contract():
-    PromptTemplate(TemplateName.ZERO_SHOT_SUMMARY, "body {document}")
+    PromptTemplate(TemplateName.RATIONALE_PROBE, "body {document} {ground_truth_summary}")
     with pytest.raises(ValueError):
-        PromptTemplate(TemplateName.ZERO_SHOT_SUMMARY, "no placeholder")
+        PromptTemplate(TemplateName.RATIONALE_PROBE, "no placeholder")
     with pytest.raises(ValueError):
-        PromptTemplate(TemplateName.ZERO_SHOT_SUMMARY, "{document} {document}")
+        PromptTemplate(
+            TemplateName.RATIONALE_PROBE, "{document} {document} {ground_truth_summary}"
+        )
     with pytest.raises(ValueError):
         PromptTemplate(TemplateName.RATIONALE_PROBE, "{document} only")
 
@@ -64,6 +66,10 @@ def test_bundled_templates_load():
         template = PromptTemplate.load(name)
         assert template.body
         assert len(template.content_hash) == 16
+    bundled = resources.files("aspectsum.templates").iterdir()
+    assert {p.name for p in bundled if p.name.endswith(".txt")} == {
+        f"{name.value}.txt" for name in TemplateName
+    }
 
 
 def test_render_probe_prompt(sample_document):
@@ -82,36 +88,13 @@ def test_render_probe_prompt_empty_fields():
 
 
 def test_render_does_not_rescan_substituted_text():
-    d = Document.create("d", "evil {ground_truth_summary} text", "secret")
-    prompt = render_zero_shot_prompt(d)
-    # The placeholder-looking document content must pass through untouched.
-    assert "evil {ground_truth_summary} text" in prompt
-    assert "secret" not in prompt
-
-
-def test_zero_shot_has_no_ground_truth(sample_document):
-    prompt = render_zero_shot_prompt(sample_document)
-    assert sample_document.text in prompt
-    assert sample_document.ground_truth_summary not in prompt
-    with pytest.raises(EmptyField):
-        render_zero_shot_prompt(Document.create("d", "", "s"))
-
-
-def test_guided_prompt_embeds_triples(sample_document, sample_rationale):
-    prompt = render_rationale_guided_prompt(sample_document, sample_rationale)
-    for t in sample_rationale.triples:
-        assert f"[{t.subject} | {t.relation} | {t.object}]" in prompt
-    assert prompt == render_rationale_guided_prompt(sample_document, sample_rationale)
-
-
-def test_guided_differs_from_zero_shot_by_rationale_block(sample_document, sample_rationale):
-    zero = render_zero_shot_prompt(sample_document)
-    guided = render_rationale_guided_prompt(sample_document, sample_rationale)
-    block = (
-        "Use these aspects and triples as a guide:\n"
-        f"{serialize_rationale(sample_rationale)}\n\n"
-    )
-    assert guided.replace(block, "") == zero
+    d = Document.create("d", "evil {ground_truth_summary} text", "secret {document} note")
+    prompt = render_probe_prompt(d)
+    # Placeholder-looking document and summary content must pass through
+    # untouched, each substituted exactly once.
+    assert prompt.count("evil {ground_truth_summary} text") == 1
+    assert prompt.count("secret {document} note") == 1
+    assert prompt.count("evil") == 1 and prompt.count("secret") == 1
 
 
 def test_probe_config_validation():
@@ -123,7 +106,7 @@ def test_probe_config_validation():
 
 
 def test_probe_mock_determinism(sample_document):
-    cfg = ProbeConfig(n_samples=3, seed=7)
+    cfg = ProbeConfig(n_samples=3)
     cs1 = probe_rationales(MockLlmClient(seed=7), sample_document, cfg)
     cs2 = probe_rationales(MockLlmClient(seed=7), sample_document, cfg)
     assert cs1 == cs2

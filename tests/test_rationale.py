@@ -19,7 +19,6 @@ from aspectsum.rationale import (
     rationale_text,
     rationale_to_json,
     serialize_rationale,
-    validate_rationale,
 )
 from conftest import random_rationale
 
@@ -185,42 +184,6 @@ def test_candidate_set_indices():
         CandidateSet("d", (Candidate(1, r, "s"),))
     with pytest.raises(ValueError):
         CandidateSet("d", (Candidate(0, r, "s"), Candidate(2, r, "s")))
-
-
-def test_validate_clean_rationale(sample_document, sample_rationale):
-    report = validate_rationale(sample_rationale, sample_document)
-    assert report.violations == ()
-    assert report.ok
-
-
-def test_validate_duplicate_triple(sample_document):
-    t = Triple("crews", "contained", "blaze")
-    r = Rationale((Aspect("x"),), (t, t))
-    report = validate_rationale(r, sample_document)
-    dupes = [v for v in report.violations if v.code == "duplicate-triple"]
-    assert len(dupes) == 1
-    assert report.ok  # duplicates are warnings, not errors
-
-
-def test_validate_ungrounded_triple(sample_document):
-    r = Rationale(
-        aspects=(Aspect("x"),),
-        triples=(Triple("unicorns", "inhabit", "atlantis"),),
-    )
-    report = validate_rationale(r, sample_document)
-    assert [v.code for v in report.violations] == ["ungrounded-triple"]
-
-
-def test_validate_grounding_needs_only_one_side(sample_document):
-    # Subject out of document but object grounded: no warning.
-    r = Rationale((Aspect("x"),), (Triple("unicorns", "visit", "oil rig"),))
-    assert validate_rationale(r, sample_document).violations == ()
-
-
-def test_validate_empty_blocks(sample_document):
-    report = validate_rationale(Rationale((), ()), sample_document)
-    assert {v.code for v in report.violations} == {"empty-aspects", "empty-triples"}
-    assert not report.ok
 
 
 def test_json_round_trip(sample_rationale):

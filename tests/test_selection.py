@@ -298,15 +298,6 @@ def test_select_golden_all_failed(tiny_model):
         select_golden(cs, d, tiny_model, provider, SelectionConfig(fold_in_iterations=5))
 
 
-def test_select_golden_normalized_mode(tiny_model):
-    d = Document.create("doc-x", "storm flood rain river", "storm flooded the river")
-    cs = _candidate_set()
-    cfg = SelectionConfig(fold_in_iterations=10, normalize_scores=True)
-    result = select_golden(cs, d, tiny_model, MockLlmClient(seed=0), cfg)
-    # raw columns survive; combined comes from z-scores, which sum to ~0
-    assert sum(sc.combined for sc in result.table) == pytest.approx(0.0, abs=1e-9)
-
-
 def test_selection_result_json_round_trip(tiny_model):
     d = Document.create("doc-x", "storm flood rain river", "storm flooded the river")
     cfg = SelectionConfig(fold_in_iterations=10)
