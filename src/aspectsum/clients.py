@@ -32,11 +32,6 @@ class LlmClient(ABC):
     def embed(self, text: str) -> np.ndarray:
         """A pooled vector for the text; same dimension for every input."""
 
-    @property
-    @abstractmethod
-    def embedding_dimension(self) -> int:
-        ...
-
 
 class OpenAiCompatClient(LlmClient):
     """Thin client for an OpenAI-style HTTP API.
@@ -110,9 +105,3 @@ class OpenAiCompatClient(LlmClient):
                 f"provider changed embedding dimension: {vector.size} != {self._dimension}"
             )
         return vector
-
-    @property
-    def embedding_dimension(self) -> int:
-        if self._dimension is None:
-            raise TransportError("embedding dimension unknown before the first embed call")
-        return self._dimension

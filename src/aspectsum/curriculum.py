@@ -383,14 +383,20 @@ def _validate_plan(plan: CurriculumPlan) -> None:
         )
 
 
-def _build_stage(stage: Stage, pairs: list[Pair], adapter: TrainerAdapter) -> StageManifest:
+def _build_stage(
+    stage: Stage,
+    pairs: list[Pair],
+    adapter: TrainerAdapter,
+    lambda_rationale: float,
+    lambda_summary: float,
+) -> StageManifest:
     if stage in _SINGULAR_STAGES:
         return _singular_manifest(stage, pairs)
     if stage is Stage.CONCURRENT_EARLY:
         return build_concurrent_early_manifest(pairs)
     if stage is Stage.CONCURRENT_LATE:
         return build_concurrent_late_manifest(pairs, adapter)
-    return build_joint_manifest(pairs)
+    return build_joint_manifest(pairs, lambda_rationale, lambda_summary)
 
 
 def run_curriculum(
@@ -400,8 +406,12 @@ def run_curriculum(
     on_manifest=None,
     checkpoint_path: Path | None = None,
     checkpoint_key: str = "",
+    lambda_rationale: float = 0.8,
+    lambda_summary: float = 1.2,
 ) -> CurriculumReport:
     """Execute plan stages strictly in order, training the adapter on each.
+
+    The two lambdas weight the joint stage's rationale and summary losses.
 
     After every stage the checkpoint file (when given) is rewritten with the
     completed stages, so an aborted run can resume without redoing work. A
@@ -423,7 +433,7 @@ def run_curriculum(
                 StageRun(stage, entry["digest"], entry["example_count"], entry["metrics"])
             )
             continue
-        manifest = _build_stage(stage, pairs, adapter)
+        manifest = _build_stage(stage, pairs, adapter, lambda_rationale, lambda_summary)
         if on_manifest is not None:
             on_manifest(manifest)
         metrics = adapter.train(manifest)

@@ -85,10 +85,6 @@ class MockLlmClient(LlmClient):
             vec[stable_seed(text) % self._dimension] = 1.0
         return vec
 
-    @property
-    def embedding_dimension(self) -> int:
-        return self._dimension
-
 
 class EchoTrainerAdapter(TrainerAdapter):
     """Mock trainer whose greedy decode echoes the golden rationale.

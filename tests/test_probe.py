@@ -40,10 +40,6 @@ class ScriptedClient(LlmClient):
     def embed(self, text):
         raise NotImplementedError
 
-    @property
-    def embedding_dimension(self):
-        return 0
-
 
 GOOD = "Aspects: a; b\nTriples: [x | y | z]\nSummary: fine summary"
 BAD = "no structure here"
@@ -220,6 +216,5 @@ def test_mock_embed_contract():
     b = client.embed("storm flood rain")
     assert (a == b).all()
     assert a.shape == (32,)
-    assert client.embedding_dimension == 32
     assert client.embed("").shape == (32,)  # degenerate text still embeds nonzero
     assert client.embed("").any()

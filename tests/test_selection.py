@@ -48,9 +48,8 @@ class VectorProvider(LlmClient):
 
     cache_namespace = "vectors"
 
-    def __init__(self, mapping, dimension=2):
+    def __init__(self, mapping):
         self.mapping = dict(mapping)
-        self._dimension = dimension
         self.embed_calls = 0
 
     def complete(self, prompt):
@@ -59,10 +58,6 @@ class VectorProvider(LlmClient):
     def embed(self, text):
         self.embed_calls += 1
         return np.asarray(self.mapping[text], dtype=np.float64)
-
-    @property
-    def embedding_dimension(self):
-        return self._dimension
 
 
 def test_cosine_identity_and_orthogonality():
