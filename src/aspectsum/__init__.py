@@ -32,7 +32,6 @@ from .probe import (
     ProbeConfig,
     PromptTemplate,
     ResponseCache,
-    TemplateName,
     probe_rationales,
     render_probe_prompt,
 )

@@ -21,7 +21,8 @@ DEFAULT_API_KEY_ENV = "ASPECTSUM_API_KEY"
 class LlmClient(ABC):
     """Behavioral contract for completion + embedding providers."""
 
-    #: Distinguishes providers in the shared embedding cache.
+    #: The provider's identity in the response and embedding caches: two
+    #: clients share an entry only when they would give the same answer.
     cache_namespace: str = "llm"
 
     @abstractmethod
@@ -57,7 +58,7 @@ class OpenAiCompatClient(LlmClient):
         self.timeout = timeout
         self._session = session or requests.Session()
         self._dimension: int | None = None
-        self.cache_namespace = f"{self.endpoint_url}:{embedding_model_id}"
+        self.cache_namespace = f"{self.endpoint_url}:{model_id}:{embedding_model_id}"
 
     def _headers(self) -> dict[str, str]:
         key = os.environ.get(self.api_key_env)

@@ -95,6 +95,8 @@ def build_config(
         )
 
     if config_file is not None:
+        if not Path(config_file).is_file():
+            raise ValueError(f"no config file at {config_file}")
         loaded = json.loads(Path(config_file).read_text(encoding="utf-8"))
         if not isinstance(loaded, dict):
             raise ValueError("config file must contain a JSON object")

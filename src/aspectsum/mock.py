@@ -45,7 +45,7 @@ class MockLlmClient(LlmClient):
     def __init__(self, seed: int = 0, dimension: int = 64):
         self.seed = seed
         self._dimension = dimension
-        self.cache_namespace = f"mock-d{dimension}"
+        self.cache_namespace = f"mock-s{seed}-d{dimension}"
         self.completion_calls = 0
         self.embed_calls = 0
         self._per_prompt: dict[str, int] = {}

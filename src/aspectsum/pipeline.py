@@ -114,13 +114,14 @@ def _run_stage(ws: Workspace, cfg: PipelineConfig, stage: str, work, extra=(), w
 def stage_ingest(ws: Workspace, cfg: PipelineConfig, input_path: Path) -> dict:
     """Validate and persist JSONL records {id, document, summary}.
 
-    A record is excluded (with a per-category count) when it contains a
-    reserved curriculum token, its document exceeds max_doc_tokens, or its
-    summary exceeds max_summary_tokens; the first failing check wins.
+    A record is excluded (with a per-category count) when its document or
+    summary has no tokens, it contains a reserved curriculum token, its
+    document exceeds max_doc_tokens, or its summary exceeds
+    max_summary_tokens; the first failing check wins.
     """
     input_path = Path(input_path)
-    if not input_path.exists():
-        raise SchemaError(f"input file not found: {input_path}")
+    if not input_path.is_file():
+        raise SchemaError(f"no input file at {input_path}")
     return _run_stage(
         ws, cfg, "ingest", lambda _: _ingest(ws, cfg, input_path), (file_sha256(input_path),)
     )
@@ -129,7 +130,8 @@ def stage_ingest(ws: Workspace, cfg: PipelineConfig, input_path: Path) -> dict:
 def _ingest(ws: Workspace, cfg: PipelineConfig, input_path: Path) -> dict:
     documents: list[Document] = []
     seen: set[str] = set()
-    excluded_ids = {reason: [] for reason in ("doc_too_long", "summary_too_long", "reserved_token")}
+    reasons = ("empty", "doc_too_long", "summary_too_long", "reserved_token")
+    excluded_ids = {reason: [] for reason in reasons}
     total = 0
     with input_path.open(encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -155,7 +157,9 @@ def _ingest(ws: Workspace, cfg: PipelineConfig, input_path: Path) -> dict:
             seen.add(doc_id)
 
             text, summary = obj["document"], obj["summary"]
-            if find_reserved_token(text) or find_reserved_token(summary):
+            if token_count(text) == 0 or token_count(summary) == 0:
+                reason = "empty"
+            elif find_reserved_token(text) or find_reserved_token(summary):
                 reason = "reserved_token"
             elif token_count(text) > cfg.max_doc_tokens:
                 reason = "doc_too_long"
@@ -334,6 +338,8 @@ def stage_eval(
     external_scores: Path | None = None,
 ) -> dict:
     """ROUGE-score each document's golden candidate summary against the ground truth."""
+    if external_scores is not None and not Path(external_scores).is_file():
+        raise SchemaError(f"no external scores file at {external_scores}")
     external = file_sha256(str(external_scores)) if external_scores else ""
     return _run_stage(ws, cfg, "eval", lambda _: _eval(ws, external_scores), (external,))
 

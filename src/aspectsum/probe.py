@@ -1,20 +1,20 @@
-"""Prompt templates, n-sample rationale probing, and on-disk response caching.
+"""The probe prompt template, n-sample rationale probing, and on-disk caches.
 
-Templates ship as editable text assets under ``aspectsum/templates/``; each
-one carries named placeholders that are substituted in a single pass, so
+The template ships as an editable text asset under ``aspectsum/templates/``;
+its named placeholders are substituted in a single pass, so
 placeholder-looking text inside a document can never be re-substituted.
 """
 
 from __future__ import annotations
 
-import enum
+import functools
 import hashlib
 import json
 import re
+import threading
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from urllib.parse import quote
 
 import numpy as np
 
@@ -28,62 +28,46 @@ from .rationale import (
     parse_probe_response,
 )
 
-
-class TemplateName(enum.Enum):
-    RATIONALE_PROBE = "rationale_probe"
-
-
-_REQUIRED_PLACEHOLDERS = {
-    TemplateName.RATIONALE_PROBE: ("{document}", "{ground_truth_summary}"),
-}
-
 _PLACEHOLDER_RE = re.compile(r"\{(document|ground_truth_summary)\}")
 
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    name: TemplateName
     body: str
 
     def __post_init__(self):
-        for placeholder in _REQUIRED_PLACEHOLDERS[self.name]:
+        for placeholder in ("{document}", "{ground_truth_summary}"):
             count = self.body.count(placeholder)
             if count != 1:
                 raise ValueError(
-                    f"template {self.name.value} must contain {placeholder} exactly once, "
-                    f"found {count}"
+                    f"probe template must contain {placeholder} exactly once, found {count}"
                 )
-
-    @property
-    def content_hash(self) -> str:
-        """Content address of the body; editing the template invalidates caches."""
-        return hashlib.sha256(self.body.encode("utf-8")).hexdigest()[:16]
 
     def render(self, values: dict[str, str]) -> str:
         # Single pass over the template: substituted text is never rescanned.
         return _PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], self.body)
 
     @classmethod
-    def load(cls, name: TemplateName, path: Path | None = None) -> "PromptTemplate":
-        if path is not None:
-            body = Path(path).read_text(encoding="utf-8")
-        else:
-            body = (
-                resources.files("aspectsum.templates")
-                .joinpath(f"{name.value}.txt")
-                .read_text(encoding="utf-8")
-            )
-        return cls(name, body)
+    @functools.cache
+    def load(cls) -> "PromptTemplate":
+        """The bundled probe template, read once per process."""
+        body = (
+            resources.files("aspectsum.templates")
+            .joinpath("rationale_probe.txt")
+            .read_text(encoding="utf-8")
+        )
+        return cls(body)
 
 
-def render_probe_prompt(d: Document, template: PromptTemplate | None = None) -> str:
+def render_probe_prompt(d: Document) -> str:
     """The three-step aspects/triples/summary probing prompt."""
     if not d.text:
         raise EmptyField("document text is empty")
     if not d.ground_truth_summary:
         raise EmptyField("ground-truth summary is empty")
-    template = template or PromptTemplate.load(TemplateName.RATIONALE_PROBE)
-    return template.render({"document": d.text, "ground_truth_summary": d.ground_truth_summary})
+    return PromptTemplate.load().render(
+        {"document": d.text, "ground_truth_summary": d.ground_truth_summary}
+    )
 
 
 @dataclass(frozen=True)
@@ -98,45 +82,53 @@ class ProbeConfig:
             raise ValueError("max_retries must be >= 0")
 
 
-class ResponseCache:
-    """Verbatim response store at <root>/<document_id>/<template_hash>/<index>.txt.
+def _entry_path(root: Path, suffix: str, namespace: str, *key: str) -> Path:
+    """<root>/<aa>/<sha256 of the NUL-joined namespace and key parts><suffix>."""
+    digest = hashlib.sha256("\x00".join((namespace, *key)).encode("utf-8")).hexdigest()
+    return root / digest[:2] / f"{digest}{suffix}"
 
-    Document ids are percent-encoded in paths so opaque ids stay filesystem
-    safe. Writes for one key always come from the worker that owns the
-    document, so no cross-process locking is needed. I/O failures propagate
-    as OSError.
+
+def _write_entry(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
+class ResponseCache:
+    """Verbatim responses keyed by (provider namespace, rendered prompt, sample slot).
+
+    A response is reused only for the prompt and provider that produced it,
+    so an edited document, summary or template misses. The workspace lock
+    keeps other processes out, so no cross-process locking is needed. I/O
+    failures propagate as OSError.
     """
 
     def __init__(self, root: Path):
-        self.root = Path(root)
+        self.root = Path(root) / "responses"
+        # Documents with the same text and summary share keys, so two workers
+        # may read and write one entry at once; each sees it whole.
+        self._lock = threading.Lock()
 
-    def _path(self, document_id: str, template_hash: str, sample_index: int) -> Path:
-        return self.root / quote(document_id, safe="") / template_hash / f"{sample_index}.txt"
+    def lookup(self, namespace: str, prompt: str, slot: int) -> str | None:
+        path = _entry_path(self.root, ".txt", namespace, prompt, str(slot))
+        with self._lock:
+            if not path.exists():
+                return None
+            return path.read_text(encoding="utf-8")
 
-    def lookup(self, document_id: str, template_hash: str, sample_index: int) -> str | None:
-        path = self._path(document_id, template_hash, sample_index)
-        if not path.exists():
-            return None
-        return path.read_text(encoding="utf-8")
-
-    def store(self, document_id: str, template_hash: str, sample_index: int, response: str) -> None:
-        path = self._path(document_id, template_hash, sample_index)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(response, encoding="utf-8")
+    def store(self, namespace: str, prompt: str, slot: int, response: str) -> None:
+        path = _entry_path(self.root, ".txt", namespace, prompt, str(slot))
+        with self._lock:
+            _write_entry(path, response)
 
 
 class EmbeddingCache:
-    """Embedding store keyed by (provider namespace, text), next to responses."""
+    """Embedding vectors keyed by (provider namespace, text), next to responses."""
 
     def __init__(self, root: Path):
         self.root = Path(root) / "embeddings"
 
-    def _path(self, namespace: str, text: str) -> Path:
-        digest = hashlib.sha256(f"{namespace}\x00{text}".encode("utf-8")).hexdigest()
-        return self.root / digest[:2] / f"{digest}.json"
-
     def lookup(self, namespace: str, text: str) -> np.ndarray | None:
-        path = self._path(namespace, text)
+        path = _entry_path(self.root, ".json", namespace, text)
         if not path.exists():
             return None
         try:
@@ -147,9 +139,8 @@ class EmbeddingCache:
             return None
 
     def store(self, namespace: str, text: str, vector: np.ndarray) -> None:
-        path = self._path(namespace, text)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps([float(x) for x in vector]), encoding="utf-8")
+        path = _entry_path(self.root, ".json", namespace, text)
+        _write_entry(path, json.dumps([float(x) for x in vector]))
 
 
 @dataclass(frozen=True)
@@ -168,7 +159,6 @@ def probe_rationales(
     document: Document,
     config: ProbeConfig,
     cache: ResponseCache | None = None,
-    template: PromptTemplate | None = None,
     discards: list[DiscardRecord] | None = None,
 ) -> CandidateSet:
     """Collect exactly config.n_samples parseable (rationale, summary) pairs.
@@ -178,14 +168,13 @@ def probe_rationales(
     retried up to config.max_retries times and recorded as discarded, never
     silently repaired. Transport failures propagate immediately.
     """
-    template = template or PromptTemplate.load(TemplateName.RATIONALE_PROBE)
-    prompt = render_probe_prompt(document, template)
-    template_hash = template.content_hash
+    prompt = render_probe_prompt(document)
+    namespace = client.cache_namespace
 
     accepted: list[tuple[Rationale, str]] = []
     for slot in range(config.n_samples):
         parsed = None
-        cached = cache.lookup(document.id, template_hash, slot) if cache else None
+        cached = cache.lookup(namespace, prompt, slot) if cache else None
         if cached is not None:
             try:
                 parsed = parse_probe_response(cached)
@@ -205,7 +194,7 @@ def probe_rationales(
                         )
                     continue
                 if cache is not None:
-                    cache.store(document.id, template_hash, slot, response)
+                    cache.store(namespace, prompt, slot, response)
                 break
 
         if parsed is not None:

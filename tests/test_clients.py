@@ -39,6 +39,14 @@ def client_with(responses, monkeypatch):
     return client, session
 
 
+def test_cache_namespace_names_the_chat_model():
+    a, b = (
+        OpenAiCompatClient("https://example.test/v1", model, "embed-y", session=FakeSession([]))
+        for model in ("model-x", "model-z")
+    )
+    assert a.cache_namespace != b.cache_namespace
+
+
 def test_complete_parses_payload(monkeypatch):
     payload = {"choices": [{"message": {"content": "hello"}}]}
     client, session = client_with([FakeResponse(payload=payload)], monkeypatch)

@@ -84,6 +84,7 @@ def test_ingest_boundary_token_counts(tmp_path):
     kept = {d.id for d in ws.load_corpus()}
     assert kept == {"doc-1024", "sum-256"}
     assert report["excluded"] == {
+        "empty": 0,
         "doc_too_long": 1,
         "summary_too_long": 1,
         "reserved_token": 0,
@@ -101,6 +102,20 @@ def test_ingest_rejects_reserved_tokens(tmp_path):
     report = stage_ingest(ws, small_config(), path)
     assert report["excluded"]["reserved_token"] == 2
     assert [d.id for d in ws.load_corpus()] == ["good"]
+
+
+def test_ingest_excludes_empty_records(tmp_path):
+    from aspectsum.pipeline import run_all
+
+    records = synthetic_records(4)
+    records.append({"id": "no-doc", "document": "", "summary": "s"})
+    records.append({"id": "blank-summary", "document": "d", "summary": " \n\t"})
+    path = write_jsonl(tmp_path / "in.jsonl", records)
+    ws = Workspace(tmp_path / "ws")
+    cfg = small_config()
+    result = run_all(ws, cfg, path, MockLlmClient(seed=cfg.seed))
+    assert result["ingest"]["excluded_ids"]["empty"] == ["no-doc", "blank-summary"]
+    assert result["eval"]["documents"] == 4
 
 
 def test_ingest_duplicate_id(tmp_path):
@@ -299,6 +314,36 @@ def test_config_change_warns_and_reruns(tmp_path, corpus_file):
     assert not result["skipped"]
 
 
+def test_reingest_reprobes_only_the_changed_document(tmp_path, corpus_file):
+    from aspectsum.pipeline import run_all
+    from aspectsum.probe import render_probe_prompt
+
+    class RecordingClient(MockLlmClient):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.prompts = []
+
+        def complete(self, prompt):
+            self.prompts.append(prompt)
+            return super().complete(prompt)
+
+    ws = Workspace(tmp_path / "ws")
+    cfg = small_config()
+    run_all(ws, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
+    before = ws.load_candidate_sets()
+
+    # Same ids; one document gets new text.
+    records = synthetic_records(6)
+    records[2]["document"] += " late breaking update"
+    client = RecordingClient(seed=cfg.seed)
+    run_all(ws, cfg, write_jsonl(tmp_path / "edited.jsonl", records), client)
+    edited = ws.load_corpus()[2]
+    assert client.prompts == [render_probe_prompt(edited)] * cfg.n_samples
+    after = ws.load_candidate_sets()
+    assert after[2] != before[2]
+    assert after[:2] + after[3:] == before[:2] + before[3:]
+
+
 def test_probe_resume_refetches_only_missing(tmp_path, corpus_file):
     ws = Workspace(tmp_path / "ws")
     cfg = small_config()
@@ -458,6 +503,23 @@ def test_cli_eval_after_new_corpus_names_missing_artifact(tmp_path, corpus_file,
     # The selections still name the first corpus's documents.
     assert cli("eval", *scale) == 2
     assert "missing prerequisite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eval", "--external-scores", "nope.json"],
+        ["probe", "--config", "nope.json"],
+        ["ingest", "--input", "a_directory"],
+    ],
+    ids=["eval-external-scores", "probe-config", "ingest-directory"],
+)
+def test_cli_bad_user_path_is_an_error_line(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_directory").mkdir()
+    assert cli(*args, "--workspace", "ws", "--mock-llm", "--n-samples", "2", "--lda-k", "3") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no ") and args[-1] in err
 
 
 def test_cli_custom_profile_needs_scale(tmp_path, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import pytest
@@ -15,7 +17,6 @@ from aspectsum.probe import (
     ProbeConfig,
     PromptTemplate,
     ResponseCache,
-    TemplateName,
     probe_rationales,
     render_probe_prompt,
 )
@@ -46,26 +47,21 @@ BAD = "no structure here"
 
 
 def test_template_placeholder_contract():
-    PromptTemplate(TemplateName.RATIONALE_PROBE, "body {document} {ground_truth_summary}")
+    PromptTemplate("body {document} {ground_truth_summary}")
     with pytest.raises(ValueError):
-        PromptTemplate(TemplateName.RATIONALE_PROBE, "no placeholder")
+        PromptTemplate("no placeholder")
     with pytest.raises(ValueError):
-        PromptTemplate(
-            TemplateName.RATIONALE_PROBE, "{document} {document} {ground_truth_summary}"
-        )
+        PromptTemplate("{document} {document} {ground_truth_summary}")
     with pytest.raises(ValueError):
-        PromptTemplate(TemplateName.RATIONALE_PROBE, "{document} only")
+        PromptTemplate("{document} only")
 
 
 def test_bundled_templates_load():
-    for name in TemplateName:
-        template = PromptTemplate.load(name)
-        assert template.body
-        assert len(template.content_hash) == 16
+    template = PromptTemplate.load()
+    assert template.body
+    assert PromptTemplate.load() is template  # read once per process
     bundled = resources.files("aspectsum.templates").iterdir()
-    assert {p.name for p in bundled if p.name.endswith(".txt")} == {
-        f"{name.value}.txt" for name in TemplateName
-    }
+    assert [p.name for p in bundled if p.name.endswith(".txt")] == ["rationale_probe.txt"]
 
 
 def test_render_probe_prompt(sample_document):
@@ -154,20 +150,56 @@ def test_probe_transport_error_propagates(sample_document):
 
 def test_cache_round_trip(tmp_path):
     cache = ResponseCache(tmp_path)
-    assert cache.lookup("doc/1", "abc", 0) is None
-    cache.store("doc/1", "abc", 0, "payload\nlines")
-    assert cache.lookup("doc/1", "abc", 0) == "payload\nlines"
-    # opaque ids are percent-encoded in paths
-    assert (tmp_path / "doc%2F1" / "abc" / "0.txt").exists()
+    assert cache.lookup("ns", "prompt", 0) is None
+    cache.store("ns", "prompt", 0, "payload\nlines")
+    assert cache.lookup("ns", "prompt", 0) == "payload\nlines"
+    # namespace, prompt and slot each split the key
+    assert cache.lookup("other", "prompt", 0) is None
+    assert cache.lookup("ns", "prompt2", 0) is None
+    assert cache.lookup("ns", "prompt", 1) is None
+    # one file per entry, fanned out by the first two hex digits of its key
+    (entry,) = [p for p in (tmp_path / "responses").rglob("*") if p.is_file()]
+    assert entry.parent.name == entry.name[:2] and entry.suffix == ".txt"
 
 
-def test_template_edit_invalidates_cache(tmp_path, sample_document):
-    t1 = PromptTemplate.load(TemplateName.RATIONALE_PROBE)
-    t2 = PromptTemplate(TemplateName.RATIONALE_PROBE, t1.body + "\nextra instruction")
-    assert t1.content_hash != t2.content_hash
+def test_concurrent_use_of_one_key_sees_whole_responses(tmp_path):
+    # Documents with equal text and summary share keys, so under --jobs two
+    # workers can read and write one entry at once.
     cache = ResponseCache(tmp_path)
-    cache.store(sample_document.id, t1.content_hash, 0, GOOD)
-    assert cache.lookup(sample_document.id, t2.content_hash, 0) is None
+    responses = [f"response {i}:" + "x" * (i * 397 % 6000) for i in range(16)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            for _ in range(50):
+                futures = [pool.submit(cache.store, "ns", "p", 0, r) for r in responses]
+                futures += [pool.submit(cache.lookup, "ns", "p", 0) for _ in responses]
+                for future in futures:
+                    assert future.result(timeout=10) in responses + [None]
+                assert cache.lookup("ns", "p", 0) in responses
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_template_edit_invalidates_cache(tmp_path, sample_document, monkeypatch):
+    cache = ResponseCache(tmp_path)
+    cfg = ProbeConfig(n_samples=2)
+    probe_rationales(MockLlmClient(seed=3), sample_document, cfg, cache=cache)
+    edited = PromptTemplate(PromptTemplate.load().body + "\nextra instruction")
+    monkeypatch.setattr(PromptTemplate, "load", classmethod(lambda cls: edited))
+    client = MockLlmClient(seed=3)
+    probe_rationales(client, sample_document, cfg, cache=cache)
+    assert client.completion_calls == 2
+
+
+def test_probe_cache_is_keyed_by_provider(tmp_path, sample_document):
+    cache = ResponseCache(tmp_path)
+    cfg = ProbeConfig(n_samples=2)
+    first = probe_rationales(MockLlmClient(seed=5), sample_document, cfg, cache=cache)
+    client = MockLlmClient(seed=6)
+    second = probe_rationales(client, sample_document, cfg, cache=cache)
+    assert client.completion_calls == 2  # another seed is another provider
+    assert first != second
 
 
 def test_probe_uses_cache(tmp_path, sample_document):
@@ -186,9 +218,10 @@ def test_probe_refetches_only_missing_cache_entries(tmp_path, sample_document):
     cache = ResponseCache(tmp_path)
     cfg = ProbeConfig(n_samples=4)
     probe_rationales(MockLlmClient(seed=3), sample_document, cfg, cache=cache)
-    template_hash = PromptTemplate.load(TemplateName.RATIONALE_PROBE).content_hash
-    for slot in (1, 3):
-        cache._path(sample_document.id, template_hash, slot).unlink()
+    entries = sorted(p for p in cache.root.rglob("*") if p.is_file())
+    assert len(entries) == 4
+    for path in entries[1::2]:
+        path.unlink()
     client = MockLlmClient(seed=3)
     probe_rationales(client, sample_document, cfg, cache=cache)
     assert client.completion_calls == 2
@@ -196,8 +229,8 @@ def test_probe_refetches_only_missing_cache_entries(tmp_path, sample_document):
 
 def test_unparseable_cache_entry_is_refetched(tmp_path, sample_document):
     cache = ResponseCache(tmp_path)
-    template_hash = PromptTemplate.load(TemplateName.RATIONALE_PROBE).content_hash
-    cache.store(sample_document.id, template_hash, 0, BAD)
+    prompt = render_probe_prompt(sample_document)
+    cache.store(ScriptedClient.cache_namespace, prompt, 0, BAD)
     client = ScriptedClient([GOOD])
     discards = []
     cs = probe_rationales(
@@ -207,7 +240,7 @@ def test_unparseable_cache_entry_is_refetched(tmp_path, sample_document):
     assert client.calls == 1
     # the bad entry was recorded and replaced by the fresh response
     assert discards[0].attempt == -1
-    assert cache.lookup(sample_document.id, template_hash, 0) == GOOD
+    assert cache.lookup(ScriptedClient.cache_namespace, prompt, 0) == GOOD
 
 
 def test_mock_embed_contract():
