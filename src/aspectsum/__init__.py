@@ -4,7 +4,6 @@ from .clients import LlmClient, OpenAiCompatClient
 from .config import PipelineConfig, build_config
 from .curriculum import (
     CANONICAL_STAGE_ORDER,
-    CurriculumPlan,
     Stage,
     StageManifest,
     TaskKind,

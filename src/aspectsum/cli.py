@@ -107,7 +107,6 @@ def main(argv=None) -> int:
 
     p_all = sub.add_parser("run-all", parents=[common], help="run every stage in order")
     p_all.add_argument("--input", required=True, type=Path)
-    p_all.add_argument("--override-stage-order", action="store_true")
     p_all.add_argument("--format", choices=["json", "table"], default="table")
     p_all.add_argument("--external-scores", type=Path)
 
@@ -155,7 +154,6 @@ def main(argv=None) -> int:
                     cfg,
                     args.input,
                     _build_client(args, cfg),
-                    override_stage_order=args.override_stage_order,
                     external_scores=args.external_scores,
                 )
                 for name, result in results.items():

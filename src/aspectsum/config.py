@@ -10,7 +10,7 @@ from pathlib import Path
 from .probe import ProbeConfig
 from .selection import SelectionConfig
 from .textutil import stable_digest
-from .topics import VocabularyConfig
+from .topics import VocabularyConfig, _validate_hyperparameters
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,16 @@ class PipelineConfig:
     model_id: str = "gpt-3.5-turbo"
     embedding_model_id: str = "text-embedding-ada-002"
     endpoint_url: str = "https://api.openai.com/v1"
+
+    def __post_init__(self):
+        # Each value is checked by the stage that uses it; checking here too
+        # rejects a bad config before any stage runs.
+        self.probe_config()
+        self.selection_config()
+        self.vocab_config()
+        # max() keeps k <= 0 from dividing by zero; the check rejects any k < 2.
+        alpha = 50.0 / max(self.lda_k, 1) if self.lda_alpha is None else self.lda_alpha
+        _validate_hyperparameters(self.lda_k, alpha, self.lda_beta, self.lda_iterations)
 
     def digest(self) -> str:
         # jobs is an execution knob: parallelism never changes artifacts, so

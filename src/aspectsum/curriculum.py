@@ -12,8 +12,8 @@ import enum
 import hashlib
 import json
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import (
     DecodeFailure,
@@ -335,47 +335,13 @@ def article_segment(input: str) -> str:
     return input[start : min(ends) - 1]
 
 
-@dataclass(frozen=True)
-class CurriculumPlan:
-    stages: tuple[Stage, ...] = CANONICAL_STAGE_ORDER
-    override_stage_order: bool = False
-
-
-@dataclass(frozen=True)
-class StageRun:
-    stage: Stage
-    digest: str
-    example_count: int
-    metrics: dict
-
-
-@dataclass(frozen=True)
-class CurriculumReport:
-    stages: tuple[StageRun, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "stages": [
-                {
-                    "stage": run.stage.value,
-                    "digest": run.digest,
-                    "example_count": run.example_count,
-                    "metrics": run.metrics,
-                }
-                for run in self.stages
-            ]
-        }
-
-
-def _validate_plan(plan: CurriculumPlan) -> None:
-    if not plan.stages:
+def _validate_plan(stages: tuple[Stage, ...], override_stage_order: bool) -> None:
+    if not stages:
         raise StageOrderViolation("plan has no stages")
-    ranks = []
-    for stage in plan.stages:
-        ranks.append(CANONICAL_STAGE_ORDER.index(stage))
+    ranks = [CANONICAL_STAGE_ORDER.index(stage) for stage in stages]
     if ranks != sorted(set(ranks)):
         raise StageOrderViolation("stages must follow the canonical order without repeats")
-    if not plan.override_stage_order and ranks != list(range(len(ranks))):
+    if not override_stage_order and ranks != list(range(len(ranks))):
         first_missing = next(i for i in range(len(CANONICAL_STAGE_ORDER)) if i not in ranks)
         raise StageOrderViolation(
             f"plan skips prerequisite stage {CANONICAL_STAGE_ORDER[first_missing].value}; "
@@ -400,55 +366,40 @@ def _build_stage(
 
 
 def run_curriculum(
-    plan: CurriculumPlan,
     pairs: list[Pair],
     adapter: TrainerAdapter,
+    stages: tuple[Stage, ...] = CANONICAL_STAGE_ORDER,
+    override_stage_order: bool = False,
+    recorded: Sequence[dict] = (),
     on_manifest=None,
-    checkpoint_path: Path | None = None,
-    checkpoint_key: str = "",
+    on_stage=None,
     lambda_rationale: float = 0.8,
     lambda_summary: float = 1.2,
-) -> CurriculumReport:
-    """Execute plan stages strictly in order, training the adapter on each.
+) -> list[dict]:
+    """Build every planned stage's manifest in order and train the adapter on it.
 
-    The two lambdas weight the joint stage's rationale and summary losses.
-
-    After every stage the checkpoint file (when given) is rewritten with the
-    completed stages, so an aborted run can resume without redoing work. A
-    checkpoint written under a different checkpoint_key is ignored.
+    Returns one entry {stage, digest, example_count, metrics} per stage.
+    recorded holds the entries of an earlier run of this plan: each leading
+    stage whose recorded digest equals that of the manifest built now keeps
+    its entry untrained, and every stage from the first new or changed one
+    is trained. on_manifest(manifest) is called before a stage trains and
+    on_stage(entries) after it. The two lambdas weight the joint stage's
+    rationale and summary losses.
     """
-    _validate_plan(plan)
-
-    completed: dict[str, dict] = {}
-    if checkpoint_path is not None and Path(checkpoint_path).exists():
-        state = json.loads(Path(checkpoint_path).read_text(encoding="utf-8"))
-        if state.get("key") == checkpoint_key:
-            completed = state.get("entries", {})
-
-    runs: list[StageRun] = []
-    for stage in plan.stages:
-        if stage.value in completed:
-            entry = completed[stage.value]
-            runs.append(
-                StageRun(stage, entry["digest"], entry["example_count"], entry["metrics"])
-            )
-            continue
+    _validate_plan(stages, override_stage_order)
+    entries: list[dict] = []
+    resuming = True
+    for i, stage in enumerate(stages):
         manifest = _build_stage(stage, pairs, adapter, lambda_rationale, lambda_summary)
         if on_manifest is not None:
             on_manifest(manifest)
-        metrics = adapter.train(manifest)
-        run = StageRun(stage, manifest.digest(), len(manifest.examples), metrics)
-        runs.append(run)
-        completed[stage.value] = {
-            "digest": run.digest,
-            "example_count": run.example_count,
-            "metrics": run.metrics,
-        }
-        if checkpoint_path is not None:
-            path = Path(checkpoint_path)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(
-                json.dumps({"key": checkpoint_key, "entries": completed}, sort_keys=True),
-                encoding="utf-8",
-            )
-    return CurriculumReport(tuple(runs))
+        entry = {"stage": stage.value, "digest": manifest.digest()}
+        resuming = resuming and i < len(recorded) and all(
+            recorded[i].get(key) == value for key, value in entry.items()
+        )
+        entry["example_count"] = len(manifest.examples)
+        entry["metrics"] = recorded[i]["metrics"] if resuming else adapter.train(manifest)
+        entries.append(entry)
+        if on_stage is not None:
+            on_stage(entries)
+    return entries

@@ -11,7 +11,7 @@ and earlier artifacts stay intact.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -19,7 +19,6 @@ from .clients import LlmClient
 from .config import PipelineConfig
 from .curriculum import (
     CANONICAL_STAGE_ORDER,
-    CurriculumPlan,
     Stage,
     StageManifest,
     TrainerAdapter,
@@ -29,7 +28,7 @@ from .curriculum import (
 from .errors import DuplicateId, MissingPrerequisite, SchemaError
 from .evaluation import evaluate_corpus
 from .mock import EchoTrainerAdapter
-from .probe import EmbeddingCache, ResponseCache, probe_rationales
+from .probe import EmbeddingCache, ResponseCache, probe_rationales, render_probe_prompt
 from .rationale import Document, rationale_from_json
 from .selection import select_golden
 from .textutil import stable_digest, token_count
@@ -166,7 +165,7 @@ def _ingest(ws: Workspace, cfg: PipelineConfig, input_path: Path) -> dict:
             elif token_count(summary) > cfg.max_summary_tokens:
                 reason = "summary_too_long"
             else:
-                documents.append(Document.create(doc_id, text, summary))
+                documents.append(Document(doc_id, text, summary))
                 continue
             excluded_ids[reason].append(doc_id)
 
@@ -197,15 +196,22 @@ def _probe(ws: Workspace, cfg: PipelineConfig, client: LlmClient) -> dict:
     documents = ws.load_corpus()
     cache = ResponseCache(ws.cache_dir)
     probe_cfg = cfg.probe_config()
+    # Records that render one prompt share its cached responses. Each prompt
+    # is probed once, under its first id, and the others copy its candidates,
+    # so the bytes do not depend on which worker reaches the cache first.
+    prompts = [render_probe_prompt(doc) for doc in documents]
+    first: dict[str, Document] = {}
+    for prompt, doc in zip(prompts, documents):
+        first.setdefault(prompt, doc)
 
     def work(doc: Document):
         discards = []
         candidate_set = probe_rationales(client, doc, probe_cfg, cache=cache, discards=discards)
         return candidate_set, discards
 
-    results = _map_ordered(work, documents, cfg.jobs)
-    sets = [cs for cs, _ in results]
-    discards = [record for _, recs in results for record in recs]
+    results = dict(zip(first, _map_ordered(work, list(first.values()), cfg.jobs)))
+    sets = [replace(results[p][0], document_id=doc.id) for p, doc in zip(prompts, documents)]
+    discards = [record for _, recs in results.values() for record in recs]
 
     ws.save_candidate_sets(sets)
     ws.write_text(
@@ -295,6 +301,15 @@ def _golden_pairs(ws: Workspace) -> list:
     return pairs
 
 
+def _recorded_stages(ws: Workspace, key: str) -> list[dict]:
+    """The stage entries of the curriculum report, if it was written under this key."""
+    try:
+        report = json.loads(ws.curriculum_report_path.read_text(encoding="utf-8"))
+    except (FileNotFoundError, ValueError):
+        return []
+    return report["stages"] if report.get("key") == key else []
+
+
 def stage_curriculum(
     ws: Workspace,
     cfg: PipelineConfig,
@@ -302,8 +317,13 @@ def stage_curriculum(
     stages: tuple[Stage, ...] | None = None,
     override_stage_order: bool = False,
 ) -> dict:
-    """Build stage manifests, run the curriculum, and persist the report."""
-    plan = CurriculumPlan(tuple(stages or CANONICAL_STAGE_ORDER), override_stage_order)
+    """Build and write every stage manifest and train the adapter on each.
+
+    The report, rewritten after each stage, is the resume point: a re-run
+    under the same stage digest trains from the first stage whose manifest
+    is new or changed.
+    """
+    stages = tuple(stages or CANONICAL_STAGE_ORDER)
 
     def work(digest: str) -> dict:
         pairs = _golden_pairs(ws)
@@ -314,21 +334,25 @@ def stage_curriculum(
             meta = dump_json_pretty(manifest.meta())
             ws.write_text(ws.manifests_dir / f"{name}.meta.json", meta)
 
-        report = run_curriculum(
-            plan,
+        def on_stage(entries: list[dict]) -> None:
+            report = {"key": digest, "stages": entries}
+            ws.write_text(ws.curriculum_report_path, dump_json_pretty(report))
+
+        entries = run_curriculum(
             pairs,
             adapter or EchoTrainerAdapter(pairs),
+            stages=stages,
+            override_stage_order=override_stage_order,
+            recorded=_recorded_stages(ws, digest),
             on_manifest=on_manifest,
-            checkpoint_path=ws.checkpoint_path,
-            checkpoint_key=digest,
+            on_stage=on_stage,
             lambda_rationale=cfg.lambda_rationale,
             lambda_summary=cfg.lambda_summary,
         )
-        ws.write_text(ws.curriculum_report_path, dump_json_pretty(report.to_json()))
-        return {"stages": [run.stage.value for run in report.stages], "documents": len(pairs)}
+        return {"stages": [entry["stage"] for entry in entries], "documents": len(pairs)}
 
-    plan_key = (",".join(s.value for s in plan.stages), str(plan.override_stage_order))
-    manifests = [ws.manifests_dir / f"{_manifest_filename(s)}.jsonl" for s in plan.stages]
+    plan_key = (",".join(s.value for s in stages), str(override_stage_order))
+    manifests = [ws.manifests_dir / f"{_manifest_filename(s)}.jsonl" for s in stages]
     return _run_stage(ws, cfg, "curriculum", work, plan_key, manifests)
 
 
@@ -387,7 +411,6 @@ def run_all(
     input_path: Path,
     client: LlmClient,
     adapter: TrainerAdapter | None = None,
-    override_stage_order: bool = False,
     external_scores: Path | None = None,
 ) -> dict:
     """Chain ingest -> probe -> select -> curriculum -> eval, fail-fast."""
@@ -395,8 +418,6 @@ def run_all(
         "ingest": stage_ingest(ws, cfg, input_path),
         "probe": stage_probe(ws, cfg, client),
         "select": stage_select(ws, cfg, client),
-        "curriculum": stage_curriculum(
-            ws, cfg, adapter=adapter, override_stage_order=override_stage_order
-        ),
+        "curriculum": stage_curriculum(ws, cfg, adapter=adapter),
         "eval": stage_eval(ws, cfg, external_scores=external_scores),
     }

@@ -104,8 +104,8 @@ class ResponseCache:
 
     def __init__(self, root: Path):
         self.root = Path(root) / "responses"
-        # Documents with the same text and summary share keys, so two workers
-        # may read and write one entry at once; each sees it whole.
+        # Threads probing records with the same text and summary share keys,
+        # so they may read and write one entry at once; each sees it whole.
         self._lock = threading.Lock()
 
     def lookup(self, namespace: str, prompt: str, slot: int) -> str | None:

@@ -17,7 +17,6 @@ import re
 from dataclasses import dataclass
 
 from .errors import MalformedRationale
-from .textutil import token_count
 
 _ASPECTS_RE = re.compile(r"^[ \t]*Aspects:", re.MULTILINE)
 _TRIPLES_RE = re.compile(r"^[ \t]*Triples:", re.MULTILINE)
@@ -82,26 +81,10 @@ class Document:
     id: str
     text: str
     ground_truth_summary: str
-    token_count: int
-    summary_token_count: int
 
     def __post_init__(self):
         if not self.id:
             raise ValueError("document id is empty")
-        if self.token_count != token_count(self.text):
-            raise ValueError("token_count does not match whitespace token count of text")
-        if self.summary_token_count != token_count(self.ground_truth_summary):
-            raise ValueError("summary_token_count does not match summary")
-
-    @classmethod
-    def create(cls, id: str, text: str, ground_truth_summary: str) -> "Document":
-        return cls(
-            id=id,
-            text=text,
-            ground_truth_summary=ground_truth_summary,
-            token_count=token_count(text),
-            summary_token_count=token_count(ground_truth_summary),
-        )
 
 
 @dataclass(frozen=True)

@@ -80,10 +80,6 @@ class Workspace:
         return self.root / "curriculum" / "report.json"
 
     @property
-    def checkpoint_path(self) -> Path:
-        return self.root / "curriculum" / "checkpoint.json"
-
-    @property
     def eval_json_path(self) -> Path:
         return self.root / "eval" / "report.json"
 
@@ -170,9 +166,7 @@ class Workspace:
             if not line.strip():
                 continue
             obj = json.loads(line)
-            documents.append(
-                Document.create(obj["id"], obj["text"], obj["ground_truth_summary"])
-            )
+            documents.append(Document(obj["id"], obj["text"], obj["ground_truth_summary"]))
         return documents
 
     def save_candidate_sets(self, sets: list[CandidateSet]) -> None:

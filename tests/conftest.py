@@ -71,7 +71,7 @@ def write_jsonl(path: Path, records) -> Path:
 
 @pytest.fixture
 def sample_document() -> Document:
-    return Document.create(
+    return Document(
         "doc-1",
         "A fire erupted on an offshore oil rig near the coast and crews "
         "contained the blaze after several hours",

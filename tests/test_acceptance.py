@@ -240,7 +240,7 @@ def _select_golden_matches_brute_force(rng: random.Random, runs: int) -> bool:
             )
             summary = " ".join(rng.choice(pool) for _ in range(rng.randint(4, 10)))
             candidates.append(Candidate(i, rationale, summary))
-        doc = Document.create(
+        doc = Document(
             f"bf-{run}",
             " ".join(rng.choice(pool) for _ in range(25)),
             " ".join(rng.choice(pool) for _ in range(8)),
@@ -466,7 +466,7 @@ def test_criterion_7_curriculum_contracts():
     rng = random.Random(77)
     pairs = []
     for i in range(10):
-        d = Document.create(
+        d = Document(
             f"doc-{i}",
             " ".join(rng.choice(["storm", "river", "levee", "rain"]) for _ in range(25)),
             f"summary {i} of the storm",

@@ -10,7 +10,6 @@ from aspectsum.curriculum import (
     CANONICAL_STAGE_ORDER,
     SUMMARY_TOKEN,
     TRIPLES_TOKEN,
-    CurriculumPlan,
     Stage,
     TaskKind,
     TrainerAdapter,
@@ -53,7 +52,7 @@ def _segment(input_text: str, token: str, next_tokens: tuple[str, ...]) -> str:
 def make_pairs(n=3):
     pairs = []
     for i in range(n):
-        d = Document.create(
+        d = Document(
             f"doc-{i}",
             f"article {i} about storms and rivers with plenty of words",
             f"summary {i} of the storm",
@@ -229,7 +228,7 @@ def test_split_joint_target_requires_marker():
 
 
 def test_missing_rationale_raises():
-    d = Document.create("d", "text body", "summary")
+    d = Document("d", "text body", "summary")
     with pytest.raises(MissingRationale):
         build_joint_manifest([(d, None)])
     with pytest.raises(MissingRationale):
@@ -237,7 +236,7 @@ def test_missing_rationale_raises():
 
 
 def test_reserved_token_in_rationale_rejected():
-    d = Document.create("d", "text body", "summary")
+    d = Document("d", "text body", "summary")
     r = Rationale((Aspect("has <summary> marker"),), (Triple("a", "b", "c"),))
     with pytest.raises(ReservedTokenCollision):
         build_joint_manifest([(d, r)])
@@ -245,10 +244,10 @@ def test_reserved_token_in_rationale_rejected():
 
 def test_reserved_token_in_document_rejected():
     r = Rationale((Aspect("clean"),), (Triple("a", "b", "c"),))
-    dirty_doc = Document.create("d", "text with <aspects> marker", "summary")
+    dirty_doc = Document("d", "text with <aspects> marker", "summary")
     with pytest.raises(ReservedTokenCollision):
         build_concurrent_early_manifest([(dirty_doc, r)])
-    dirty_summary = Document.create("d", "text", "summary with <RatGen>")
+    dirty_summary = Document("d", "text", "summary with <RatGen>")
     with pytest.raises(ReservedTokenCollision):
         build_joint_manifest([(dirty_summary, r)])
 
@@ -270,7 +269,7 @@ def test_training_example_validation():
 
 
 def test_article_segment_round_trip():
-    d = Document.create("d", "multi word article\nwith a newline", "s")
+    d = Document("d", "multi word article\nwith a newline", "s")
     r = Rationale((Aspect("a"),), (Triple("x", "y", "z"),))
     manifest = build_concurrent_early_manifest([(d, r)])
     for ex in manifest.examples:
@@ -294,33 +293,30 @@ def test_run_curriculum_full_plan():
     pairs = make_pairs(2)
     adapter = EchoTrainerAdapter(pairs)
     manifests = []
-    report = run_curriculum(
-        CurriculumPlan(), pairs, adapter, on_manifest=manifests.append
-    )
-    assert [run.stage for run in report.stages] == list(CANONICAL_STAGE_ORDER)
+    entries = run_curriculum(pairs, adapter, on_manifest=manifests.append)
+    assert [e["stage"] for e in entries] == [s.value for s in CANONICAL_STAGE_ORDER]
     assert [m.stage for m in manifests] == list(CANONICAL_STAGE_ORDER)
     assert adapter.trained_stages == [s.value for s in CANONICAL_STAGE_ORDER]
-    for run in report.stages:
-        assert run.example_count > 0
-        assert run.metrics["examples"] == run.example_count
+    for entry, manifest in zip(entries, manifests):
+        assert entry["digest"] == manifest.digest()
+        assert entry["example_count"] > 0
+        assert entry["metrics"]["examples"] == entry["example_count"]
 
 
 def test_run_curriculum_deterministic_digests():
     pairs = make_pairs(2)
-    r1 = run_curriculum(CurriculumPlan(), pairs, EchoTrainerAdapter(pairs))
-    r2 = run_curriculum(CurriculumPlan(), pairs, EchoTrainerAdapter(pairs))
-    assert [s.digest for s in r1.stages] == [s.digest for s in r2.stages]
+    r1 = run_curriculum(pairs, EchoTrainerAdapter(pairs))
+    r2 = run_curriculum(pairs, EchoTrainerAdapter(pairs))
+    assert [e["digest"] for e in r1] == [e["digest"] for e in r2]
 
 
 def test_plan_skipping_requires_override():
     pairs = make_pairs(1)
     adapter = EchoTrainerAdapter(pairs)
     with pytest.raises(StageOrderViolation):
-        run_curriculum(CurriculumPlan(stages=(Stage.JOINT,)), pairs, adapter)
-    report = run_curriculum(
-        CurriculumPlan(stages=(Stage.JOINT,), override_stage_order=True), pairs, adapter
-    )
-    assert [run.stage for run in report.stages] == [Stage.JOINT]
+        run_curriculum(pairs, adapter, stages=(Stage.JOINT,))
+    entries = run_curriculum(pairs, adapter, stages=(Stage.JOINT,), override_stage_order=True)
+    assert [e["stage"] for e in entries] == ["joint"]
 
 
 def test_plan_reorder_or_repeat_always_rejected():
@@ -333,9 +329,7 @@ def test_plan_reorder_or_repeat_always_rejected():
     ]
     for stages in bad_plans:
         with pytest.raises(StageOrderViolation):
-            run_curriculum(
-                CurriculumPlan(stages=stages, override_stage_order=True), pairs, adapter
-            )
+            run_curriculum(pairs, adapter, stages=stages, override_stage_order=True)
 
 
 class AbortingAdapter(EchoTrainerAdapter):
@@ -349,43 +343,44 @@ class AbortingAdapter(EchoTrainerAdapter):
         return super().train(manifest)
 
 
-def test_checkpoint_resume(tmp_path):
+def test_checkpoint_resume():
+    """The entries reported after each stage are the record a re-run resumes from."""
     pairs = make_pairs(2)
-    checkpoint = tmp_path / "checkpoint.json"
+    reported = []
     with pytest.raises(RuntimeError):
         run_curriculum(
-            CurriculumPlan(),
             pairs,
             AbortingAdapter(pairs, "singular_summary"),
-            checkpoint_path=checkpoint,
-            checkpoint_key="k1",
+            on_stage=lambda entries: reported.append(list(entries)),
         )
-    state = json.loads(checkpoint.read_text())
-    assert sorted(state["entries"]) == ["singular_aspect", "singular_triple"]
+    recorded = reported[-1]
+    assert [e["stage"] for e in recorded] == ["singular_aspect", "singular_triple"]
 
     resumed = EchoTrainerAdapter(pairs)
-    report = run_curriculum(
-        CurriculumPlan(), pairs, resumed, checkpoint_path=checkpoint, checkpoint_key="k1"
-    )
-    assert [run.stage for run in report.stages] == list(CANONICAL_STAGE_ORDER)
-    # the two completed stages were not re-trained
+    manifests = []
+    entries = run_curriculum(pairs, resumed, recorded=recorded, on_manifest=manifests.append)
+    # Every manifest is built again; the two recorded stages are not retrained.
+    assert [m.stage for m in manifests] == list(CANONICAL_STAGE_ORDER)
     assert resumed.trained_stages == [
         "singular_summary", "concurrent_early", "concurrent_late", "joint",
     ]
+    assert entries == run_curriculum(pairs, EchoTrainerAdapter(pairs))
 
 
-def test_checkpoint_key_mismatch_restarts(tmp_path):
+def test_checkpoint_key_mismatch_restarts():
+    """Training resumes only through the leading stages whose digests still match."""
     pairs = make_pairs(1)
-    checkpoint = tmp_path / "checkpoint.json"
-    run_curriculum(
-        CurriculumPlan(), pairs, EchoTrainerAdapter(pairs),
-        checkpoint_path=checkpoint, checkpoint_key="old",
-    )
+    recorded = run_curriculum(pairs, EchoTrainerAdapter(pairs))
+    changed = [dict(e) for e in recorded]
+    changed[1]["digest"] = "0" * 64
+    adapter = EchoTrainerAdapter(pairs)
+    run_curriculum(pairs, adapter, recorded=changed)
+    assert adapter.trained_stages == [s.value for s in CANONICAL_STAGE_ORDER[1:]]
+
+    other = make_pairs(2)
     fresh = EchoTrainerAdapter(pairs)
-    run_curriculum(
-        CurriculumPlan(), pairs, fresh, checkpoint_path=checkpoint, checkpoint_key="new"
-    )
-    assert len(fresh.trained_stages) == 6  # stale checkpoint ignored
+    run_curriculum(pairs, fresh, recorded=run_curriculum(other, EchoTrainerAdapter(other)))
+    assert len(fresh.trained_stages) == 6  # a record of other manifests is ignored
 
 
 def test_trainer_adapter_is_abstract():

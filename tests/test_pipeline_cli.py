@@ -258,6 +258,83 @@ def test_joint_manifest_uses_configured_loss_weights(tmp_path, corpus_file):
     assert meta["loss_config"] == {"rationale": 0.5, "summary": 1.5}
 
 
+def _recording_adapters(monkeypatch) -> list:
+    """The default adapters stage_curriculum builds from now on, in order."""
+    from aspectsum import pipeline
+    from aspectsum.mock import EchoTrainerAdapter
+
+    adapters = []
+
+    def recording(pairs):
+        adapters.append(EchoTrainerAdapter(pairs))
+        return adapters[-1]
+
+    monkeypatch.setattr(pipeline, "EchoTrainerAdapter", recording)
+    return adapters
+
+
+def test_deleted_manifest_is_rebuilt_without_retraining(tmp_path, corpus_file, monkeypatch):
+    from aspectsum.pipeline import run_all
+
+    ws = Workspace(tmp_path / "ws")
+    cfg = small_config()
+    run_all(ws, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
+    before = tree_hashes(ws.root)
+    (ws.manifests_dir / "01_singular_aspect.jsonl").unlink()
+
+    adapters = _recording_adapters(monkeypatch)
+    result = stage_curriculum(ws, cfg)
+    assert not result["skipped"] and not result["config_changed"]
+    assert adapters[0].trained_stages == []
+    after = tree_hashes(ws.root)
+    # Only the ledger changed: it records the run that rewrote the manifest.
+    assert after.pop("ledger.jsonl") != before.pop("ledger.jsonl")
+    assert after == before
+    assert stage_curriculum(ws, cfg)["skipped"]
+    assert len(adapters) == 1
+
+
+def test_curriculum_resumes_from_its_report(tmp_path, corpus_file, monkeypatch):
+    from aspectsum.mock import EchoTrainerAdapter
+    from aspectsum.pipeline import run_all
+
+    class CrashingAdapter(EchoTrainerAdapter):
+        def train(self, manifest):
+            if manifest.stage.value == "singular_summary":
+                raise RuntimeError("trainer crashed")
+            return super().train(manifest)
+
+    ws = Workspace(tmp_path / "ws")
+    cfg = small_config()
+    client = MockLlmClient(seed=cfg.seed)
+    stage_ingest(ws, cfg, corpus_file)
+    stage_probe(ws, cfg, client)
+    stage_select(ws, cfg, client)
+    with pytest.raises(RuntimeError):
+        # The crash comes before the self-guided stage decodes, so no pairs.
+        stage_curriculum(ws, cfg, adapter=CrashingAdapter([]))
+    report = json.loads(ws.curriculum_report_path.read_text())
+    assert [e["stage"] for e in report["stages"]] == ["singular_aspect", "singular_triple"]
+    assert not (ws.root / "curriculum" / "checkpoint.json").exists()
+
+    adapters = _recording_adapters(monkeypatch)
+    stage_curriculum(ws, cfg)
+    assert adapters[-1].trained_stages == [s.value for s in CANONICAL_STAGE_ORDER[2:]]
+    fresh = Workspace(tmp_path / "fresh")
+    run_all(fresh, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
+    assert ws.curriculum_report_path.read_bytes() == fresh.curriculum_report_path.read_bytes()
+
+    every_stage = [s.value for s in CANONICAL_STAGE_ORDER]
+    # Another plan key has no recorded stages: all six train again.
+    stage_curriculum(ws, cfg, override_stage_order=True)
+    assert adapters[-1].trained_stages == every_stage
+    # Nor has a report cut short while it was written.
+    ws.curriculum_report_path.write_text('{"key"')
+    (ws.manifests_dir / "06_joint.jsonl").unlink()
+    stage_curriculum(ws, cfg, override_stage_order=True)
+    assert adapters[-1].trained_stages == every_stage
+
+
 def test_select_recovers_from_truncated_embedding_entry(tmp_path, corpus_file):
     ws = Workspace(tmp_path / "ws")
     cfg = small_config()
@@ -418,6 +495,26 @@ def test_curriculum_stage_subset_and_override(tmp_path, corpus_file):
     assert (ws.manifests_dir / "06_joint.jsonl").exists()
 
 
+def test_probe_jobs_keep_bytes_when_records_share_text(tmp_path):
+    texts = synthetic_records(2)
+    records = [dict(texts[i // 4], id=f"dup-{i}") for i in range(8)]
+    corpus = write_jsonl(tmp_path / "dups.jsonl", records)
+
+    def probe(name: str, jobs: int):
+        ws = Workspace(tmp_path / name)
+        cfg = small_config(n_samples=4, jobs=jobs)
+        client = MockLlmClient(seed=cfg.seed)
+        stage_ingest(ws, cfg, corpus)
+        stage_probe(ws, cfg, client)
+        # Each of the two prompts is probed once.
+        assert client.completion_calls == 8
+        return ws.candidates_path.read_bytes(), ws.discards_path.read_bytes()
+
+    serial = probe("serial", 1)
+    for i in range(5):
+        assert probe(f"parallel{i}", 2) == serial
+
+
 def test_seed_changes_probe_outputs(tmp_path, corpus_file):
     outputs = []
     for seed in (1, 2):
@@ -520,6 +617,26 @@ def test_cli_bad_user_path_is_an_error_line(tmp_path, monkeypatch, capsys, args)
     assert cli(*args, "--workspace", "ws", "--mock-llm", "--n-samples", "2", "--lda-k", "3") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: no ") and args[-1] in err
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        ({}, ["--lda-k", "1"]),
+        ({"phi_alpha": float("nan")}, []),
+        ({"stopwords": "klingon"}, []),
+        ({"min_df": 0}, []),
+        ({}, ["--n-samples", "0"]),
+    ],
+    ids=["lda-k-1", "phi-alpha-nan", "stopwords-klingon", "min-df-0", "n-samples-0"],
+)
+def test_cli_bad_config_fails_before_any_stage(tmp_path, corpus_file, capsys, config, flags):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(config))
+    ws_root = tmp_path / "ws"
+    assert cli(*run_all_args(ws_root, corpus_file), "--config", config_file, *flags) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not ws_root.exists()
 
 
 def test_cli_custom_profile_needs_scale(tmp_path, capsys):

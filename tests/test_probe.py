@@ -74,13 +74,13 @@ def test_render_probe_prompt(sample_document):
 
 def test_render_probe_prompt_empty_fields():
     with pytest.raises(EmptyField):
-        render_probe_prompt(Document.create("d", "", "s"))
+        render_probe_prompt(Document("d", "", "s"))
     with pytest.raises(EmptyField):
-        render_probe_prompt(Document.create("d", "text", ""))
+        render_probe_prompt(Document("d", "text", ""))
 
 
 def test_render_does_not_rescan_substituted_text():
-    d = Document.create("d", "evil {ground_truth_summary} text", "secret {document} note")
+    d = Document("d", "evil {ground_truth_summary} text", "secret {document} note")
     prompt = render_probe_prompt(d)
     # Placeholder-looking document and summary content must pass through
     # untouched, each substituted exactly once.

@@ -164,14 +164,10 @@ def test_triple_validation():
             Triple(bad, "r", "o")
 
 
-def test_document_token_counts():
-    d = Document.create("d1", "one two  three", "just one")
-    assert d.token_count == 3
-    assert d.summary_token_count == 2
+def test_document_rejects_empty_id():
+    assert Document("d1", "one two", "s").text == "one two"
     with pytest.raises(ValueError):
-        Document("d1", "one two", "s", token_count=5, summary_token_count=1)
-    with pytest.raises(ValueError):
-        Document.create("", "text", "summary")
+        Document("", "text", "summary")
 
 
 def test_candidate_set_indices():

@@ -131,7 +131,7 @@ def tiny_model():
 
 
 def test_coherence_score_full_path(tiny_model, sample_rationale):
-    d = Document.create("d", "storm flood rain river storm rain", "storm summary")
+    d = Document("d", "storm flood rain river storm rain", "storm summary")
     candidate = Candidate(0, sample_rationale, "whatever")
     cfg = SelectionConfig(fold_in_iterations=20, inference_seed=5)
     got = coherence_score(candidate, d, tiny_model, cfg)
@@ -237,7 +237,7 @@ def _candidate_set(document_id="doc-x"):
 
 
 def test_select_golden_table_arithmetic(tiny_model):
-    d = Document.create("doc-x", "storm flood rain river storm rain flood", "storm flooded the river")
+    d = Document("doc-x", "storm flood rain river storm rain flood", "storm flooded the river")
     cs = _candidate_set()
     cfg = SelectionConfig(fold_in_iterations=15, inference_seed=2)
     result = select_golden(cs, d, tiny_model, MockLlmClient(seed=0), cfg)
@@ -257,7 +257,7 @@ def test_select_golden_identical_candidates_tie(tiny_model):
         "doc-t",
         tuple(Candidate(i, r, "identical summary") for i in range(3)),
     )
-    d = Document.create("doc-t", "storm rain flood", "storm summary")
+    d = Document("doc-t", "storm rain flood", "storm summary")
     result = select_golden(cs, d, tiny_model, MockLlmClient(seed=0), SelectionConfig(fold_in_iterations=10))
     assert result.golden_index == 0
 
@@ -274,7 +274,7 @@ class FlakyProvider(MockLlmClient):
 
 
 def test_select_golden_excludes_failing_candidates(tiny_model):
-    d = Document.create("doc-x", "storm flood rain river", "storm flooded the river")
+    d = Document("doc-x", "storm flood rain river", "storm flooded the river")
     cs = _candidate_set()
     provider = FlakyProvider("rose quickly", seed=0)
     result = select_golden(cs, d, tiny_model, provider, SelectionConfig(fold_in_iterations=10))
@@ -286,7 +286,7 @@ def test_select_golden_excludes_failing_candidates(tiny_model):
 
 
 def test_select_golden_all_failed(tiny_model):
-    d = Document.create("doc-x", "storm flood", "storm")
+    d = Document("doc-x", "storm flood", "storm")
     cs = _candidate_set()
     provider = FlakyProvider("", seed=0)  # poisons everything
     with pytest.raises(AllCandidatesFailed):
@@ -294,7 +294,7 @@ def test_select_golden_all_failed(tiny_model):
 
 
 def test_selection_result_json_round_trip(tiny_model):
-    d = Document.create("doc-x", "storm flood rain river", "storm flooded the river")
+    d = Document("doc-x", "storm flood rain river", "storm flooded the river")
     cfg = SelectionConfig(fold_in_iterations=10)
     result = select_golden(_candidate_set(), d, tiny_model, MockLlmClient(seed=0), cfg)
     obj = result.to_json(cfg)
