@@ -49,10 +49,8 @@ from .selection import (
     ScoredCandidate,
     SelectionConfig,
     SelectionResult,
-    coherence_score,
     cosine_similarity,
     select_golden,
-    summary_score,
     text_embedding,
 )
 from .topics import (

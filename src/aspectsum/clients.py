@@ -18,6 +18,16 @@ from .errors import TransportError
 DEFAULT_API_KEY_ENV = "ASPECTSUM_API_KEY"
 
 
+def map_ordered(fn, items, jobs: int):
+    """Apply fn to items on up to `jobs` threads (to overlap requests), keeping order."""
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
+
 class LlmClient(ABC):
     """Behavioral contract for completion + embedding providers."""
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,7 +65,6 @@ class PipelineConfig:
             phi_beta=self.phi_beta,
             lambda_cs=self.lambda_cs,
             fold_in_iterations=self.fold_in_iterations,
-            inference_seed=self.seed + 2,
         )
 
     def vocab_config(self) -> VocabularyConfig:
@@ -82,7 +82,8 @@ PROFILE_DEFAULTS: dict[str, dict] = {
     "clinicaltrial": {"n_samples": 8, "lda_k": 300},
 }
 
-_FIELD_NAMES = {f.name for f in dataclasses.fields(PipelineConfig)}
+_HINTS = typing.get_type_hints(PipelineConfig)
+_FIELD_TYPES = {name: typing.get_args(hint) or (hint,) for name, hint in _HINTS.items()}
 
 
 def build_config(
@@ -110,18 +111,25 @@ def build_config(
         loaded = json.loads(Path(config_file).read_text(encoding="utf-8"))
         if not isinstance(loaded, dict):
             raise ValueError("config file must contain a JSON object")
-        unknown = set(loaded) - _FIELD_NAMES
+        unknown = set(loaded) - set(_FIELD_TYPES)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         values.update(loaded)
 
     for key, value in (overrides or {}).items():
         if value is not None:
-            if key not in _FIELD_NAMES:
+            if key not in _FIELD_TYPES:
                 raise ValueError(f"unknown config key {key!r}")
             values[key] = value
 
     values["profile"] = profile
     if "n_samples" not in values or "lda_k" not in values:
         raise ValueError("custom profile requires explicit n_samples and lda_k")
+    for key, value in values.items():
+        # An int fits a float field; a bool fits no int field.
+        allowed = _FIELD_TYPES[key]
+        fits = isinstance(value, allowed) or (type(value) is int and float in allowed)
+        if not fits or (isinstance(value, bool) and bool not in allowed):
+            names = " or ".join(t.__name__ for t in allowed)
+            raise ValueError(f"config key {key!r} must be {names}, not {type(value).__name__}")
     return PipelineConfig(**values)

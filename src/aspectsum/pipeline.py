@@ -15,7 +15,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 from typing import NamedTuple
 
-from .clients import LlmClient
+from .clients import LlmClient, map_ordered
 from .config import PipelineConfig
 from .curriculum import (
     CANONICAL_STAGE_ORDER,
@@ -30,20 +30,10 @@ from .evaluation import evaluate_corpus
 from .mock import EchoTrainerAdapter
 from .probe import EmbeddingCache, ResponseCache, probe_rationales, render_probe_prompt
 from .rationale import Document, rationale_from_json
-from .selection import select_golden
+from .selection import select_corpus, select_golden  # noqa: F401  (perfbench wraps select_golden)
 from .textutil import stable_digest, token_count
 from .topics import LdaModel, train_lda
 from .workspace import Workspace, dump_json, dump_json_pretty, file_sha256
-
-
-def _map_ordered(fn, items, jobs: int):
-    """Apply fn to items, optionally on a bounded thread pool, keeping order."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 class _Protocol(NamedTuple):
@@ -209,7 +199,7 @@ def _probe(ws: Workspace, cfg: PipelineConfig, client: LlmClient) -> dict:
         candidate_set = probe_rationales(client, doc, probe_cfg, cache=cache, discards=discards)
         return candidate_set, discards
 
-    results = dict(zip(first, _map_ordered(work, list(first.values()), cfg.jobs)))
+    results = dict(zip(first, map_ordered(work, list(first.values()), cfg.jobs)))
     sets = [replace(results[p][0], document_id=doc.id) for p, doc in zip(prompts, documents)]
     discards = [record for _, recs in results.values() for record in recs]
 
@@ -226,32 +216,19 @@ def _probe(ws: Workspace, cfg: PipelineConfig, client: LlmClient) -> dict:
 
 
 def _lda_model(ws: Workspace, cfg: PipelineConfig, documents: list[Document]) -> LdaModel:
-    lda_digest = stable_digest(
-        "lda",
-        dump_json(
-            {
-                "k": cfg.lda_k,
-                "alpha": cfg.lda_alpha,
-                "beta": cfg.lda_beta,
-                "iterations": cfg.lda_iterations,
-                "seed": cfg.lda_seed,
-                "stopwords": cfg.stopwords,
-                "min_df": cfg.min_df,
-            }
-        ),
-        file_sha256(ws.corpus_path),
-    )[:16]
-    if ws.stage_digest("lda") == lda_digest and ws.lda_model_path.exists():
-        return LdaModel.load(ws.lda_model_path)
-    model = train_lda(
-        documents,
+    settings = dict(
         k=cfg.lda_k,
         alpha=cfg.lda_alpha,
         beta=cfg.lda_beta,
         iterations=cfg.lda_iterations,
         seed=cfg.lda_seed,
-        vocab_config=cfg.vocab_config(),
     )
+    # "trainer" names the training method, so a model another method saved is retrained.
+    key = dump_json(dict(settings, stopwords=cfg.stopwords, min_df=cfg.min_df, trainer="vb"))
+    lda_digest = stable_digest("lda", key, file_sha256(ws.corpus_path))[:16]
+    if ws.stage_digest("lda") == lda_digest and ws.lda_model_path.exists():
+        return LdaModel.load(ws.lda_model_path)
+    model = train_lda(documents, **settings, vocab_config=cfg.vocab_config())
     ws.lda_model_path.parent.mkdir(parents=True, exist_ok=True)
     model.save(ws.lda_model_path)
     ws.mark_stage("lda", lda_digest)
@@ -273,14 +250,9 @@ def _select(ws: Workspace, cfg: PipelineConfig, provider: LlmClient) -> dict:
 
     model = _lda_model(ws, cfg, documents)
     selection_cfg = cfg.selection_config()
-    embedding_cache = EmbeddingCache(ws.cache_dir)
-
-    def work(cs):
-        return select_golden(
-            cs, by_id[cs.document_id], model, provider, selection_cfg, cache=embedding_cache
-        )
-
-    results = _map_ordered(work, candidate_sets, cfg.jobs)
+    pairs = [(cs, by_id[cs.document_id]) for cs in candidate_sets]
+    cache = EmbeddingCache(ws.cache_dir)
+    results = select_corpus(pairs, model, provider, selection_cfg, cache, cfg.jobs)
     lines = [dump_json(result.to_json(selection_cfg)) for result in results]
     ws.write_text(ws.selections_path, "\n".join(lines) + ("\n" if lines else ""))
     return {"documents": len(results)}

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clients import LlmClient
+from .clients import LlmClient, map_ordered
 from .errors import (
     AllCandidatesFailed,
     DimensionMismatch,
@@ -31,7 +31,6 @@ from .errors import (
 )
 from .probe import EmbeddingCache
 from .rationale import (
-    Candidate,
     CandidateSet,
     Document,
     Rationale,
@@ -40,7 +39,8 @@ from .rationale import (
     rationale_to_json,
     serialize_rationale,
 )
-from .topics import LdaModel, TopicDistribution, infer_topics, kl_divergence
+# perfbench/tracing.py wraps infer_topics here by name; scoring uses the batched fold-in.
+from .topics import LdaModel, infer_topics, infer_topics_batch, kl_divergence  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,8 @@ class SelectionConfig:
     phi_alpha: float = 0.6
     phi_beta: float = 1.3
     lambda_cs: float = 1.5
-    # Plumbing knobs; not part of the scoring formulas.
+    # Plumbing knob; not part of the scoring formulas.
     fold_in_iterations: int = 50
-    inference_seed: int = 0
 
     def __post_init__(self):
         for name in ("phi_alpha", "phi_beta", "lambda_cs"):
@@ -100,46 +99,6 @@ def coherence_score_from_kl(
 
 def combine_scores(summary_score: float, coherence_score: float, lambda_cs: float) -> float:
     return summary_score + lambda_cs * coherence_score
-
-
-def summary_score(
-    c: Candidate,
-    d: Document,
-    provider: LlmClient,
-    config: SelectionConfig,
-    cache: EmbeddingCache | None = None,
-) -> float:
-    e_summary = text_embedding(provider, c.summary, cache)
-    e_ground_truth = text_embedding(provider, d.ground_truth_summary, cache)
-    e_rationale = text_embedding(provider, serialize_rationale(c.rationale), cache)
-    return summary_score_from_sims(
-        cosine_similarity(e_summary, e_ground_truth),
-        cosine_similarity(e_summary, e_rationale),
-        config.phi_alpha,
-    )
-
-
-def coherence_score(
-    c: Candidate,
-    d: Document,
-    model: LdaModel,
-    config: SelectionConfig,
-    document_distribution: TopicDistribution | None = None,
-) -> float:
-    p_doc = document_distribution
-    if p_doc is None:
-        p_doc = infer_topics(model, d.text, config.fold_in_iterations, config.inference_seed)
-    p_aspects = infer_topics(
-        model, aspects_text(c.rationale), config.fold_in_iterations, config.inference_seed
-    )
-    p_rationale = infer_topics(
-        model, rationale_text(c.rationale), config.fold_in_iterations, config.inference_seed
-    )
-    return coherence_score_from_kl(
-        kl_divergence(p_doc, p_aspects),
-        kl_divergence(p_doc, p_rationale),
-        config.phi_beta,
-    )
 
 
 @dataclass(frozen=True)
@@ -203,6 +162,81 @@ def argmax_combined(table) -> int:
     return best.index
 
 
+def select_corpus(
+    pairs: list[tuple[CandidateSet, Document]],
+    model: LdaModel,
+    provider: LlmClient,
+    config: SelectionConfig,
+    cache: EmbeddingCache | None = None,
+    jobs: int = 1,
+) -> list[SelectionResult]:
+    """Select each document's golden candidate in corpus-wide passes.
+
+    Every distinct text is folded in once, in one batched call, and embedded
+    once, on up to `jobs` threads; then each document is scored. A candidate
+    whose scoring fails (transport, empty text, degenerate vectors) is
+    excluded with a recorded reason; a document with none left raises
+    AllCandidatesFailed.
+    """
+    topic_texts, embed_texts = [], []
+    for cs, d in pairs:
+        topic_texts.append(d.text)
+        for c in cs.candidates:
+            topic_texts += [aspects_text(c.rationale), rationale_text(c.rationale)]
+            embed_texts += [c.summary, d.ground_truth_summary, serialize_rationale(c.rationale)]
+    topic_texts, embed_texts = list(dict.fromkeys(topic_texts)), list(dict.fromkeys(embed_texts))
+    topics = dict(zip(topic_texts, infer_topics_batch(model, topic_texts, config.fold_in_iterations)))
+
+    def embed(text: str):
+        try:
+            return text_embedding(provider, text, cache)
+        except (TransportError, EmptyText) as exc:
+            return exc  # fails only the candidates that use this text
+
+    vectors = dict(zip(embed_texts, map_ordered(embed, embed_texts, jobs)))
+
+    def vector(text: str) -> np.ndarray:
+        found = vectors[text]
+        if isinstance(found, Exception):
+            raise found
+        return found
+
+    def score(cs: CandidateSet, d: Document) -> SelectionResult:
+        p_doc = topics[d.text]
+        scored: list[ScoredCandidate] = []
+        failures: list[CandidateFailure] = []
+        for c in cs.candidates:
+            try:
+                e_summary = vector(c.summary)
+                e_ground_truth = vector(d.ground_truth_summary)
+                e_rationale = vector(serialize_rationale(c.rationale))
+                s_score = summary_score_from_sims(
+                    cosine_similarity(e_summary, e_ground_truth),
+                    cosine_similarity(e_summary, e_rationale),
+                    config.phi_alpha,
+                )
+                c_score = coherence_score_from_kl(
+                    kl_divergence(p_doc, topics[aspects_text(c.rationale)]),
+                    kl_divergence(p_doc, topics[rationale_text(c.rationale)]),
+                    config.phi_beta,
+                )
+            except (TransportError, EmptyText, ZeroVector, DimensionMismatch) as exc:
+                failures.append(CandidateFailure(c.index, str(exc)))
+                continue
+            combined = combine_scores(s_score, c_score, config.lambda_cs)
+            scored.append(ScoredCandidate(c.index, s_score, c_score, combined))
+        if not scored:
+            raise AllCandidatesFailed(
+                f"document {d.id}: all {len(cs.candidates)} candidates failed scoring"
+            )
+        golden = argmax_combined(scored)
+        return SelectionResult(
+            cs.document_id, golden, cs.candidates[golden].rationale, tuple(scored), tuple(failures)
+        )
+
+    return [score(cs, d) for cs, d in pairs]
+
+
 def select_golden(
     cs: CandidateSet,
     d: Document,
@@ -211,42 +245,5 @@ def select_golden(
     config: SelectionConfig,
     cache: EmbeddingCache | None = None,
 ) -> SelectionResult:
-    """Score every candidate and pick the combined-score argmax.
-
-    A candidate whose scoring fails (transport, degenerate vectors) is
-    excluded with a recorded reason rather than scored as -inf; if nothing
-    remains, AllCandidatesFailed is raised.
-    """
-    p_doc = infer_topics(model, d.text, config.fold_in_iterations, config.inference_seed)
-
-    scored: list[ScoredCandidate] = []
-    failures: list[CandidateFailure] = []
-    for candidate in cs.candidates:
-        try:
-            s_score = summary_score(candidate, d, provider, config, cache)
-            c_score = coherence_score(candidate, d, model, config, document_distribution=p_doc)
-        except (TransportError, EmptyText, ZeroVector, DimensionMismatch) as exc:
-            failures.append(CandidateFailure(candidate.index, str(exc)))
-            continue
-        scored.append(
-            ScoredCandidate(
-                index=candidate.index,
-                summary_score=s_score,
-                coherence_score=c_score,
-                combined=combine_scores(s_score, c_score, config.lambda_cs),
-            )
-        )
-
-    if not scored:
-        raise AllCandidatesFailed(
-            f"document {d.id}: all {len(cs.candidates)} candidates failed scoring"
-        )
-
-    golden_index = argmax_combined(scored)
-    return SelectionResult(
-        document_id=cs.document_id,
-        golden_index=golden_index,
-        golden_rationale=cs.candidates[golden_index].rationale,
-        table=tuple(scored),
-        failures=tuple(failures),
-    )
+    """One document's selection, by the same passes as select_corpus."""
+    return select_corpus([(cs, d)], model, provider, config, cache)[0]

@@ -221,7 +221,7 @@ def _select_golden_matches_brute_force(rng: random.Random, runs: int) -> bool:
     corpus = [" ".join(rng.choice(pool) for _ in range(20)) for _ in range(16)]
     model = train_lda(corpus, k=2, iterations=30, seed=1)
     provider = MockLlmClient(seed=0)
-    cfg = SelectionConfig(fold_in_iterations=10, inference_seed=4)
+    cfg = SelectionConfig(fold_in_iterations=10)
 
     ok = True
     for run in range(runs):
@@ -319,7 +319,7 @@ def test_criterion_3_kl_simplex_properties():
         for _ in range(200)
     ]
     for text in texts:
-        dist = infer_topics(model, text, fold_in_iterations=15, seed=2)
+        dist = infer_topics(model, text, fold_in_iterations=15)
         ok &= abs(float(dist.probs.sum()) - 1.0) <= 1e-9
         ok &= bool((dist.probs > 0).all())
     _check(

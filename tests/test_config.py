@@ -59,7 +59,7 @@ def test_config_digest_stable_and_sensitive():
 def test_derived_module_configs():
     cfg = build_config(profile="xsum", overrides={"seed": 10})
     assert cfg.probe_config().n_samples == 8
-    assert cfg.selection_config().inference_seed == 12
+    assert cfg.selection_config().fold_in_iterations == 50
     assert cfg.lda_seed == 11
     assert cfg.vocab_config().stopwords == "english"
 
@@ -67,3 +67,36 @@ def test_derived_module_configs():
 def test_lda_alpha_defaults_to_fifty_over_k():
     cfg = PipelineConfig(profile="custom", n_samples=1, lda_k=100)
     assert cfg.lda_alpha is None  # resolved to 50/k inside train_lda
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"n_samples": "3"},
+        {"lda_k": True},
+        {"lda_iterations": 2.5},
+        {"lda_alpha": "0.5"},
+        {"phi_alpha": [0.6]},
+        {"stopwords": 1},
+        {"jobs": None},
+    ],
+    ids=["n-samples-str", "lda-k-bool", "lda-iterations-float", "lda-alpha-str",
+         "phi-alpha-list", "stopwords-int", "jobs-null"],
+)
+def test_config_file_value_of_the_wrong_type(tmp_path, values):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(values))
+    with pytest.raises(ValueError, match=f"config key '{next(iter(values))}' must be"):
+        build_config(profile="cnndm", config_file=path)
+
+
+def test_config_file_int_fits_a_float_field(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"lda_alpha": 1, "phi_beta": 2, "lda_beta": None}))
+    with pytest.raises(ValueError, match="'lda_beta' must be float, not NoneType"):
+        build_config(profile="cnndm", config_file=path)
+    path.write_text(json.dumps({"lda_alpha": 1, "phi_beta": 2}))
+    cfg = build_config(profile="cnndm", config_file=path)
+    assert (cfg.lda_alpha, cfg.phi_beta) == (1, 2)
+    path.write_text(json.dumps({"lda_alpha": None}))
+    assert build_config(profile="cnndm", config_file=path).lda_alpha is None

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from aspectsum import topics
 from aspectsum.cli import main
 from aspectsum.config import build_config
 from aspectsum.curriculum import CANONICAL_STAGE_ORDER
@@ -23,7 +24,9 @@ from aspectsum.pipeline import (
     stage_probe,
     stage_select,
 )
-from aspectsum.workspace import Workspace
+from aspectsum.textutil import stable_digest
+from aspectsum.topics import train_lda
+from aspectsum.workspace import Workspace, dump_json, file_sha256
 from conftest import synthetic_records, write_jsonl
 
 CFG = dict(n_samples=2, lda_k=3, lda_iterations=40, fold_in_iterations=10, seed=5)
@@ -353,6 +356,60 @@ def test_select_recovers_from_truncated_embedding_entry(tmp_path, corpus_file):
     json.loads(entry.read_text())  # and rewritten whole
 
 
+def test_lda_model_of_the_earlier_trainer_is_retrained(tmp_path, corpus_file):
+    ws = Workspace(tmp_path / "ws")
+    cfg = small_config()
+    stage_ingest(ws, cfg, corpus_file)
+    stage_probe(ws, cfg, MockLlmClient(seed=cfg.seed))
+    stage_select(ws, cfg, MockLlmClient(seed=cfg.seed))
+    fresh = ws.lda_model_path.read_bytes(), ws.selections_path.read_bytes()
+
+    # A workspace from before the trainer was hashed: its LDA digest had no
+    # "trainer" key, and its model came from another training method.
+    old_digest = stable_digest(
+        "lda",
+        dump_json(
+            {
+                "k": cfg.lda_k,
+                "alpha": cfg.lda_alpha,
+                "beta": cfg.lda_beta,
+                "iterations": cfg.lda_iterations,
+                "seed": cfg.lda_seed,
+                "stopwords": cfg.stopwords,
+                "min_df": cfg.min_df,
+            }
+        ),
+        file_sha256(ws.corpus_path),
+    )[:16]
+    ws.mark_stage("lda", old_digest)
+    other = train_lda(ws.load_corpus(), k=cfg.lda_k, iterations=1, seed=99)
+    other.save(ws.lda_model_path)
+    assert ws.lda_model_path.read_bytes() != fresh[0]
+    (ws.state_dir / "select.json").unlink()
+
+    stage_select(ws, cfg, MockLlmClient(seed=cfg.seed))
+    assert (ws.lda_model_path.read_bytes(), ws.selections_path.read_bytes()) == fresh
+    assert ws.stage_digest("lda") != old_digest
+
+
+def test_select_bytes_do_not_depend_on_jobs_or_blocks(tmp_path, monkeypatch):
+    corpus = write_jsonl(tmp_path / "corpus.jsonl", synthetic_records(12))
+
+    def select_bytes(name: str, jobs: int) -> tuple[bytes, bytes]:
+        ws = Workspace(tmp_path / name)
+        cfg = small_config(lda_k=4, jobs=jobs)
+        stage_ingest(ws, cfg, corpus)
+        stage_probe(ws, cfg, MockLlmClient(seed=cfg.seed))
+        stage_select(ws, cfg, MockLlmClient(seed=cfg.seed))
+        return ws.selections_path.read_bytes(), ws.lda_model_path.read_bytes()
+
+    serial = select_bytes("serial", jobs=1)
+    assert select_bytes("parallel", jobs=2) == serial
+    # Every E-step block, in training and in fold-in, holds a single text.
+    monkeypatch.setattr(topics, "_BLOCK_ELEMENTS", 1)
+    assert select_bytes("one-text-blocks", jobs=1) == serial
+
+
 # -- full pipeline through the stage API ---------------------------------------
 
 
@@ -627,8 +684,16 @@ def test_cli_bad_user_path_is_an_error_line(tmp_path, monkeypatch, capsys, args)
         ({"stopwords": "klingon"}, []),
         ({"min_df": 0}, []),
         ({}, ["--n-samples", "0"]),
+        ({"lda_alpha": float("nan")}, []),
+        ({"lda_beta": float("nan")}, []),
+        ({"lda_alpha": float("inf")}, []),
+        ({"max_retries": "3"}, []),
+        ({"min_df": True}, []),
     ],
-    ids=["lda-k-1", "phi-alpha-nan", "stopwords-klingon", "min-df-0", "n-samples-0"],
+    ids=[
+        "lda-k-1", "phi-alpha-nan", "stopwords-klingon", "min-df-0", "n-samples-0",
+        "lda-alpha-nan", "lda-beta-nan", "lda-alpha-inf", "max-retries-str", "min-df-bool",
+    ],
 )
 def test_cli_bad_config_fails_before_any_stage(tmp_path, corpus_file, capsys, config, flags):
     config_file = tmp_path / "config.json"

@@ -31,12 +31,11 @@ from aspectsum.selection import (
     ScoredCandidate,
     SelectionConfig,
     argmax_combined,
-    coherence_score,
     coherence_score_from_kl,
     combine_scores,
     cosine_similarity,
+    select_corpus,
     select_golden,
-    summary_score,
     summary_score_from_sims,
     text_embedding,
 )
@@ -101,27 +100,6 @@ def _unit_at_cosine(c: float) -> list[float]:
     return [c, math.sqrt(1.0 - c * c)]
 
 
-def test_summary_score_full_path(sample_document, sample_rationale):
-    candidate = Candidate(0, sample_rationale, "a candidate summary")
-    provider = VectorProvider(
-        {
-            "a candidate summary": [1.0, 0.0],
-            sample_document.ground_truth_summary: _unit_at_cosine(0.9),
-            serialize_rationale(sample_rationale): _unit_at_cosine(0.5),
-        }
-    )
-    score = summary_score(candidate, sample_document, provider, SelectionConfig())
-    assert score == pytest.approx(1.20, abs=1e-12)
-
-
-def test_summary_score_identical_texts_give_first_term_one(sample_document, sample_rationale):
-    candidate = Candidate(0, sample_rationale, sample_document.ground_truth_summary)
-    score = summary_score(
-        candidate, sample_document, MockLlmClient(seed=0), SelectionConfig(phi_alpha=0.0)
-    )
-    assert score == pytest.approx(1.0, abs=1e-12)
-
-
 @pytest.fixture(scope="module")
 def tiny_model():
     rng = random.Random(0)
@@ -130,14 +108,42 @@ def tiny_model():
     return train_lda(docs, k=2, iterations=40, seed=3)
 
 
+def _one_candidate_row(candidate, d, model, provider, cfg):
+    result = select_golden(CandidateSet(d.id, (candidate,)), d, model, provider, cfg)
+    assert result.failures == ()
+    return result.table[0]
+
+
+def test_summary_score_full_path(sample_document, sample_rationale, tiny_model):
+    candidate = Candidate(0, sample_rationale, "a candidate summary")
+    provider = VectorProvider(
+        {
+            "a candidate summary": [1.0, 0.0],
+            sample_document.ground_truth_summary: _unit_at_cosine(0.9),
+            serialize_rationale(sample_rationale): _unit_at_cosine(0.5),
+        }
+    )
+    row = _one_candidate_row(candidate, sample_document, tiny_model, provider, SelectionConfig())
+    assert row.summary_score == pytest.approx(1.20, abs=1e-12)
+
+
+def test_summary_score_identical_texts_give_first_term_one(
+    sample_document, sample_rationale, tiny_model
+):
+    candidate = Candidate(0, sample_rationale, sample_document.ground_truth_summary)
+    cfg = SelectionConfig(phi_alpha=0.0)
+    row = _one_candidate_row(candidate, sample_document, tiny_model, MockLlmClient(seed=0), cfg)
+    assert row.summary_score == pytest.approx(1.0, abs=1e-12)
+
+
 def test_coherence_score_full_path(tiny_model, sample_rationale):
     d = Document("d", "storm flood rain river storm rain", "storm summary")
     candidate = Candidate(0, sample_rationale, "whatever")
-    cfg = SelectionConfig(fold_in_iterations=20, inference_seed=5)
-    got = coherence_score(candidate, d, tiny_model, cfg)
-    p_d = infer_topics(tiny_model, d.text, 20, seed=5)
-    p_a = infer_topics(tiny_model, aspects_text(sample_rationale), 20, seed=5)
-    p_r = infer_topics(tiny_model, rationale_text(sample_rationale), 20, seed=5)
+    cfg = SelectionConfig(fold_in_iterations=20)
+    got = _one_candidate_row(candidate, d, tiny_model, MockLlmClient(seed=0), cfg).coherence_score
+    p_d = infer_topics(tiny_model, d.text, 20)
+    p_a = infer_topics(tiny_model, aspects_text(sample_rationale), 20)
+    p_r = infer_topics(tiny_model, rationale_text(sample_rationale), 20)
     expected = kl_divergence(p_d, p_a) - (1 + cfg.phi_beta) * kl_divergence(p_d, p_r)
     assert got == expected
 
@@ -239,7 +245,7 @@ def _candidate_set(document_id="doc-x"):
 def test_select_golden_table_arithmetic(tiny_model):
     d = Document("doc-x", "storm flood rain river storm rain flood", "storm flooded the river")
     cs = _candidate_set()
-    cfg = SelectionConfig(fold_in_iterations=15, inference_seed=2)
+    cfg = SelectionConfig(fold_in_iterations=15)
     result = select_golden(cs, d, tiny_model, MockLlmClient(seed=0), cfg)
     assert len(result.table) == 2
     for sc in result.table:
@@ -291,6 +297,25 @@ def test_select_golden_all_failed(tiny_model):
     provider = FlakyProvider("", seed=0)  # poisons everything
     with pytest.raises(AllCandidatesFailed):
         select_golden(cs, d, tiny_model, provider, SelectionConfig(fold_in_iterations=5))
+
+
+def test_select_corpus_equals_select_golden_and_embeds_each_text_once(tiny_model):
+    # Two documents share a reference summary and a candidate summary.
+    d1 = Document("doc-1", "storm flood rain river", "storm flooded the river")
+    d2 = Document("doc-2", "vote senate ballot poll", "storm flooded the river")
+    cs1, cs2 = _candidate_set("doc-1"), _candidate_set("doc-2")
+    cfg = SelectionConfig(fold_in_iterations=10)
+    provider = MockLlmClient(seed=0)
+    batch = select_corpus([(cs1, d1), (cs2, d2)], tiny_model, provider, cfg)
+    texts = {d1.ground_truth_summary}
+    for c in cs1.candidates:
+        texts |= {c.summary, serialize_rationale(c.rationale)}
+    assert provider.embed_calls == len(texts)
+    singles = [
+        select_golden(cs, d, tiny_model, MockLlmClient(seed=0), cfg)
+        for cs, d in ((cs1, d1), (cs2, d2))
+    ]
+    assert batch == singles
 
 
 def test_selection_result_json_round_trip(tiny_model):

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from aspectsum import topics
 from aspectsum.errors import DimensionMismatch, EmptyVocabulary, InvalidHyperparameter
 from aspectsum.topics import (
     LdaModel,
@@ -13,7 +14,9 @@ from aspectsum.topics import (
     Vocabulary,
     VocabularyConfig,
     build_vocabulary,
+    digamma,
     infer_topics,
+    infer_topics_batch,
     kl_divergence,
     train_lda,
 )
@@ -65,6 +68,11 @@ def test_invalid_hyperparameters():
         train_lda(docs, k=2, beta=0.0, iterations=1)
     with pytest.raises(InvalidHyperparameter):
         train_lda(docs, k=2, iterations=0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidHyperparameter):
+            train_lda(docs, k=2, alpha=bad, iterations=1)
+        with pytest.raises(InvalidHyperparameter):
+            train_lda(docs, k=2, beta=bad, iterations=1)
     with pytest.raises(InvalidHyperparameter):
         VocabularyConfig("klingon", 1)
 
@@ -90,6 +98,11 @@ def test_count_conservation():
     total_tokens = sum(len(model.vocabulary.encode(d)) for d in docs)
     assert int(model.topic_totals.sum()) == total_tokens
     assert np.all(model.topic_word_counts >= 0)
+    # Rounding keeps each word's own token count too.
+    per_word = np.bincount(
+        [w for d in docs for w in model.vocabulary.encode(d)], minlength=len(model.vocabulary)
+    )
+    assert np.array_equal(model.topic_word_counts.sum(axis=0), per_word)
 
 
 def test_planted_topic_recovery_quick():
@@ -109,7 +122,7 @@ def test_infer_planted_text_concentrates():
     # for a text made of exactly those words.
     for words_set in planted:
         text = " ".join(sorted(words_set))
-        dist = infer_topics(model, text, fold_in_iterations=30, seed=0)
+        dist = infer_topics(model, text, fold_in_iterations=30)
         argmax = int(np.argmax(dist.probs))
         top = set(model.top_terms(argmax, 10))
         assert len(top & words_set) / 10 >= 0.8
@@ -129,16 +142,16 @@ def test_infer_simplex_invariant():
     vocab_terms = list(model.vocabulary.terms)
     for _ in range(50):
         text = " ".join(rng.choice(vocab_terms + ["oov"]) for _ in range(rng.randint(0, 40)))
-        dist = infer_topics(model, text, fold_in_iterations=10, seed=3)
+        dist = infer_topics(model, text, fold_in_iterations=10)
         assert abs(float(dist.probs.sum()) - 1.0) <= 1e-9
         assert np.all(dist.probs > 0)
 
 
-def test_infer_seeded_determinism():
+def test_infer_is_deterministic():
     docs, _ = planted_corpus(n_docs=30)
     model = train_lda(docs, k=3, iterations=20, seed=1)
-    a = infer_topics(model, docs[0], fold_in_iterations=25, seed=9)
-    b = infer_topics(model, docs[0], fold_in_iterations=25, seed=9)
+    a = infer_topics(model, docs[0], fold_in_iterations=25)
+    b = infer_topics(model, docs[0], fold_in_iterations=25)
     assert np.array_equal(a.probs, b.probs)
 
 
@@ -209,6 +222,49 @@ def test_model_json_round_trip(tmp_path):
     assert loaded.alpha == model.alpha
     assert loaded.vocabulary.terms == model.vocabulary.terms
     assert np.array_equal(loaded.topic_word_counts, model.topic_word_counts)
-    a = infer_topics(model, docs[0], 10, seed=4)
-    b = infer_topics(loaded, docs[0], 10, seed=4)
+    a = infer_topics(model, docs[0], 10)
+    b = infer_topics(loaded, docs[0], 10)
     assert np.array_equal(a.probs, b.probs)
+
+
+EULER_GAMMA = 0.5772156649015329
+
+
+def test_digamma_known_values_and_recurrence():
+    assert abs(digamma(np.array([1.0]))[0] + EULER_GAMMA) <= 1e-10
+    assert abs(digamma(np.array([0.5]))[0] + EULER_GAMMA + 2 * math.log(2)) <= 1e-10
+    x = np.concatenate([np.linspace(0.01, 1.0, 200), np.linspace(1.0, 500.0, 2000)])
+    # psi(x + 1) = psi(x) + 1/x
+    assert np.allclose(digamma(x + 1.0), digamma(x) + 1.0 / x, rtol=1e-12, atol=1e-10)
+
+
+def _mixed_texts(model, n=120, seed=5):
+    rng = random.Random(seed)
+    terms = list(model.vocabulary.terms)
+    texts = ["", "entirely out of vocabulary words"]
+    for _ in range(n):
+        texts.append(" ".join(rng.choice(terms + ["oov"]) for _ in range(rng.randint(1, 60))))
+    return texts
+
+
+def test_infer_topics_equals_the_batched_row():
+    docs, _ = planted_corpus(n_docs=30)
+    model = train_lda(docs, k=3, iterations=20, seed=1)
+    texts = _mixed_texts(model) + docs
+    batch = infer_topics_batch(model, texts, fold_in_iterations=12)
+    assert len(batch) == len(texts)
+    for text, row in zip(texts, batch):
+        assert np.array_equal(infer_topics(model, text, fold_in_iterations=12).probs, row.probs)
+
+
+def test_block_size_changes_no_bit(monkeypatch):
+    docs, _ = planted_corpus(n_docs=40)
+    model = train_lda(docs, k=3, iterations=15, seed=2)
+    texts = _mixed_texts(model) + docs
+    batch = infer_topics_batch(model, texts, fold_in_iterations=10)
+    # Every block now holds a single text, in training and in fold-in.
+    monkeypatch.setattr(topics, "_BLOCK_ELEMENTS", 1)
+    small = train_lda(docs, k=3, iterations=15, seed=2)
+    assert np.array_equal(small.topic_word_counts, model.topic_word_counts)
+    for a, b in zip(infer_topics_batch(model, texts, fold_in_iterations=10), batch):
+        assert np.array_equal(a.probs, b.probs)
