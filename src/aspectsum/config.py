@@ -8,6 +8,7 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
+from .curriculum import build_joint_manifest
 from .probe import ProbeConfig
 from .selection import SelectionConfig
 from .textutil import stable_digest
@@ -45,6 +46,10 @@ class PipelineConfig:
         self.probe_config()
         self.selection_config()
         self.vocab_config()
+        build_joint_manifest([], self.lambda_rationale, self.lambda_summary)
+        for name in ("max_doc_tokens", "max_summary_tokens"):  # ingest's limits
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         # max() keeps k <= 0 from dividing by zero; the check rejects any k < 2.
         alpha = 50.0 / max(self.lda_k, 1) if self.lda_alpha is None else self.lda_alpha
         _validate_hyperparameters(self.lda_k, alpha, self.lda_beta, self.lda_iterations)

@@ -297,6 +297,9 @@ def build_joint_manifest(
     lambda_summary: float = 1.2,
 ) -> StageManifest:
     """One rationale-summary example per document; a single encode-decode pair."""
+    for name, value in (("lambda_rationale", lambda_rationale), ("lambda_summary", lambda_summary)):
+        if not 0.0 < value < float("inf"):  # also false for NaN
+            raise ValueError(f"{name} must be positive and finite")
     examples = []
     for d, r in pairs:
         r = _check_pair(d, r)

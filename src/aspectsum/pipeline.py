@@ -1,11 +1,11 @@
 """Stage orchestration over a workspace: ingest, probe, select, curriculum, eval.
 
 Each stage reads its inputs from the workspace, writes its module's persisted
-formats, and appends a ledger entry. A current stage, one whose config digest
-and inputs are unchanged, is a no-op (no LLM calls, no rewrites), and a stage
-reads another stage's output only while that stage is current. run_all
-chains the stages with fail-fast semantics: the first failing stage raises
-and earlier artifacts stay intact.
+formats, and appends a ledger entry, the only record of the run. A current
+stage, one whose config digest and inputs are unchanged, is a no-op (no LLM
+calls, no rewrites), and a stage reads another stage's output only while that
+stage is current. run_all chains the stages with fail-fast semantics: the
+first failing stage raises and earlier artifacts stay intact.
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ def _status(ws: Workspace, cfg: PipelineConfig, stage: str, extra=(), writes=())
     if not all(p.exists() for p in reads):
         return None, outputs, False
     digest = stable_digest(stage, cfg.digest(), *(file_sha256(p) for p in reads), *extra)[:16]
-    return digest, outputs, ws.stage_digest(stage) == digest and all(p.exists() for p in outputs)
+    recorded = ws.last_entry(stage).get("digest")
+    return digest, outputs, recorded == digest and all(p.exists() for p in outputs)
 
 
 def _run_stage(ws: Workspace, cfg: PipelineConfig, stage: str, work, extra=(), writes=()) -> dict:
@@ -90,13 +91,13 @@ def _run_stage(ws: Workspace, cfg: PipelineConfig, stage: str, work, extra=(), w
             f"{' and '.join(_STAGES[after].reads)}; re-run {after}"
         )
     digest, outputs, current = _status(ws, cfg, stage, extra, writes)
-    recorded = ws.stage_digest(stage)
-    status = {"skipped": current, "config_changed": recorded is not None and recorded != digest}
+    recorded = ws.last_entry(stage).get("config_digest", cfg.digest())
+    status = {"skipped": current, "config_changed": recorded != cfg.digest()}
     if current:
         return status
     result = work(digest)
-    ws.mark_stage(stage, digest)
-    ws.append_ledger(stage, cfg.digest(), [p.relative_to(ws.root).as_posix() for p in outputs])
+    recorded_outputs = [p.relative_to(ws.root).as_posix() for p in outputs]
+    ws.append_ledger(stage, digest, cfg.digest(), recorded_outputs)
     return dict(result, **status)
 
 
@@ -226,12 +227,12 @@ def _lda_model(ws: Workspace, cfg: PipelineConfig, documents: list[Document]) ->
     # "trainer" names the training method, so a model another method saved is retrained.
     key = dump_json(dict(settings, stopwords=cfg.stopwords, min_df=cfg.min_df, trainer="vb"))
     lda_digest = stable_digest("lda", key, file_sha256(ws.corpus_path))[:16]
-    if ws.stage_digest("lda") == lda_digest and ws.lda_model_path.exists():
+    if ws.last_entry("lda").get("digest") == lda_digest and ws.lda_model_path.exists():
         return LdaModel.load(ws.lda_model_path)
     model = train_lda(documents, **settings, vocab_config=cfg.vocab_config())
     ws.lda_model_path.parent.mkdir(parents=True, exist_ok=True)
     model.save(ws.lda_model_path)
-    ws.mark_stage("lda", lda_digest)
+    ws.append_ledger("lda", lda_digest, cfg.digest(), ["lda/model.json"])
     return model
 
 

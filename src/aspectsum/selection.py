@@ -55,6 +55,8 @@ class SelectionConfig:
         for name in ("phi_alpha", "phi_beta", "lambda_cs"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if self.fold_in_iterations < 1:
+            raise ValueError("fold_in_iterations must be >= 1")
 
 
 def text_embedding(

@@ -1,9 +1,10 @@
-"""Filesystem workspace: artifact stores, stage state, run ledger, lock.
+"""Filesystem workspace: artifact stores, run ledger, lock.
 
 Everything persisted is line-oriented text or JSON so downstream trainers
 and humans can inspect every intermediate. All writes are deterministic
 (sorted keys, no timestamps): two runs with the same inputs and seeds
-produce byte-identical artifacts.
+produce byte-identical artifacts. A stage run is recorded by one ledger
+line, which carries the digest that the next run's skip test compares.
 """
 
 from __future__ import annotations
@@ -92,10 +93,6 @@ class Workspace:
         return self.root / "ledger.jsonl"
 
     @property
-    def state_dir(self) -> Path:
-        return self.root / "state"
-
-    @property
     def lock_path(self) -> Path:
         return self.root / ".lock"
 
@@ -123,31 +120,33 @@ class Workspace:
             with contextlib.suppress(FileNotFoundError):
                 self.lock_path.unlink()
 
-    # -- stage state and ledger ------------------------------------------------
+    # -- ledger: the only record of stage runs ---------------------------------
 
-    def stage_digest(self, stage: str) -> str | None:
-        path = self.state_dir / f"{stage}.json"
-        if not path.exists():
-            return None
-        return json.loads(path.read_text(encoding="utf-8")).get("digest")
+    def _ledger_bytes(self) -> bytes:
+        return self.ledger_path.read_bytes() if self.ledger_path.exists() else b""
 
-    def mark_stage(self, stage: str, digest: str) -> None:
-        self.write_text(self.state_dir / f"{stage}.json", dump_json({"digest": digest}) + "\n")
+    def last_entry(self, stage: str) -> dict:
+        """The stage's last ledger entry that parses, or {}; a line cut short is skipped."""
+        for line in reversed(self._ledger_bytes().split(b"\n")):
+            with contextlib.suppress(ValueError):
+                entry = json.loads(line)
+                if isinstance(entry, dict) and entry.get("command") == stage:
+                    return entry
+        return {}
 
-    def append_ledger(self, command: str, config_digest: str, outputs: list[str]) -> None:
-        seq = 0
-        if self.ledger_path.exists():
-            with self.ledger_path.open(encoding="utf-8") as fh:
-                seq = sum(1 for _ in fh)
+    def append_ledger(self, stage: str, digest: str, config_digest: str, outputs: list[str]):
+        """Record one stage run in one append (no fsync), on a line of its own."""
+        text = self._ledger_bytes()
+        head = b"\n" if text and not text.endswith(b"\n") else b""  # ends a cut-short line
         entry = {
-            "seq": seq,
-            "command": command,
+            "seq": (text + head).count(b"\n"),
+            "command": stage,
+            "digest": digest,
             "config_digest": config_digest,
             "outputs": sorted(outputs),
         }
-        self.ledger_path.parent.mkdir(parents=True, exist_ok=True)
-        with self.ledger_path.open("a", encoding="utf-8") as fh:
-            fh.write(dump_json(entry) + "\n")
+        with self.ledger_path.open("ab") as fh:
+            fh.write(head + (dump_json(entry) + "\n").encode("utf-8"))
 
     # -- typed stores ----------------------------------------------------------
 

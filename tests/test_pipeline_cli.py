@@ -348,7 +348,7 @@ def test_select_recovers_from_truncated_embedding_entry(tmp_path, corpus_file):
 
     entry = sorted((ws.cache_dir / "embeddings").rglob("*.json"))[0]
     entry.write_bytes(entry.read_bytes()[:20])
-    (ws.state_dir / "select.json").unlink()
+    ws.selections_path.unlink()
     client = MockLlmClient(seed=cfg.seed)
     stage_select(ws, cfg, client)
     assert client.embed_calls == 1  # only the corrupt entry is re-embedded
@@ -381,15 +381,15 @@ def test_lda_model_of_the_earlier_trainer_is_retrained(tmp_path, corpus_file):
         ),
         file_sha256(ws.corpus_path),
     )[:16]
-    ws.mark_stage("lda", old_digest)
+    ws.append_ledger("lda", old_digest, cfg.digest(), ["lda/model.json"])
     other = train_lda(ws.load_corpus(), k=cfg.lda_k, iterations=1, seed=99)
     other.save(ws.lda_model_path)
     assert ws.lda_model_path.read_bytes() != fresh[0]
-    (ws.state_dir / "select.json").unlink()
+    ws.selections_path.unlink()
 
     stage_select(ws, cfg, MockLlmClient(seed=cfg.seed))
     assert (ws.lda_model_path.read_bytes(), ws.selections_path.read_bytes()) == fresh
-    assert ws.stage_digest("lda") != old_digest
+    assert ws.last_entry("lda")["digest"] != old_digest
 
 
 def test_select_bytes_do_not_depend_on_jobs_or_blocks(tmp_path, monkeypatch):
@@ -448,6 +448,16 @@ def test_config_change_warns_and_reruns(tmp_path, corpus_file):
     assert not result["skipped"]
 
 
+def test_reingest_of_an_edited_input_is_no_config_change(tmp_path, corpus_file):
+    ws = Workspace(tmp_path / "ws")
+    stage_ingest(ws, small_config(), corpus_file)
+    records = synthetic_records(6)
+    records[0]["document"] += " late breaking update"
+    result = stage_ingest(ws, small_config(), write_jsonl(tmp_path / "edited.jsonl", records))
+    assert not result["config_changed"]
+    assert not result["skipped"]
+
+
 def test_reingest_reprobes_only_the_changed_document(tmp_path, corpus_file):
     from aspectsum.pipeline import run_all
     from aspectsum.probe import render_probe_prompt
@@ -484,10 +494,8 @@ def test_probe_resume_refetches_only_missing(tmp_path, corpus_file):
     stage_ingest(ws, cfg, corpus_file)
     stage_probe(ws, cfg, MockLlmClient(seed=cfg.seed))
 
-    # Simulate an interrupted probe: stage state and output gone, cache kept
-    # except three entries.
+    # Simulate an interrupted probe: output gone, cache kept except three entries.
     ws.candidates_path.unlink()
-    (ws.state_dir / "probe.json").unlink()
     cached = sorted(ws.cache_dir.rglob("*.txt"))
     assert len(cached) == 6 * 2
     for path in cached[:3]:
@@ -533,6 +541,86 @@ def test_ledger_appends_only_on_effective_runs(tmp_path, corpus_file):
     assert [e["command"] for e in entries] == ["ingest"]
     assert entries[0]["seq"] == 0
     assert entries[0]["config_digest"] == cfg.digest()
+
+
+def test_stage_whose_ledger_append_failed_runs_again(tmp_path, corpus_file, monkeypatch):
+    from aspectsum.pipeline import _STAGES, run_all
+
+    ws = Workspace(tmp_path / "ws")
+    cfg = small_config()
+    append = Workspace.append_ledger
+
+    def append_or_crash(self, stage, *args):
+        if stage == "select":
+            raise OSError("killed before the ledger line was written")
+        return append(self, stage, *args)
+
+    monkeypatch.setattr(Workspace, "append_ledger", append_or_crash)
+    with pytest.raises(OSError):
+        run_all(ws, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
+    monkeypatch.undo()
+
+    result = run_all(ws, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
+    assert not result["select"]["skipped"]
+    commands = {json.loads(l)["command"] for l in ws.ledger_path.read_text().splitlines()}
+    assert set(_STAGES) <= commands
+    rerun = run_all(ws, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
+    assert all(stage_result["skipped"] for stage_result in rerun.values())
+
+
+def test_ledger_line_cut_short_reruns_only_its_stage(tmp_path, corpus_file):
+    from aspectsum.pipeline import run_all
+
+    ws = Workspace(tmp_path / "ws")
+    cfg = small_config()
+    run_all(ws, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
+    torn = ws.ledger_path.read_bytes()[:-20]  # the eval entry, cut mid-JSON
+    ws.ledger_path.write_bytes(torn)
+
+    client = MockLlmClient(seed=cfg.seed)
+    result = run_all(ws, cfg, corpus_file, client)
+    assert [stage for stage, r in result.items() if not r["skipped"]] == ["eval"]
+    assert client.completion_calls == client.embed_calls == 0
+    lines = ws.ledger_path.read_bytes().splitlines()
+    assert b"\n".join(lines[:-1]) == torn
+    entry = json.loads(lines[-1])
+    assert (entry["command"], entry["seq"]) == ("eval", len(lines) - 1)
+
+
+def test_workspace_of_the_state_file_format_reruns_without_calls(
+    tmp_path, corpus_file, monkeypatch
+):
+    from aspectsum.pipeline import run_all
+
+    ws = Workspace(tmp_path / "ws")
+    cfg = small_config()
+    run_all(ws, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
+    # The earlier format: each digest in state/<stage>.json (the LDA model's
+    # only there), ledger lines without one.
+    state = ws.root / "state"
+    state.mkdir()
+    entries = [json.loads(l) for l in ws.ledger_path.read_text().splitlines()]
+    for entry in entries:
+        (state / f"{entry['command']}.json").write_text(
+            dump_json({"digest": entry.pop("digest")}) + "\n"
+        )
+    entries = [dict(e, seq=i) for i, e in enumerate(e for e in entries if e["command"] != "lda")]
+    ws.ledger_path.write_text("".join(dump_json(e) + "\n" for e in entries))
+
+    def artifacts() -> dict[str, str]:
+        hashes = tree_hashes(ws.root)
+        return {k: v for k, v in hashes.items() if k.split("/")[0] not in ("ledger.jsonl", "state")}
+
+    before = artifacts()
+    client = MockLlmClient(seed=cfg.seed)
+    adapters = _recording_adapters(monkeypatch)
+    result = run_all(ws, cfg, corpus_file, client)
+    assert not any(r["skipped"] for r in result.values())  # each stage re-runs once
+    assert client.completion_calls == client.embed_calls == 0
+    assert adapters[-1].trained_stages == []
+    assert artifacts() == before
+    rerun = run_all(ws, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
+    assert all(stage_result["skipped"] for stage_result in rerun.values())
 
 
 def test_curriculum_stage_subset_and_override(tmp_path, corpus_file):
@@ -689,10 +777,18 @@ def test_cli_bad_user_path_is_an_error_line(tmp_path, monkeypatch, capsys, args)
         ({"lda_alpha": float("inf")}, []),
         ({"max_retries": "3"}, []),
         ({"min_df": True}, []),
+        ({}, ["--fold-in-iterations", "0"]),
+        ({"lambda_summary": float("nan")}, []),
+        ({"lambda_rationale": -1}, []),
+        ({"lambda_summary": 0.0}, []),
+        ({"max_doc_tokens": 0}, []),
+        ({"max_summary_tokens": 0}, []),
     ],
     ids=[
         "lda-k-1", "phi-alpha-nan", "stopwords-klingon", "min-df-0", "n-samples-0",
         "lda-alpha-nan", "lda-beta-nan", "lda-alpha-inf", "max-retries-str", "min-df-bool",
+        "fold-in-iterations-0", "lambda-summary-nan", "lambda-rationale-negative",
+        "lambda-summary-0", "max-doc-tokens-0", "max-summary-tokens-0",
     ],
 )
 def test_cli_bad_config_fails_before_any_stage(tmp_path, corpus_file, capsys, config, flags):
