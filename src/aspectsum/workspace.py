@@ -12,10 +12,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import os
 from pathlib import Path
 
-from .errors import WorkspaceLocked
+from .errors import SchemaError, WorkspaceLocked
 from .rationale import (
     CandidateSet,
     Candidate,
@@ -40,7 +39,10 @@ def file_sha256(path: Path) -> str:
 class Workspace:
     def __init__(self, root: Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):  # the path or a parent is a file
+            raise SchemaError(f"no workspace directory at {self.root}") from None
 
     # -- paths ---------------------------------------------------------------
 
@@ -104,21 +106,17 @@ class Workspace:
 
     @contextlib.contextmanager
     def exclusive_lock(self):
-        """Single-writer lock; readers are unrestricted."""
-        try:
-            fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise WorkspaceLocked(
-                f"{self.lock_path} exists; another writer is active "
-                "(delete it if that process is gone)"
-            ) from None
-        try:
-            os.write(fd, str(os.getpid()).encode())
-            os.close(fd)
+        """Single-writer lock (POSIX flock); readers are unrestricted. The kernel
+        drops it when its holder exits, however it exits; `.lock` is never
+        deleted, or two writers could lock two different files."""
+        import fcntl  # POSIX only; the library imports without it
+
+        with self.lock_path.open("a") as fh:
+            try:
+                fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise WorkspaceLocked(f"another writer holds {self.lock_path}") from None
             yield self
-        finally:
-            with contextlib.suppress(FileNotFoundError):
-                self.lock_path.unlink()
 
     # -- ledger: the only record of stage runs ---------------------------------
 

@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import aspectsum
+from aspectsum import cli as cli_module
 from aspectsum import topics
 from aspectsum.cli import main
 from aspectsum.config import build_config
@@ -715,7 +720,8 @@ def test_cli_run_all_and_artifacts(tmp_path, corpus_file, capsys):
     selections = (ws_root / "selection" / "selections.jsonl").read_text().splitlines()
     assert len(selections) == 6  # one record per document
     assert (ws_root / "eval" / "report.json").exists()
-    assert not (ws_root / ".lock").exists()
+    with Workspace(ws_root).exclusive_lock():  # the command released its lock
+        pass
 
 
 def test_cli_run_all_idempotent(tmp_path, corpus_file, capsys):
@@ -764,6 +770,38 @@ def test_cli_bad_user_path_is_an_error_line(tmp_path, monkeypatch, capsys, args)
     assert err.startswith("error: no ") and args[-1] in err
 
 
+@pytest.mark.parametrize("workspace", ["a_file", "a_file/ws"], ids=["file", "under-a-file"])
+def test_cli_workspace_naming_a_file_is_an_error_line(tmp_path, monkeypatch, capsys, workspace):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_file").write_text("kept")
+    scale = ["--n-samples", "2", "--lda-k", "3"]
+    assert cli("probe", "--workspace", workspace, "--mock-llm", *scale) == 2
+    assert capsys.readouterr().err == f"error: no workspace directory at {workspace}\n"
+    assert (tmp_path / "a_file").read_text() == "kept"
+
+
+CONFIG_FLAGS = [
+    ("--seed", "seed", 11),
+    ("--jobs", "jobs", 3),
+    ("--n-samples", "n_samples", 4),
+    ("--lda-k", "lda_k", 7),
+    ("--lda-iterations", "lda_iterations", 17),
+    ("--fold-in-iterations", "fold_in_iterations", 13),
+    ("--max-retries", "max_retries", 5),
+]
+
+
+@pytest.mark.parametrize("flag, field, value", CONFIG_FLAGS, ids=[f[0] for f in CONFIG_FLAGS])
+def test_cli_flag_reaches_the_config(tmp_path, monkeypatch, flag, field, value):
+    received = []
+    monkeypatch.setattr(
+        cli_module, "stage_probe", lambda ws, cfg, client: received.append(cfg) or {}
+    )
+    scale = ["--n-samples", "2", "--lda-k", "3"]  # a later flag overrides these
+    assert cli("probe", "--workspace", tmp_path / "ws", "--mock-llm", *scale, flag, value) == 0
+    assert getattr(received[0], field) == value
+
+
 @pytest.mark.parametrize(
     "config, flags",
     [
@@ -805,21 +843,48 @@ def test_cli_custom_profile_needs_scale(tmp_path, capsys):
     assert "requires explicit" in capsys.readouterr().err
 
 
-def test_cli_unknown_stage_name(tmp_path, capsys):
-    assert cli(
-        "curriculum", "--workspace", tmp_path / "ws", "--stages", "warmup",
-        "--n-samples", "2", "--lda-k", "3",
-    ) == 2
-    assert "unknown stage" in capsys.readouterr().err
-
-
 def test_cli_locked_workspace(tmp_path, corpus_file, capsys):
     ws_root = tmp_path / "ws"
-    ws_root.mkdir()
-    (ws_root / ".lock").write_text("123")
-    assert cli("ingest", "--workspace", ws_root, "--input", corpus_file,
-               "--n-samples", "2", "--lda-k", "3") == 2
+    ingest = ["ingest", "--workspace", ws_root, "--input", corpus_file,
+              "--n-samples", "2", "--lda-k", "3"]
+    with Workspace(ws_root).exclusive_lock():
+        before = tree_hashes(ws_root)
+        assert cli(*ingest) == 2
+        assert tree_hashes(ws_root) == before
     assert "another writer" in capsys.readouterr().err
+    assert cli(*ingest) == 0
+
+
+_HOLD_LOCK = """
+import sys, time
+from aspectsum.workspace import Workspace
+with Workspace(sys.argv[1]).exclusive_lock():
+    print("locked", flush=True)
+    time.sleep(60)
+"""
+
+
+def test_cli_lock_of_a_killed_writer_is_free(tmp_path, corpus_file, capsys):
+    ws_root = tmp_path / "ws"
+    src = str(Path(aspectsum.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    ingest = ["ingest", "--workspace", ws_root, "--input", corpus_file,
+              "--n-samples", "2", "--lda-k", "3"]
+    with subprocess.Popen(
+        [sys.executable, "-c", _HOLD_LOCK, str(ws_root)],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    ) as writer:
+        try:
+            assert writer.stdout.readline() == "locked\n"
+            assert cli(*ingest) == 2  # held by a live process
+        finally:
+            writer.kill()  # SIGKILL: no cleanup code runs
+            writer.wait(timeout=10)
+    assert "another writer" in capsys.readouterr().err
+    assert (ws_root / ".lock").exists()
+    assert cli(*ingest) == 0
 
 
 def test_cli_eval_format_json(tmp_path, corpus_file, capsys):
