@@ -54,12 +54,13 @@ class PipelineConfig:
         alpha = 50.0 / max(self.lda_k, 1) if self.lda_alpha is None else self.lda_alpha
         _validate_hyperparameters(self.lda_k, alpha, self.lda_beta, self.lda_iterations)
 
-    def digest(self) -> str:
-        # jobs is an execution knob: parallelism never changes artifacts, so
-        # it must not invalidate completed stages or vary the ledger.
+    def digest(self, fields: tuple[str, ...] | None = None) -> str:
+        # fields None hashes every field but jobs. jobs is an execution knob: parallelism
+        # never changes artifacts, so it must not invalidate completed stages or vary the ledger.
         values = dataclasses.asdict(self)
         values.pop("jobs")
-        return stable_digest(json.dumps(values, sort_keys=True))[:16]
+        chosen = values if fields is None else {name: values[name] for name in fields}
+        return stable_digest(json.dumps(chosen, sort_keys=True))[:16]
 
     def probe_config(self) -> ProbeConfig:
         return ProbeConfig(n_samples=self.n_samples, max_retries=self.max_retries)

@@ -338,7 +338,7 @@ def article_segment(input: str) -> str:
     return input[start : min(ends) - 1]
 
 
-def _validate_plan(stages: tuple[Stage, ...], override_stage_order: bool) -> None:
+def validate_plan(stages: tuple[Stage, ...], override_stage_order: bool) -> None:
     if not stages:
         raise StageOrderViolation("plan has no stages")
     ranks = [CANONICAL_STAGE_ORDER.index(stage) for stage in stages]
@@ -389,7 +389,7 @@ def run_curriculum(
     on_stage(entries) after it. The two lambdas weight the joint stage's
     rationale and summary losses.
     """
-    _validate_plan(stages, override_stage_order)
+    validate_plan(stages, override_stage_order)
     entries: list[dict] = []
     resuming = True
     for i, stage in enumerate(stages):

@@ -1,11 +1,11 @@
 """Stage orchestration over a workspace: ingest, probe, select, curriculum, eval.
 
 Each stage reads its inputs from the workspace, writes its module's persisted
-formats, and appends a ledger entry, the only record of the run. A current
-stage, one whose config digest and inputs are unchanged, is a no-op (no LLM
-calls, no rewrites), and a stage reads another stage's output only while that
-stage is current. run_all chains the stages with fail-fast semantics: the
-first failing stage raises and earlier artifacts stay intact.
+formats, and appends a ledger line as it begins and one as it ends, the only
+record of the run. A current stage, one whose config and inputs are unchanged,
+is a no-op (no LLM calls, no rewrites), and a stage reads another stage's
+output only while that stage is current. run_all chains the stages with
+fail-fast semantics: the first failing stage raises and earlier artifacts stay intact.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .curriculum import (
     TrainerAdapter,
     find_reserved_token,
     run_curriculum,
+    validate_plan,
 )
 from .errors import DuplicateId, MissingPrerequisite, SchemaError
 from .evaluation import evaluate_corpus
@@ -41,11 +42,16 @@ class _Protocol(NamedTuple):
     reads: tuple[str, ...]  # the inputs hashed into the stage digest, in order
     after: str | None  # the stage whose output this one reads; it must be current
     writes: tuple[str, ...]  # the outputs
+    config: tuple[str, ...] | None = None  # the config fields hashed; None: all but jobs
 
 
 _STAGES = {
     "ingest": _Protocol((), None, ("corpus", "ingest_report")),
     "probe": _Protocol(("corpus",), None, ("candidates", "discards")),
+    "lda": _Protocol(  # runs in select, which lists lda_model too: deleting it re-runs both
+        ("corpus",), None, ("lda_model",),
+        ("lda_k", "lda_alpha", "lda_beta", "lda_iterations", "seed", "stopwords", "min_df"),
+    ),
     "select": _Protocol(("corpus", "candidates"), "probe", ("selections", "lda_model")),
     "curriculum": _Protocol(("selections",), "select", ("curriculum_report",)),
     "eval": _Protocol(("selections", "candidates"), "select", ("eval_json", "eval_table")),
@@ -68,7 +74,8 @@ def _status(ws: Workspace, cfg: PipelineConfig, stage: str, extra=(), writes=())
     outputs = _paths(ws, protocol.writes) + list(writes)
     if not all(p.exists() for p in reads):
         return None, outputs, False
-    digest = stable_digest(stage, cfg.digest(), *(file_sha256(p) for p in reads), *extra)[:16]
+    config = cfg.digest(protocol.config)
+    digest = stable_digest(stage, config, *(file_sha256(p) for p in reads), *extra)[:16]
     recorded = ws.last_entry(stage).get("digest")
     return digest, outputs, recorded == digest and all(p.exists() for p in outputs)
 
@@ -95,6 +102,8 @@ def _run_stage(ws: Workspace, cfg: PipelineConfig, stage: str, work, extra=(), w
     status = {"skipped": current, "config_changed": recorded != cfg.digest()}
     if current:
         return status
+    # Until the closing line lands the stage reads stale, so a killed run redoes it.
+    ws.append_ledger(stage, None, cfg.digest(), [])
     result = work(digest)
     recorded_outputs = [p.relative_to(ws.root).as_posix() for p in outputs]
     ws.append_ledger(stage, digest, cfg.digest(), recorded_outputs)
@@ -216,26 +225,6 @@ def _probe(ws: Workspace, cfg: PipelineConfig, client: LlmClient) -> dict:
     }
 
 
-def _lda_model(ws: Workspace, cfg: PipelineConfig, documents: list[Document]) -> LdaModel:
-    settings = dict(
-        k=cfg.lda_k,
-        alpha=cfg.lda_alpha,
-        beta=cfg.lda_beta,
-        iterations=cfg.lda_iterations,
-        seed=cfg.lda_seed,
-    )
-    # "trainer" names the training method, so a model another method saved is retrained.
-    key = dump_json(dict(settings, stopwords=cfg.stopwords, min_df=cfg.min_df, trainer="vb"))
-    lda_digest = stable_digest("lda", key, file_sha256(ws.corpus_path))[:16]
-    if ws.last_entry("lda").get("digest") == lda_digest and ws.lda_model_path.exists():
-        return LdaModel.load(ws.lda_model_path)
-    model = train_lda(documents, **settings, vocab_config=cfg.vocab_config())
-    ws.lda_model_path.parent.mkdir(parents=True, exist_ok=True)
-    model.save(ws.lda_model_path)
-    ws.append_ledger("lda", lda_digest, cfg.digest(), ["lda/model.json"])
-    return model
-
-
 def stage_select(ws: Workspace, cfg: PipelineConfig, provider: LlmClient) -> dict:
     """Train/load the corpus LDA model and pick the golden rationale per document."""
     return _run_stage(ws, cfg, "select", lambda _: _select(ws, cfg, provider))
@@ -249,7 +238,16 @@ def _select(ws: Workspace, cfg: PipelineConfig, provider: LlmClient) -> dict:
         if cs.document_id not in by_id:
             raise MissingPrerequisite(f"corpus document {cs.document_id}")
 
-    model = _lda_model(ws, cfg, documents)
+    def train(_) -> dict:
+        settings = dict(k=cfg.lda_k, alpha=cfg.lda_alpha, beta=cfg.lda_beta, seed=cfg.lda_seed)
+        vocab = cfg.vocab_config()
+        model = train_lda(documents, iterations=cfg.lda_iterations, vocab_config=vocab, **settings)
+        ws.lda_model_path.parent.mkdir(parents=True, exist_ok=True)
+        model.save(ws.lda_model_path)
+        return {"model": model}
+
+    lda = _run_stage(ws, cfg, "lda", train)
+    model = LdaModel.load(ws.lda_model_path) if lda["skipped"] else lda["model"]
     selection_cfg = cfg.selection_config()
     pairs = [(cs, by_id[cs.document_id]) for cs in candidate_sets]
     cache = EmbeddingCache(ws.cache_dir)
@@ -296,7 +294,8 @@ def stage_curriculum(
     under the same stage digest trains from the first stage whose manifest
     is new or changed.
     """
-    stages = tuple(stages or CANONICAL_STAGE_ORDER)
+    stages = CANONICAL_STAGE_ORDER if stages is None else tuple(stages)
+    validate_plan(stages, override_stage_order)  # a bad plan leaves no ledger line
 
     def work(digest: str) -> dict:
         pairs = _golden_pairs(ws)

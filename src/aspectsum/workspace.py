@@ -3,8 +3,8 @@
 Everything persisted is line-oriented text or JSON so downstream trainers
 and humans can inspect every intermediate. All writes are deterministic
 (sorted keys, no timestamps): two runs with the same inputs and seeds
-produce byte-identical artifacts. A stage run is recorded by one ledger
-line, which carries the digest that the next run's skip test compares.
+produce byte-identical artifacts. A stage run appends a ledger line as it
+begins and one as it ends, with the digest the next run's skip test compares.
 """
 
 from __future__ import annotations
@@ -132,8 +132,8 @@ class Workspace:
                     return entry
         return {}
 
-    def append_ledger(self, stage: str, digest: str, config_digest: str, outputs: list[str]):
-        """Record one stage run in one append (no fsync), on a line of its own."""
+    def append_ledger(self, stage: str, digest: str | None, config_digest: str, outputs: list[str]):
+        """Append one line in one write (no fsync); digest None marks a stage run begun."""
         text = self._ledger_bytes()
         head = b"\n" if text and not text.endswith(b"\n") else b""  # ends a cut-short line
         entry = {

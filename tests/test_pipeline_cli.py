@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ import aspectsum
 from aspectsum import cli as cli_module
 from aspectsum import topics
 from aspectsum.cli import main
-from aspectsum.config import build_config
+from aspectsum.config import PipelineConfig, build_config
 from aspectsum.curriculum import CANONICAL_STAGE_ORDER
 from aspectsum.errors import (
     DuplicateId,
@@ -30,7 +32,7 @@ from aspectsum.pipeline import (
     stage_select,
 )
 from aspectsum.textutil import stable_digest
-from aspectsum.topics import train_lda
+from aspectsum.topics import LdaModel, train_lda
 from aspectsum.workspace import Workspace, dump_json, file_sha256
 from conftest import synthetic_records, write_jsonl
 
@@ -281,6 +283,16 @@ def _recording_adapters(monkeypatch) -> list:
     return adapters
 
 
+def _counting_train_lda(monkeypatch) -> list:
+    """One entry per train_lda call the pipeline makes from now on."""
+    from aspectsum import pipeline
+
+    calls = []
+    train = pipeline.train_lda
+    monkeypatch.setattr(pipeline, "train_lda", lambda *a, **k: calls.append(1) or train(*a, **k))
+    return calls
+
+
 def test_deleted_manifest_is_rebuilt_without_retraining(tmp_path, corpus_file, monkeypatch):
     from aspectsum.pipeline import run_all
 
@@ -361,40 +373,98 @@ def test_select_recovers_from_truncated_embedding_entry(tmp_path, corpus_file):
     json.loads(entry.read_text())  # and rewritten whole
 
 
-def test_lda_model_of_the_earlier_trainer_is_retrained(tmp_path, corpus_file):
+def test_lda_model_of_the_earlier_trainer_is_retrained(tmp_path, corpus_file, monkeypatch):
+    trained = _counting_train_lda(monkeypatch)
+    # Two earlier formats of the LDA digest, built apart from the stage
+    # protocol: one without a "trainer" key, whose model came from another
+    # training method, and one with "trainer": "vb", whose model is this one.
+    for trainer in (None, "vb"):
+        ws = Workspace(tmp_path / f"ws-{trainer}")
+        cfg = small_config()
+        stage_ingest(ws, cfg, corpus_file)
+        stage_probe(ws, cfg, MockLlmClient(seed=cfg.seed))
+        stage_select(ws, cfg, MockLlmClient(seed=cfg.seed))
+        fresh = ws.lda_model_path.read_bytes(), ws.selections_path.read_bytes()
+
+        settings = {
+            "k": cfg.lda_k,
+            "alpha": cfg.lda_alpha,
+            "beta": cfg.lda_beta,
+            "iterations": cfg.lda_iterations,
+            "seed": cfg.lda_seed,
+            "stopwords": cfg.stopwords,
+            "min_df": cfg.min_df,
+        }
+        if trainer is not None:
+            settings["trainer"] = trainer
+        old_digest = stable_digest("lda", dump_json(settings), file_sha256(ws.corpus_path))[:16]
+        ws.append_ledger("lda", old_digest, cfg.digest(), ["lda/model.json"])
+        if trainer is None:
+            other = train_lda(ws.load_corpus(), k=cfg.lda_k, iterations=1, seed=99)
+            other.save(ws.lda_model_path)
+            assert ws.lda_model_path.read_bytes() != fresh[0]
+        ws.selections_path.unlink()
+
+        trained.clear()
+        client = MockLlmClient(seed=cfg.seed)
+        stage_select(ws, cfg, client)
+        assert (ws.lda_model_path.read_bytes(), ws.selections_path.read_bytes()) == fresh
+        assert ws.last_entry("lda")["digest"] != old_digest
+        assert len(trained) == 1
+        assert client.completion_calls == client.embed_calls == 0
+        # Retrained once: the next select run reuses the model.
+        ws.selections_path.unlink()
+        stage_select(ws, cfg, client)
+        assert ws.selections_path.read_bytes() == fresh[1]
+        assert len(trained) == 1
+
+
+# A valid value other than small_config()'s, for every PipelineConfig field.
+# None of them changes which documents ingest keeps.
+CHANGED_VALUES = {
+    "profile": "cnndm",
+    "n_samples": 3,
+    "lda_k": 4,
+    "lda_alpha": 0.5,
+    "lda_beta": 0.02,
+    "lda_iterations": 41,
+    "fold_in_iterations": 11,
+    "min_df": 2,
+    "stopwords": "none",
+    "phi_alpha": 0.7,
+    "phi_beta": 1.4,
+    "lambda_cs": 1.0,
+    "lambda_rationale": 0.7,
+    "lambda_summary": 1.1,
+    "max_doc_tokens": 1000,
+    "max_summary_tokens": 250,
+    "max_retries": 3,
+    "seed": 6,
+    "jobs": 2,
+    "model_id": "other-model",
+    "embedding_model_id": "other-embedding",
+    "endpoint_url": "http://localhost:1/v1",
+}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(PipelineConfig)])
+def test_only_the_lda_fields_retrain_the_model(tmp_path, corpus_file, monkeypatch, field):
+    from aspectsum.pipeline import _status, run_all
+
     ws = Workspace(tmp_path / "ws")
     cfg = small_config()
-    stage_ingest(ws, cfg, corpus_file)
-    stage_probe(ws, cfg, MockLlmClient(seed=cfg.seed))
-    stage_select(ws, cfg, MockLlmClient(seed=cfg.seed))
-    fresh = ws.lda_model_path.read_bytes(), ws.selections_path.read_bytes()
+    run_all(ws, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
+    assert _status(ws, cfg, "lda")[2]
 
-    # A workspace from before the trainer was hashed: its LDA digest had no
-    # "trainer" key, and its model came from another training method.
-    old_digest = stable_digest(
-        "lda",
-        dump_json(
-            {
-                "k": cfg.lda_k,
-                "alpha": cfg.lda_alpha,
-                "beta": cfg.lda_beta,
-                "iterations": cfg.lda_iterations,
-                "seed": cfg.lda_seed,
-                "stopwords": cfg.stopwords,
-                "min_df": cfg.min_df,
-            }
-        ),
-        file_sha256(ws.corpus_path),
-    )[:16]
-    ws.append_ledger("lda", old_digest, cfg.digest(), ["lda/model.json"])
-    other = train_lda(ws.load_corpus(), k=cfg.lda_k, iterations=1, seed=99)
-    other.save(ws.lda_model_path)
-    assert ws.lda_model_path.read_bytes() != fresh[0]
-    ws.selections_path.unlink()
-
-    stage_select(ws, cfg, MockLlmClient(seed=cfg.seed))
-    assert (ws.lda_model_path.read_bytes(), ws.selections_path.read_bytes()) == fresh
-    assert ws.last_entry("lda")["digest"] != old_digest
+    trained = _counting_train_lda(monkeypatch)
+    changed = dataclasses.replace(cfg, **{field: CHANGED_VALUES[field]})
+    assert getattr(changed, field) != getattr(cfg, field)
+    result = run_all(ws, changed, corpus_file, MockLlmClient(seed=changed.seed))
+    lda_fields = {"lda_k", "lda_alpha", "lda_beta", "lda_iterations", "seed", "stopwords", "min_df"}
+    assert len(trained) == (field in lda_fields)
+    if field == "jobs":
+        assert all(stage_result["skipped"] for stage_result in result.values())
+    assert _status(ws, changed, "lda")[2]
 
 
 def test_select_bytes_do_not_depend_on_jobs_or_blocks(tmp_path, monkeypatch):
@@ -534,7 +604,12 @@ def test_run_all_fail_fast_keeps_earlier_artifacts(tmp_path, corpus_file):
     assert len(ws.load_corpus()) == 6
     assert not ws.candidates_path.exists()
     entries = [json.loads(l) for l in ws.ledger_path.read_text().splitlines()]
-    assert [e["command"] for e in entries] == ["ingest"]
+    # ingest's begin and end lines, then probe's begin line: probe is not current.
+    assert [(e["command"], e["digest"] is None) for e in entries] == [
+        ("ingest", True),
+        ("ingest", False),
+        ("probe", True),
+    ]
 
 
 def test_ledger_appends_only_on_effective_runs(tmp_path, corpus_file):
@@ -543,9 +618,12 @@ def test_ledger_appends_only_on_effective_runs(tmp_path, corpus_file):
     stage_ingest(ws, cfg, corpus_file)
     stage_ingest(ws, cfg, corpus_file)  # skipped, no entry
     entries = [json.loads(l) for l in ws.ledger_path.read_text().splitlines()]
-    assert [e["command"] for e in entries] == ["ingest"]
-    assert entries[0]["seq"] == 0
-    assert entries[0]["config_digest"] == cfg.digest()
+    # The effective run's begin line, then its end line.
+    assert [e["command"] for e in entries] == ["ingest", "ingest"]
+    assert [e["seq"] for e in entries] == [0, 1]
+    assert (entries[0]["digest"], entries[0]["outputs"]) == (None, [])
+    assert entries[1]["digest"] is not None and entries[1]["outputs"]
+    assert [e["config_digest"] for e in entries] == [cfg.digest()] * 2
 
 
 def test_stage_whose_ledger_append_failed_runs_again(tmp_path, corpus_file, monkeypatch):
@@ -587,9 +665,73 @@ def test_ledger_line_cut_short_reruns_only_its_stage(tmp_path, corpus_file):
     assert [stage for stage, r in result.items() if not r["skipped"]] == ["eval"]
     assert client.completion_calls == client.embed_calls == 0
     lines = ws.ledger_path.read_bytes().splitlines()
-    assert b"\n".join(lines[:-1]) == torn
-    entry = json.loads(lines[-1])
-    assert (entry["command"], entry["seq"]) == ("eval", len(lines) - 1)
+    assert b"\n".join(lines[:-2]) == torn
+    begin, end = map(json.loads, lines[-2:])
+    assert (begin["command"], begin["seq"], begin["digest"]) == ("eval", len(lines) - 2, None)
+    assert (end["command"], end["seq"]) == ("eval", len(lines) - 1)
+    assert end["digest"] is not None
+
+
+def test_run_killed_at_any_artifact_write_leaves_no_stage_current(tmp_path, monkeypatch):
+    from aspectsum.pipeline import run_all
+
+    class Killed(BaseException):
+        """A kill: no handler in the program catches it."""
+
+    corpus = write_jsonl(tmp_path / "corpus.jsonl", synthetic_records(9))
+    cfg_a = small_config()
+    cfg_b = small_config(lambda_cs=1.0, lda_k=4)
+
+    def artifacts(ws: Workspace) -> dict[str, str]:
+        hashes = tree_hashes(ws.root)
+        return {k: v for k, v in hashes.items() if k.split("/")[0] not in ("cache", "ledger.jsonl")}
+
+    run_a = Workspace(tmp_path / "a")
+    run_all(run_a, cfg_a, corpus, MockLlmClient(seed=cfg_a.seed))
+    expected = artifacts(run_a)
+    write_text, save = Workspace.write_text, LdaModel.save
+
+    k = 0
+    completed = False
+    while not completed:
+        k += 1
+        calls = []
+
+        def write_half_then_kill(path: Path, data: bytes) -> None:
+            path.write_bytes(data[: len(data) // 2])
+            raise Killed(f"killed at write {k}")
+
+        def killing_write_text(self, path, text):
+            calls.append(path)
+            if len(calls) == k:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                write_half_then_kill(path, text.encode("utf-8"))
+            write_text(self, path, text)
+
+        def killing_save(self, path):
+            calls.append(path)
+            save(self, path)
+            if len(calls) == k:
+                write_half_then_kill(path, path.read_bytes())
+
+        # Step 1, a run under A: a copy of one, the same bytes by the
+        # determinism contract.
+        ws = Workspace(tmp_path / f"k{k}")
+        shutil.copytree(run_a.root, ws.root, dirs_exist_ok=True)
+        # Step 2: a run under B, killed at its k-th artifact write.
+        with monkeypatch.context() as patch:
+            patch.setattr(Workspace, "write_text", killing_write_text)
+            patch.setattr(LdaModel, "save", killing_save)
+            try:
+                run_all(ws, cfg_b, corpus, MockLlmClient(seed=cfg_b.seed))
+                completed = True
+            except Killed:
+                pass
+        # Step 3: a run under A again redoes whatever the kill left.
+        run_all(ws, cfg_a, corpus, MockLlmClient(seed=cfg_a.seed))
+        assert artifacts(ws) == expected, f"killed at write {k}: {calls[-1]}"
+        shutil.rmtree(ws.root)
+    assert len(calls) >= len(expected)  # run B wrote every artifact at least once
 
 
 def test_workspace_of_the_state_file_format_reruns_without_calls(
@@ -638,8 +780,12 @@ def test_curriculum_stage_subset_and_override(tmp_path, corpus_file):
     from aspectsum.curriculum import Stage
     from aspectsum.errors import StageOrderViolation
 
+    before = tree_hashes(ws.root)
+    with pytest.raises(StageOrderViolation, match="no stages"):
+        stage_curriculum(ws, cfg, stages=())  # an empty plan is not the whole plan
     with pytest.raises(StageOrderViolation):
         stage_curriculum(ws, cfg, stages=(Stage.JOINT,))
+    assert tree_hashes(ws.root) == before  # neither bad plan wrote anything
     result = stage_curriculum(ws, cfg, stages=(Stage.JOINT,), override_stage_order=True)
     assert result["stages"] == ["joint"]
     assert (ws.manifests_dir / "06_joint.jsonl").exists()
