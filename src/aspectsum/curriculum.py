@@ -10,17 +10,11 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import json
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .errors import (
-    DecodeFailure,
-    MissingRationale,
-    ReservedTokenCollision,
-    StageOrderViolation,
-)
+from .errors import DecodeFailure, MissingRationale, ReservedTokenCollision
 from .rationale import (
     Document,
     Rationale,
@@ -29,6 +23,7 @@ from .rationale import (
     serialize_rationale,
     serialize_triples,
 )
+from .workspace import dump_json
 
 
 class TaskKind(enum.Enum):
@@ -119,24 +114,13 @@ class StageManifest:
     skipped: tuple[SkipRecord, ...] = ()
 
     def to_jsonl(self) -> str:
-        lines = []
-        for ex in self.examples:
-            lines.append(
-                json.dumps(
-                    {
-                        "stage": self.stage.value,
-                        "task": ex.task.value,
-                        "input": ex.input,
-                        "target": ex.target,
-                        "loss_weight": ex.loss_weight,
-                        "document_id": ex.document_id,
-                        "provenance": ex.provenance,
-                    },
-                    sort_keys=True,
-                    ensure_ascii=False,
-                )
-            )
-        return "\n".join(lines) + ("\n" if lines else "")
+        records = (
+            {"stage": self.stage.value, "task": ex.task.value, "input": ex.input,
+             "target": ex.target, "loss_weight": ex.loss_weight,
+             "document_id": ex.document_id, "provenance": ex.provenance}
+            for ex in self.examples
+        )
+        return "".join(dump_json(record) + "\n" for record in records)
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_jsonl().encode("utf-8")).hexdigest()
@@ -338,20 +322,6 @@ def article_segment(input: str) -> str:
     return input[start : min(ends) - 1]
 
 
-def validate_plan(stages: tuple[Stage, ...], override_stage_order: bool) -> None:
-    if not stages:
-        raise StageOrderViolation("plan has no stages")
-    ranks = [CANONICAL_STAGE_ORDER.index(stage) for stage in stages]
-    if ranks != sorted(set(ranks)):
-        raise StageOrderViolation("stages must follow the canonical order without repeats")
-    if not override_stage_order and ranks != list(range(len(ranks))):
-        first_missing = next(i for i in range(len(CANONICAL_STAGE_ORDER)) if i not in ranks)
-        raise StageOrderViolation(
-            f"plan skips prerequisite stage {CANONICAL_STAGE_ORDER[first_missing].value}; "
-            "pass the override flag to run anyway"
-        )
-
-
 def _build_stage(
     stage: Stage,
     pairs: list[Pair],
@@ -371,28 +341,25 @@ def _build_stage(
 def run_curriculum(
     pairs: list[Pair],
     adapter: TrainerAdapter,
-    stages: tuple[Stage, ...] = CANONICAL_STAGE_ORDER,
-    override_stage_order: bool = False,
     recorded: Sequence[dict] = (),
     on_manifest=None,
     on_stage=None,
     lambda_rationale: float = 0.8,
     lambda_summary: float = 1.2,
 ) -> list[dict]:
-    """Build every planned stage's manifest in order and train the adapter on it.
+    """Build each stage's manifest in canonical order and train the adapter on it.
 
     Returns one entry {stage, digest, example_count, metrics} per stage.
-    recorded holds the entries of an earlier run of this plan: each leading
-    stage whose recorded digest equals that of the manifest built now keeps
-    its entry untrained, and every stage from the first new or changed one
-    is trained. on_manifest(manifest) is called before a stage trains and
-    on_stage(entries) after it. The two lambdas weight the joint stage's
-    rationale and summary losses.
+    recorded holds the entries of an earlier run: each leading stage whose
+    recorded digest equals that of the manifest built now keeps its entry
+    untrained, and every stage from the first new or changed one is trained.
+    on_manifest(manifest) is called before a stage trains and on_stage(entries)
+    after it. The two lambdas weight the joint stage's rationale and summary
+    losses.
     """
-    validate_plan(stages, override_stage_order)
     entries: list[dict] = []
     resuming = True
-    for i, stage in enumerate(stages):
+    for i, stage in enumerate(CANONICAL_STAGE_ORDER):
         manifest = _build_stage(stage, pairs, adapter, lambda_rationale, lambda_summary)
         if on_manifest is not None:
             on_manifest(manifest)

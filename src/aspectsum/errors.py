@@ -56,10 +56,6 @@ class DecodeFailure(AspectsumError):
     """A trainer adapter could not produce a usable greedy-decode output."""
 
 
-class StageOrderViolation(AspectsumError):
-    """A curriculum plan skips or reorders stages without the override flag."""
-
-
 class ReservedTokenCollision(AspectsumError):
     """Corpus or rationale text contains a reserved task/segment token."""
 

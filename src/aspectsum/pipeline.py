@@ -24,7 +24,6 @@ from .curriculum import (
     TrainerAdapter,
     find_reserved_token,
     run_curriculum,
-    validate_plan,
 )
 from .errors import DuplicateId, MissingPrerequisite, SchemaError
 from .evaluation import evaluate_corpus
@@ -38,10 +37,10 @@ from .workspace import Workspace, dump_json, dump_json_pretty, file_sha256
 
 
 class _Protocol(NamedTuple):
-    # Files are named by their Workspace `<name>_path` property.
+    # A file is named by its Workspace `<name>_path` property, or by its curriculum Stage.
     reads: tuple[str, ...]  # the inputs hashed into the stage digest, in order
     after: str | None  # the stage whose output this one reads; it must be current
-    writes: tuple[str, ...]  # the outputs
+    writes: tuple[str | Stage, ...]  # the outputs
     config: tuple[str, ...] | None = None  # the config fields hashed; None: all but jobs
 
 
@@ -53,16 +52,21 @@ _STAGES = {
         ("lda_k", "lda_alpha", "lda_beta", "lda_iterations", "seed", "stopwords", "min_df"),
     ),
     "select": _Protocol(("corpus", "candidates"), "probe", ("selections", "lda_model")),
-    "curriculum": _Protocol(("selections",), "select", ("curriculum_report",)),
+    "curriculum": _Protocol(
+        ("selections",), "select", ("curriculum_report", *CANONICAL_STAGE_ORDER)
+    ),
     "eval": _Protocol(("selections", "candidates"), "select", ("eval_json", "eval_table")),
 }
 
 
 def _paths(ws: Workspace, names) -> list[Path]:
-    return [getattr(ws, f"{name}_path") for name in names]
+    paths = []
+    for n in names:
+        paths += ws.manifest_paths(n) if isinstance(n, Stage) else [getattr(ws, f"{n}_path")]
+    return paths
 
 
-def _status(ws: Workspace, cfg: PipelineConfig, stage: str, extra=(), writes=()):
+def _status(ws: Workspace, cfg: PipelineConfig, stage: str, extra=()):
     """(digest, outputs, current) of the stage under this config and the files on disk.
 
     A stage is current when its recorded digest equals the one it would
@@ -71,7 +75,7 @@ def _status(ws: Workspace, cfg: PipelineConfig, stage: str, extra=(), writes=())
     """
     protocol = _STAGES[stage]
     reads = _paths(ws, protocol.reads)
-    outputs = _paths(ws, protocol.writes) + list(writes)
+    outputs = _paths(ws, protocol.writes)
     if not all(p.exists() for p in reads):
         return None, outputs, False
     config = cfg.digest(protocol.config)
@@ -80,12 +84,12 @@ def _status(ws: Workspace, cfg: PipelineConfig, stage: str, extra=(), writes=())
     return digest, outputs, recorded == digest and all(p.exists() for p in outputs)
 
 
-def _run_stage(ws: Workspace, cfg: PipelineConfig, stage: str, work, extra=(), writes=()) -> dict:
+def _run_stage(ws: Workspace, cfg: PipelineConfig, stage: str, work, extra=()) -> dict:
     """Run work(digest), the stage's own work, unless the stage is current; record it.
 
-    extra are digest parts hashed after the inputs; writes are outputs beyond
-    the declared ones. A stage refuses, before writing anything, to read the
-    output of an upstream stage that is not current.
+    extra are digest parts hashed after the inputs: the hashes of input files
+    outside the workspace. A stage refuses, before writing anything, to read
+    the output of an upstream stage that is not current.
     """
     protocol = _STAGES[stage]
     for name, path in zip(protocol.reads, _paths(ws, protocol.reads)):
@@ -97,7 +101,7 @@ def _run_stage(ws: Workspace, cfg: PipelineConfig, stage: str, work, extra=(), w
             f"{after} output matching this config and the current "
             f"{' and '.join(_STAGES[after].reads)}; re-run {after}"
         )
-    digest, outputs, current = _status(ws, cfg, stage, extra, writes)
+    digest, outputs, current = _status(ws, cfg, stage, extra)
     recorded = ws.last_entry(stage).get("config_digest", cfg.digest())
     status = {"skipped": current, "config_changed": recorded != cfg.digest()}
     if current:
@@ -257,10 +261,6 @@ def _select(ws: Workspace, cfg: PipelineConfig, provider: LlmClient) -> dict:
     return {"documents": len(results)}
 
 
-def _manifest_filename(stage: Stage) -> str:
-    return f"{CANONICAL_STAGE_ORDER.index(stage) + 1:02d}_{stage.value}"
-
-
 def _golden_pairs(ws: Workspace) -> list:
     documents = {d.id: d for d in ws.load_corpus()}
     pairs = []
@@ -282,29 +282,22 @@ def _recorded_stages(ws: Workspace, key: str) -> list[dict]:
 
 
 def stage_curriculum(
-    ws: Workspace,
-    cfg: PipelineConfig,
-    adapter: TrainerAdapter | None = None,
-    stages: tuple[Stage, ...] | None = None,
-    override_stage_order: bool = False,
+    ws: Workspace, cfg: PipelineConfig, adapter: TrainerAdapter | None = None
 ) -> dict:
-    """Build and write every stage manifest and train the adapter on each.
+    """Build and write the six stage manifests and train the adapter on each.
 
     The report, rewritten after each stage, is the resume point: a re-run
     under the same stage digest trains from the first stage whose manifest
     is new or changed.
     """
-    stages = CANONICAL_STAGE_ORDER if stages is None else tuple(stages)
-    validate_plan(stages, override_stage_order)  # a bad plan leaves no ledger line
 
     def work(digest: str) -> dict:
         pairs = _golden_pairs(ws)
 
         def on_manifest(manifest: StageManifest) -> None:
-            name = _manifest_filename(manifest.stage)
-            ws.write_text(ws.manifests_dir / f"{name}.jsonl", manifest.to_jsonl())
-            meta = dump_json_pretty(manifest.meta())
-            ws.write_text(ws.manifests_dir / f"{name}.meta.json", meta)
+            jsonl, meta = ws.manifest_paths(manifest.stage)
+            ws.write_text(jsonl, manifest.to_jsonl())
+            ws.write_text(meta, dump_json_pretty(manifest.meta()))
 
         def on_stage(entries: list[dict]) -> None:
             report = {"key": digest, "stages": entries}
@@ -313,8 +306,6 @@ def stage_curriculum(
         entries = run_curriculum(
             pairs,
             adapter or EchoTrainerAdapter(pairs),
-            stages=stages,
-            override_stage_order=override_stage_order,
             recorded=_recorded_stages(ws, digest),
             on_manifest=on_manifest,
             on_stage=on_stage,
@@ -323,9 +314,7 @@ def stage_curriculum(
         )
         return {"stages": [entry["stage"] for entry in entries], "documents": len(pairs)}
 
-    plan_key = (",".join(s.value for s in stages), str(override_stage_order))
-    manifests = [ws.manifests_dir / f"{_manifest_filename(s)}.jsonl" for s in stages]
-    return _run_stage(ws, cfg, "curriculum", work, plan_key, manifests)
+    return _run_stage(ws, cfg, "curriculum", work)
 
 
 def stage_eval(
@@ -336,8 +325,8 @@ def stage_eval(
     """ROUGE-score each document's golden candidate summary against the ground truth."""
     if external_scores is not None and not Path(external_scores).is_file():
         raise SchemaError(f"no external scores file at {external_scores}")
-    external = file_sha256(str(external_scores)) if external_scores else ""
-    return _run_stage(ws, cfg, "eval", lambda _: _eval(ws, external_scores), (external,))
+    external = (file_sha256(external_scores),) if external_scores else ()
+    return _run_stage(ws, cfg, "eval", lambda _: _eval(ws, external_scores), external)
 
 
 def _eval(ws: Workspace, external_scores: Path | None) -> dict:

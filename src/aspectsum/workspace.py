@@ -78,6 +78,13 @@ class Workspace:
     def manifests_dir(self) -> Path:
         return self.root / "manifests"
 
+    def manifest_paths(self, stage) -> tuple[Path, Path]:
+        """The examples (.jsonl) and sidecar (.meta.json) files of a curriculum Stage."""
+        from .curriculum import CANONICAL_STAGE_ORDER  # curriculum imports this module
+
+        stem = f"{CANONICAL_STAGE_ORDER.index(stage) + 1:02d}_{stage.value}"
+        return self.manifests_dir / f"{stem}.jsonl", self.manifests_dir / f"{stem}.meta.json"
+
     @property
     def curriculum_report_path(self) -> Path:
         return self.root / "curriculum" / "report.json"

@@ -23,12 +23,7 @@ from aspectsum.curriculum import (
     run_curriculum,
     split_joint_target,
 )
-from aspectsum.errors import (
-    DecodeFailure,
-    MissingRationale,
-    ReservedTokenCollision,
-    StageOrderViolation,
-)
+from aspectsum.errors import DecodeFailure, MissingRationale, ReservedTokenCollision
 from aspectsum.mock import EchoTrainerAdapter
 from aspectsum.rationale import (
     Aspect,
@@ -308,28 +303,6 @@ def test_run_curriculum_deterministic_digests():
     r1 = run_curriculum(pairs, EchoTrainerAdapter(pairs))
     r2 = run_curriculum(pairs, EchoTrainerAdapter(pairs))
     assert [e["digest"] for e in r1] == [e["digest"] for e in r2]
-
-
-def test_plan_skipping_requires_override():
-    pairs = make_pairs(1)
-    adapter = EchoTrainerAdapter(pairs)
-    with pytest.raises(StageOrderViolation):
-        run_curriculum(pairs, adapter, stages=(Stage.JOINT,))
-    entries = run_curriculum(pairs, adapter, stages=(Stage.JOINT,), override_stage_order=True)
-    assert [e["stage"] for e in entries] == ["joint"]
-
-
-def test_plan_reorder_or_repeat_always_rejected():
-    pairs = make_pairs(1)
-    adapter = EchoTrainerAdapter(pairs)
-    bad_plans = [
-        (Stage.SINGULAR_TRIPLE, Stage.SINGULAR_ASPECT),
-        (Stage.JOINT, Stage.JOINT),
-        (),
-    ]
-    for stages in bad_plans:
-        with pytest.raises(StageOrderViolation):
-            run_curriculum(pairs, adapter, stages=stages, override_stage_order=True)
 
 
 class AbortingAdapter(EchoTrainerAdapter):

@@ -300,18 +300,24 @@ def test_deleted_manifest_is_rebuilt_without_retraining(tmp_path, corpus_file, m
     cfg = small_config()
     run_all(ws, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
     before = tree_hashes(ws.root)
-    (ws.manifests_dir / "01_singular_aspect.jsonl").unlink()
+    before.pop("ledger.jsonl")
+    names = sorted(path.name for path in ws.manifests_dir.iterdir())
+    assert len(names) == 12  # six examples files and six sidecars
 
     adapters = _recording_adapters(monkeypatch)
-    result = stage_curriculum(ws, cfg)
-    assert not result["skipped"] and not result["config_changed"]
-    assert adapters[0].trained_stages == []
-    after = tree_hashes(ws.root)
-    # Only the ledger changed: it records the run that rewrote the manifest.
-    assert after.pop("ledger.jsonl") != before.pop("ledger.jsonl")
-    assert after == before
-    assert stage_curriculum(ws, cfg)["skipped"]
-    assert len(adapters) == 1
+    for name in names:
+        (ws.manifests_dir / name).unlink()
+        ledger = ws.ledger_path.read_bytes()
+        result = stage_curriculum(ws, cfg)
+        assert not result["skipped"] and not result["config_changed"], name
+        assert adapters[-1].trained_stages == [], name
+        after = tree_hashes(ws.root)
+        # Only the ledger changed: it records the run that rewrote the file.
+        assert ws.ledger_path.read_bytes() != ledger
+        after.pop("ledger.jsonl")
+        assert after == before, name
+        assert stage_curriculum(ws, cfg)["skipped"]
+    assert len(adapters) == len(names)
 
 
 def test_curriculum_resumes_from_its_report(tmp_path, corpus_file, monkeypatch):
@@ -345,14 +351,19 @@ def test_curriculum_resumes_from_its_report(tmp_path, corpus_file, monkeypatch):
     assert ws.curriculum_report_path.read_bytes() == fresh.curriculum_report_path.read_bytes()
 
     every_stage = [s.value for s in CANONICAL_STAGE_ORDER]
-    # Another plan key has no recorded stages: all six train again.
-    stage_curriculum(ws, cfg, override_stage_order=True)
-    assert adapters[-1].trained_stages == every_stage
+    # A report under another key has no recorded stages, though it keeps its
+    # entries: all six train again, on an adapter built by this run.
+    report = json.loads(ws.curriculum_report_path.read_text())
+    ws.curriculum_report_path.write_text(json.dumps(dict(report, key="0" * 16)))
+    (ws.manifests_dir / "01_singular_aspect.jsonl").unlink()
+    built = len(adapters)
+    stage_curriculum(ws, cfg)
+    assert len(adapters) == built + 1 and adapters[-1].trained_stages == every_stage
     # Nor has a report cut short while it was written.
     ws.curriculum_report_path.write_text('{"key"')
     (ws.manifests_dir / "06_joint.jsonl").unlink()
-    stage_curriculum(ws, cfg, override_stage_order=True)
-    assert adapters[-1].trained_stages == every_stage
+    stage_curriculum(ws, cfg)
+    assert len(adapters) == built + 2 and adapters[-1].trained_stages == every_stage
 
 
 def test_select_recovers_from_truncated_embedding_entry(tmp_path, corpus_file):
@@ -465,6 +476,18 @@ def test_only_the_lda_fields_retrain_the_model(tmp_path, corpus_file, monkeypatc
     if field == "jobs":
         assert all(stage_result["skipped"] for stage_result in result.values())
     assert _status(ws, changed, "lda")[2]
+
+
+def test_status_reads_current_on_its_own_after_run_all(tmp_path, corpus_file):
+    from aspectsum.pipeline import _status, run_all
+
+    ws = Workspace(tmp_path / "ws")
+    cfg = small_config()
+    run_all(ws, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
+    for stage in ("probe", "lda", "select", "curriculum", "eval"):
+        assert _status(ws, cfg, stage)[2], stage
+    # Ingest's digest also hashes its input file, which lies outside the workspace.
+    assert _status(ws, cfg, "ingest", (file_sha256(corpus_file),))[2]
 
 
 def test_select_bytes_do_not_depend_on_jobs_or_blocks(tmp_path, monkeypatch):
@@ -768,27 +791,6 @@ def test_workspace_of_the_state_file_format_reruns_without_calls(
     assert artifacts() == before
     rerun = run_all(ws, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
     assert all(stage_result["skipped"] for stage_result in rerun.values())
-
-
-def test_curriculum_stage_subset_and_override(tmp_path, corpus_file):
-    ws = Workspace(tmp_path / "ws")
-    cfg = small_config()
-    client = MockLlmClient(seed=cfg.seed)
-    stage_ingest(ws, cfg, corpus_file)
-    stage_probe(ws, cfg, client)
-    stage_select(ws, cfg, client)
-    from aspectsum.curriculum import Stage
-    from aspectsum.errors import StageOrderViolation
-
-    before = tree_hashes(ws.root)
-    with pytest.raises(StageOrderViolation, match="no stages"):
-        stage_curriculum(ws, cfg, stages=())  # an empty plan is not the whole plan
-    with pytest.raises(StageOrderViolation):
-        stage_curriculum(ws, cfg, stages=(Stage.JOINT,))
-    assert tree_hashes(ws.root) == before  # neither bad plan wrote anything
-    result = stage_curriculum(ws, cfg, stages=(Stage.JOINT,), override_stage_order=True)
-    assert result["stages"] == ["joint"]
-    assert (ws.manifests_dir / "06_joint.jsonl").exists()
 
 
 def test_probe_jobs_keep_bytes_when_records_share_text(tmp_path):
