@@ -198,7 +198,6 @@ def stage_probe(ws: Workspace, cfg: PipelineConfig, client: LlmClient) -> dict:
 
 def _probe(ws: Workspace, cfg: PipelineConfig, client: LlmClient) -> dict:
     documents = ws.load_corpus()
-    cache = ResponseCache(ws.cache_dir)
     probe_cfg = cfg.probe_config()
     # Records that render one prompt share its cached responses. Each prompt
     # is probed once, under its first id, and the others copy its candidates,
@@ -208,12 +207,15 @@ def _probe(ws: Workspace, cfg: PipelineConfig, client: LlmClient) -> dict:
     for prompt, doc in zip(prompts, documents):
         first.setdefault(prompt, doc)
 
-    def work(doc: Document):
-        discards = []
-        candidate_set = probe_rationales(client, doc, probe_cfg, cache=cache, discards=discards)
-        return candidate_set, discards
+    with ResponseCache(ws.cache_dir) as cache:
 
-    results = dict(zip(first, map_ordered(work, list(first.values()), cfg.jobs)))
+        def work(doc: Document):
+            discards = []
+            candidate_set = probe_rationales(client, doc, probe_cfg, cache=cache, discards=discards)
+            cache.commit()  # a killed run re-asks only for the documents in flight
+            return candidate_set, discards
+
+        results = dict(zip(first, map_ordered(work, list(first.values()), cfg.jobs)))
     sets = [replace(results[p][0], document_id=doc.id) for p, doc in zip(prompts, documents)]
     discards = [record for _, recs in results.values() for record in recs]
 
@@ -254,8 +256,8 @@ def _select(ws: Workspace, cfg: PipelineConfig, provider: LlmClient) -> dict:
     model = LdaModel.load(ws.lda_model_path) if lda["skipped"] else lda["model"]
     selection_cfg = cfg.selection_config()
     pairs = [(cs, by_id[cs.document_id]) for cs in candidate_sets]
-    cache = EmbeddingCache(ws.cache_dir)
-    results = select_corpus(pairs, model, provider, selection_cfg, cache, cfg.jobs)
+    with EmbeddingCache(ws.cache_dir) as cache:
+        results = select_corpus(pairs, model, provider, selection_cfg, cache, cfg.jobs)
     lines = [dump_json(result.to_json(selection_cfg)) for result in results]
     ws.write_text(ws.selections_path, "\n".join(lines) + ("\n" if lines else ""))
     return {"documents": len(results)}

@@ -1,4 +1,4 @@
-"""The probe prompt template, n-sample rationale probing, and on-disk caches.
+"""The probe prompt template, n-sample rationale probing, and the SQLite caches.
 
 The template ships as an editable text asset under ``aspectsum/templates/``;
 its named placeholders are substituted in a single pass, so
@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import re
+import sqlite3
 import threading
+import zlib
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .clients import LlmClient
-from .errors import EmptyField, InsufficientValidSamples, MalformedRationale
+from .errors import EmptyField, InsufficientValidSamples, MalformedRationale, SchemaError
 from .rationale import (
     Candidate,
     CandidateSet,
@@ -82,65 +83,107 @@ class ProbeConfig:
             raise ValueError("max_retries must be >= 0")
 
 
-def _entry_path(root: Path, suffix: str, namespace: str, *key: str) -> Path:
-    """<root>/<aa>/<sha256 of the NUL-joined namespace and key parts><suffix>."""
-    digest = hashlib.sha256("\x00".join((namespace, *key)).encode("utf-8")).hexdigest()
-    return root / digest[:2] / f"{digest}{suffix}"
+class _Store:
+    """One kind of cache entry in the workspace's one SQLite file, `<root>/cache.sqlite`.
+
+    An entry's key is the sha256 of the NUL-joined kind, provider namespace
+    and key parts; its value is zlib-compressed bytes. Stores are not
+    durable until commit() or close(), and a commit is atomic, so a killed
+    run loses only uncommitted entries and never leaves a torn one. One
+    connection serves every thread under one lock. The workspace lock keeps
+    other processes out.
+    """
+
+    kind = ""
+
+    def __init__(self, root: Path):
+        self.path = Path(root) / "cache.sqlite"
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._lock = threading.Lock()
+        self._db = sqlite3.connect(self.path, check_same_thread=False)
+        try:
+            # WAL with synchronous=NORMAL: a commit costs no fsync, and a
+            # crash can lose the last commits but not corrupt the file.
+            self._db.execute("PRAGMA journal_mode=WAL")
+            self._db.execute("PRAGMA synchronous=NORMAL")
+            self._db.execute(
+                "CREATE TABLE IF NOT EXISTS entries "
+                "(key BLOB PRIMARY KEY, value BLOB NOT NULL) WITHOUT ROWID"
+            )
+        except sqlite3.DatabaseError as exc:
+            self._db.close()
+            raise SchemaError(f"no cache database at {self.path}: {exc}") from None
+
+    def _key(self, namespace: str, *parts: str) -> bytes:
+        return hashlib.sha256("\x00".join((self.kind, namespace, *parts)).encode("utf-8")).digest()
+
+    def _get(self, key: bytes) -> bytes | None:
+        """The stored bytes, or None when absent or damaged (store() overwrites them)."""
+        with self._lock:
+            row = self._db.execute("SELECT value FROM entries WHERE key = ?", (key,)).fetchone()
+        try:
+            return zlib.decompress(row[0]) if row is not None else None
+        except zlib.error:
+            return None
+
+    def _put(self, key: bytes, data: bytes) -> None:
+        value = zlib.compress(data)
+        with self._lock:
+            self._db.execute("INSERT OR REPLACE INTO entries VALUES (?, ?)", (key, value))
+
+    def commit(self) -> None:
+        with self._lock:
+            self._db.commit()
+
+    def close(self) -> None:
+        """Commit what was stored and close; the last close folds the WAL into the file."""
+        with self._lock:
+            try:
+                self._db.commit()
+            finally:
+                self._db.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
-def _write_entry(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-
-
-class ResponseCache:
+class ResponseCache(_Store):
     """Verbatim responses keyed by (provider namespace, rendered prompt, sample slot).
 
     A response is reused only for the prompt and provider that produced it,
-    so an edited document, summary or template misses. The workspace lock
-    keeps other processes out, so no cross-process locking is needed. I/O
-    failures propagate as OSError.
+    so an edited document, summary or template misses. I/O failures
+    propagate as sqlite3.Error.
     """
 
-    def __init__(self, root: Path):
-        self.root = Path(root) / "responses"
-        # Threads probing records with the same text and summary share keys,
-        # so they may read and write one entry at once; each sees it whole.
-        self._lock = threading.Lock()
+    kind = "response"
 
     def lookup(self, namespace: str, prompt: str, slot: int) -> str | None:
-        path = _entry_path(self.root, ".txt", namespace, prompt, str(slot))
-        with self._lock:
-            if not path.exists():
-                return None
-            return path.read_text(encoding="utf-8")
+        data = self._get(self._key(namespace, prompt, str(slot)))
+        try:
+            return data.decode("utf-8") if data is not None else None
+        except UnicodeDecodeError:
+            return None
 
     def store(self, namespace: str, prompt: str, slot: int, response: str) -> None:
-        path = _entry_path(self.root, ".txt", namespace, prompt, str(slot))
-        with self._lock:
-            _write_entry(path, response)
+        self._put(self._key(namespace, prompt, str(slot)), response.encode("utf-8"))
 
 
-class EmbeddingCache:
-    """Embedding vectors keyed by (provider namespace, text), next to responses."""
+class EmbeddingCache(_Store):
+    """Embedding vectors, as float64 bytes, keyed by (provider namespace, text)."""
 
-    def __init__(self, root: Path):
-        self.root = Path(root) / "embeddings"
+    kind = "embedding"
 
     def lookup(self, namespace: str, text: str) -> np.ndarray | None:
-        path = _entry_path(self.root, ".json", namespace, text)
-        if not path.exists():
-            return None
-        try:
-            return np.asarray(json.loads(path.read_text(encoding="utf-8")), dtype=np.float64)
-        except ValueError:
-            # A truncated or corrupt entry is a miss; the caller re-embeds
-            # the text and store() overwrites the entry.
-            return None
+        data = self._get(self._key(namespace, text))
+        if not data or len(data) % 8:
+            return None  # a damaged entry is a miss; the caller re-embeds and stores
+        return np.frombuffer(data, dtype="<f8").astype(np.float64)
 
     def store(self, namespace: str, text: str, vector: np.ndarray) -> None:
-        path = _entry_path(self.root, ".json", namespace, text)
-        _write_entry(path, json.dumps([float(x) for x in vector]))
+        self._put(self._key(namespace, text), np.asarray(vector, dtype="<f8").tobytes())
 
 
 @dataclass(frozen=True)

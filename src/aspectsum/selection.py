@@ -164,6 +164,12 @@ def argmax_combined(table) -> int:
     return best.index
 
 
+# Documents scored per pass of select_corpus. A cnndm document (15 samples)
+# embeds 31 texts, each about 12 KB as 1,536 float64 values, so a pass holds
+# about 128 x 31 x 12 KB = 48 MB of vectors, whatever the corpus size.
+_CHUNK_DOCUMENTS = 128
+
+
 def select_corpus(
     pairs: list[tuple[CandidateSet, Document]],
     model: LdaModel,
@@ -172,14 +178,33 @@ def select_corpus(
     cache: EmbeddingCache | None = None,
     jobs: int = 1,
 ) -> list[SelectionResult]:
-    """Select each document's golden candidate in corpus-wide passes.
+    """Select each document's golden candidate in passes of _CHUNK_DOCUMENTS documents.
 
-    Every distinct text is folded in once, in one batched call, and embedded
-    once, on up to `jobs` threads; then each document is scored. A candidate
-    whose scoring fails (transport, empty text, degenerate vectors) is
-    excluded with a recorded reason; a document with none left raises
-    AllCandidatesFailed.
+    A pass folds in each of its distinct texts once, in one batched call,
+    and embeds each once, on up to `jobs` threads; then it scores its
+    documents and commits the cache. Every row is computed on its own, so
+    the results do not depend on the chunking. A candidate whose scoring
+    fails (transport, empty text, degenerate vectors) is excluded with a
+    recorded reason; a document with none left raises AllCandidatesFailed.
     """
+    results = []
+    for start in range(0, len(pairs), _CHUNK_DOCUMENTS):
+        results += _select_chunk(
+            pairs[start : start + _CHUNK_DOCUMENTS], model, provider, config, cache, jobs
+        )
+        if cache is not None:
+            cache.commit()
+    return results
+
+
+def _select_chunk(
+    pairs: list[tuple[CandidateSet, Document]],
+    model: LdaModel,
+    provider: LlmClient,
+    config: SelectionConfig,
+    cache: EmbeddingCache | None,
+    jobs: int,
+) -> list[SelectionResult]:
     topic_texts, embed_texts = [], []
     for cs, d in pairs:
         topic_texts.append(d.text)

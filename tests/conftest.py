@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
+import sqlite3
 from pathlib import Path
 
 import pytest
@@ -67,6 +69,22 @@ def synthetic_records(n: int, seed: int = 42, doc_words: int = 40, summary_words
 def write_jsonl(path: Path, records) -> Path:
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
     return path
+
+
+def cache_rows(cache_dir: Path) -> dict[bytes, bytes]:
+    """Every committed (key, value) row of the cache file in cache_dir, sorted by key."""
+    with contextlib.closing(sqlite3.connect(Path(cache_dir) / "cache.sqlite")) as db:
+        return dict(db.execute("SELECT key, value FROM entries ORDER BY key"))
+
+
+def write_cache_rows(cache_dir: Path, changes: dict[bytes, bytes | None]) -> None:
+    """Rewrite (a value) or delete (None) rows of the cache file, as damage would."""
+    with contextlib.closing(sqlite3.connect(Path(cache_dir) / "cache.sqlite")) as db, db:
+        for key, value in changes.items():
+            if value is None:
+                db.execute("DELETE FROM entries WHERE key = ?", (key,))
+            else:
+                db.execute("UPDATE entries SET value = ? WHERE key = ?", (value, key))
 
 
 @pytest.fixture

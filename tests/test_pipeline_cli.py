@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -34,7 +35,7 @@ from aspectsum.pipeline import (
 from aspectsum.textutil import stable_digest
 from aspectsum.topics import LdaModel, train_lda
 from aspectsum.workspace import Workspace, dump_json, file_sha256
-from conftest import synthetic_records, write_jsonl
+from conftest import cache_rows, synthetic_records, write_cache_rows, write_jsonl
 
 CFG = dict(n_samples=2, lda_k=3, lda_iterations=40, fold_in_iterations=10, seed=5)
 
@@ -56,6 +57,10 @@ def tree_hashes(root: Path) -> dict[str, str]:
         for p in sorted(Path(root).rglob("*"))
         if p.is_file()
     }
+
+
+def embedding_key(namespace: str, text: str) -> bytes:
+    return hashlib.sha256("\x00".join(("embedding", namespace, text)).encode()).digest()
 
 
 # -- ingest -------------------------------------------------------------------
@@ -374,14 +379,16 @@ def test_select_recovers_from_truncated_embedding_entry(tmp_path, corpus_file):
     stage_select(ws, cfg, MockLlmClient(seed=cfg.seed))
     selections = ws.selections_path.read_bytes()
 
-    entry = sorted((ws.cache_dir / "embeddings").rglob("*.json"))[0]
-    entry.write_bytes(entry.read_bytes()[:20])
-    ws.selections_path.unlink()
+    # One row cut to half its bytes: its value no longer decompresses.
     client = MockLlmClient(seed=cfg.seed)
+    key = embedding_key(client.cache_namespace, ws.load_corpus()[0].ground_truth_summary)
+    value = cache_rows(ws.cache_dir)[key]
+    write_cache_rows(ws.cache_dir, {key: value[: len(value) // 2]})
+    ws.selections_path.unlink()
     stage_select(ws, cfg, client)
     assert client.embed_calls == 1  # only the corrupt entry is re-embedded
     assert ws.selections_path.read_bytes() == selections
-    json.loads(entry.read_text())  # and rewritten whole
+    assert cache_rows(ws.cache_dir)[key] == value  # and rewritten whole
 
 
 def test_lda_model_of_the_earlier_trainer_is_retrained(tmp_path, corpus_file, monkeypatch):
@@ -594,14 +601,123 @@ def test_probe_resume_refetches_only_missing(tmp_path, corpus_file):
 
     # Simulate an interrupted probe: output gone, cache kept except three entries.
     ws.candidates_path.unlink()
-    cached = sorted(ws.cache_dir.rglob("*.txt"))
+    cached = cache_rows(ws.cache_dir)
     assert len(cached) == 6 * 2
-    for path in cached[:3]:
-        path.unlink()
+    write_cache_rows(ws.cache_dir, dict.fromkeys(list(cached)[:3]))
 
     client = MockLlmClient(seed=cfg.seed)
     stage_probe(ws, cfg, client)
     assert client.completion_calls == 3
+    assert cache_rows(ws.cache_dir) == cached
+
+
+_PROBE_KILLED_AT = """
+import json, os, signal, sys
+from aspectsum.config import build_config
+from aspectsum.mock import MockLlmClient
+from aspectsum.pipeline import stage_probe
+from aspectsum.workspace import Workspace
+
+class KilledAt(MockLlmClient):
+    def complete(self, prompt):
+        if self.completion_calls + 1 == int(sys.argv[2]):
+            os.kill(os.getpid(), signal.SIGKILL)  # no cleanup code runs
+        return super().complete(prompt)
+
+cfg = build_config(profile="custom", overrides=json.loads(sys.argv[3]))
+stage_probe(Workspace(sys.argv[1]), cfg, KilledAt(seed=cfg.seed))
+"""
+
+
+class PromptRecorder(MockLlmClient):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.prompts = []
+
+    def complete(self, prompt):
+        self.prompts.append(prompt)
+        return super().complete(prompt)
+
+
+@pytest.mark.parametrize("k", [1, 4, 12])
+def test_probe_killed_at_a_completion_refetches_only_uncommitted_entries(tmp_path, corpus_file, k):
+    cfg = small_config()  # 6 documents, 2 samples each: 12 completions
+    full = Workspace(tmp_path / "full")
+    stage_ingest(full, cfg, corpus_file)
+    recorder = PromptRecorder(seed=cfg.seed)
+    stage_probe(full, cfg, recorder)
+    calls = recorder.prompts
+    assert len(calls) == 12
+
+    ws = Workspace(tmp_path / "ws")
+    stage_ingest(ws, cfg, corpus_file)
+    src = str(Path(aspectsum.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", _PROBE_KILLED_AT, str(ws.root), str(k), json.dumps(CFG)],
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert child.returncode == -signal.SIGKILL
+    assert not ws.candidates_path.exists()
+
+    # Probe commits after each document, so the document in flight when the
+    # process died is asked again from its first sample, and no other is.
+    recorder = PromptRecorder(seed=cfg.seed)
+    stage_probe(ws, cfg, recorder)
+    in_flight = calls.index(calls[k - 1])
+    assert recorder.prompts == calls[in_flight:]
+    assert ws.candidates_path.read_bytes() == full.candidates_path.read_bytes()
+    assert cache_rows(ws.cache_dir) == cache_rows(full.cache_dir)
+    assert [p.name for p in ws.cache_dir.iterdir()] == ["cache.sqlite"]
+
+
+def test_every_cache_connection_is_closed_after_a_run(tmp_path, corpus_file):
+    from aspectsum.clients import LlmClient
+    from aspectsum.errors import AllCandidatesFailed, TransportError
+    from aspectsum.pipeline import run_all
+
+    class EmbedDown(MockLlmClient):
+        def embed(self, text):
+            raise TransportError("embeddings down")
+
+    class Down(LlmClient):
+        cache_namespace = "down"
+
+        def complete(self, prompt):
+            raise TransportError("provider down")
+
+        def embed(self, text):
+            raise TransportError("provider down")
+
+    # No -wal or -shm file is left: the last connection to close removes them.
+    cfg = small_config()
+    only_the_database = ["cache.sqlite"]
+    ws = Workspace(tmp_path / "probe-raises")
+    with pytest.raises(TransportError):
+        run_all(ws, cfg, corpus_file, Down())
+    assert [p.name for p in ws.cache_dir.iterdir()] == only_the_database
+    ws = Workspace(tmp_path / "select-raises")
+    with pytest.raises(AllCandidatesFailed):
+        run_all(ws, cfg, corpus_file, EmbedDown(seed=cfg.seed))
+    assert [p.name for p in ws.cache_dir.iterdir()] == only_the_database
+    assert len(cache_rows(ws.cache_dir)) == 6 * 2  # probe's entries are kept
+    run_all(ws, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
+    assert [p.name for p in ws.cache_dir.iterdir()] == only_the_database
+
+
+def test_cli_cache_file_that_is_not_a_database(tmp_path, corpus_file, capsys):
+    ws_root = tmp_path / "ws"
+    flags = ["--n-samples", "2", "--lda-k", "3"]
+    assert cli("ingest", "--workspace", ws_root, "--input", corpus_file, *flags) == 0
+    path = ws_root / "cache" / "cache.sqlite"
+    path.parent.mkdir()
+    path.write_bytes(b"not a database " * 40)
+    capsys.readouterr()
+    assert cli("probe", "--workspace", ws_root, "--mock-llm", *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert not (ws_root / "candidates").exists()
 
 
 def test_run_all_fail_fast_keeps_earlier_artifacts(tmp_path, corpus_file):
@@ -1063,7 +1179,14 @@ def test_cli_external_scores_merged(tmp_path, corpus_file):
 
 
 def test_cli_jobs_parallel_matches_serial(tmp_path, corpus_file):
-    ws1, ws2 = tmp_path / "ws1", tmp_path / "ws2"
+    ws1, ws2, ws3 = tmp_path / "ws1", tmp_path / "ws2", tmp_path / "ws3"
     assert cli(*run_all_args(ws1, corpus_file)) == 0
     assert cli(*run_all_args(ws2, corpus_file), "--jobs", "4") == 0
-    assert tree_hashes(ws1) == tree_hashes(ws2)
+    assert cli(*run_all_args(ws3, corpus_file)) == 0
+    # Every artifact is byte-identical. The cache holds the same entries, but
+    # its B-tree pages follow the insert order, which worker threads set.
+    outside = {k: v for k, v in tree_hashes(ws1).items() if not k.startswith("cache/")}
+    assert {k: v for k, v in tree_hashes(ws2).items() if not k.startswith("cache/")} == outside
+    assert len(outside) == len(tree_hashes(ws1)) - 1
+    assert cache_rows(ws2 / "cache") == cache_rows(ws1 / "cache")
+    assert tree_hashes(ws3) == tree_hashes(ws1)  # serial runs: the cache file too

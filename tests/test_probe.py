@@ -1,19 +1,24 @@
 from __future__ import annotations
 
+import hashlib
 import sys
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from aspectsum.clients import LlmClient
 from aspectsum.errors import (
     EmptyField,
     InsufficientValidSamples,
+    SchemaError,
     TransportError,
 )
 from aspectsum.mock import MockLlmClient
 from aspectsum.probe import (
+    EmbeddingCache,
     ProbeConfig,
     PromptTemplate,
     ResponseCache,
@@ -21,6 +26,7 @@ from aspectsum.probe import (
     render_probe_prompt,
 )
 from aspectsum.rationale import Document, parse_rationale, serialize_rationale
+from conftest import cache_rows, write_cache_rows
 
 
 class ScriptedClient(LlmClient):
@@ -149,17 +155,69 @@ def test_probe_transport_error_propagates(sample_document):
 
 
 def test_cache_round_trip(tmp_path):
+    with ResponseCache(tmp_path) as cache:
+        assert cache.lookup("ns", "prompt", 0) is None
+        cache.store("ns", "prompt", 0, "payload\nlines")
+        assert cache.lookup("ns", "prompt", 0) == "payload\nlines"
+        # namespace, prompt and slot each split the key
+        assert cache.lookup("other", "prompt", 0) is None
+        assert cache.lookup("ns", "prompt2", 0) is None
+        assert cache.lookup("ns", "prompt", 1) is None
+    # One file, with no journal left once closed. The key is the sha256 of the
+    # NUL-joined kind, namespace and key parts; the value is zlib-compressed.
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.sqlite"]
+    key = hashlib.sha256("response\x00ns\x00prompt\x000".encode()).digest()
+    (row,) = cache_rows(tmp_path).items()
+    assert (row[0], zlib.decompress(row[1])) == (key, b"payload\nlines")
+    with ResponseCache(tmp_path) as cache, EmbeddingCache(tmp_path) as vectors:
+        assert cache.lookup("ns", "prompt", 0) == "payload\nlines"  # persisted
+        assert vectors.lookup("ns", "prompt") is None  # the kind splits the key too
+
+
+def test_cache_entries_are_durable_only_once_committed(tmp_path):
     cache = ResponseCache(tmp_path)
-    assert cache.lookup("ns", "prompt", 0) is None
-    cache.store("ns", "prompt", 0, "payload\nlines")
-    assert cache.lookup("ns", "prompt", 0) == "payload\nlines"
-    # namespace, prompt and slot each split the key
-    assert cache.lookup("other", "prompt", 0) is None
-    assert cache.lookup("ns", "prompt2", 0) is None
-    assert cache.lookup("ns", "prompt", 1) is None
-    # one file per entry, fanned out by the first two hex digits of its key
-    (entry,) = [p for p in (tmp_path / "responses").rglob("*") if p.is_file()]
-    assert entry.parent.name == entry.name[:2] and entry.suffix == ".txt"
+    cache.store("ns", "p", 0, "kept")
+    cache.commit()
+    cache.store("ns", "p", 1, "in flight")
+    assert len(cache_rows(tmp_path)) == 1  # another connection sees only the commit
+    cache.close()  # close commits whatever was stored
+    assert len(cache_rows(tmp_path)) == 2
+
+
+@pytest.mark.parametrize("damage", [b"", b"x", b"not zlib at all", "trunc"])
+def test_damaged_cache_value_is_a_miss_and_store_overwrites_it(tmp_path, damage):
+    vector = np.arange(5, dtype=np.float64) / 3
+    with ResponseCache(tmp_path) as cache:
+        cache.store("ns", "p", 0, "whole response")
+    with EmbeddingCache(tmp_path) as vectors:
+        vectors.store("ns", "text", vector)
+    # Each row cut to half its bytes, or replaced by bytes that are not zlib.
+    damaged = {k: v[: len(v) // 2] if damage == "trunc" else damage
+               for k, v in cache_rows(tmp_path).items()}
+    write_cache_rows(tmp_path, damaged)
+    with ResponseCache(tmp_path) as cache:
+        assert cache.lookup("ns", "p", 0) is None
+        cache.store("ns", "p", 0, "whole response")
+        assert cache.lookup("ns", "p", 0) == "whole response"
+    with EmbeddingCache(tmp_path) as vectors:
+        assert vectors.lookup("ns", "text") is None
+        vectors.store("ns", "text", vector)
+        assert np.array_equal(vectors.lookup("ns", "text"), vector)
+
+
+def test_embedding_value_of_a_wrong_length_is_a_miss(tmp_path):
+    with EmbeddingCache(tmp_path) as vectors:
+        vectors.store("ns", "text", np.ones(4))
+    (key,) = cache_rows(tmp_path)
+    write_cache_rows(tmp_path, {key: zlib.compress(np.ones(4).tobytes()[:-3])})  # 29 bytes
+    with EmbeddingCache(tmp_path) as vectors:
+        assert vectors.lookup("ns", "text") is None
+
+
+def test_a_file_that_is_not_a_database_names_itself(tmp_path):
+    (tmp_path / "cache.sqlite").write_bytes(b"not a database " * 40)
+    with pytest.raises(SchemaError, match=str(tmp_path / "cache.sqlite")):
+        ResponseCache(tmp_path)
 
 
 def test_concurrent_use_of_one_key_sees_whole_responses(tmp_path):
@@ -215,16 +273,17 @@ def test_probe_uses_cache(tmp_path, sample_document):
 
 
 def test_probe_refetches_only_missing_cache_entries(tmp_path, sample_document):
-    cache = ResponseCache(tmp_path)
     cfg = ProbeConfig(n_samples=4)
-    probe_rationales(MockLlmClient(seed=3), sample_document, cfg, cache=cache)
-    entries = sorted(p for p in cache.root.rglob("*") if p.is_file())
+    with ResponseCache(tmp_path) as cache:
+        probe_rationales(MockLlmClient(seed=3), sample_document, cfg, cache=cache)
+    entries = sorted(cache_rows(tmp_path))
     assert len(entries) == 4
-    for path in entries[1::2]:
-        path.unlink()
+    write_cache_rows(tmp_path, dict.fromkeys(entries[1::2]))
     client = MockLlmClient(seed=3)
-    probe_rationales(client, sample_document, cfg, cache=cache)
+    with ResponseCache(tmp_path) as cache:
+        probe_rationales(client, sample_document, cfg, cache=cache)
     assert client.completion_calls == 2
+    assert sorted(cache_rows(tmp_path)) == entries
 
 
 def test_unparseable_cache_entry_is_refetched(tmp_path, sample_document):

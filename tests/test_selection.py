@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from aspectsum import selection
 from aspectsum.clients import LlmClient
 from aspectsum.errors import (
     AllCandidatesFailed,
@@ -331,6 +333,59 @@ def test_selection_result_json_round_trip(tiny_model):
         assert row["combined"] == combine_scores(
             row["summary_score"], row["coherence_score"], cfg.lambda_cs
         )
+
+
+def _distinct_pairs(n: int):
+    """n documents whose summaries, references and rationales are all distinct."""
+    pairs = []
+    for i in range(n):
+        tag = f"w{i}"
+        cs = CandidateSet(
+            f"doc-{i}",
+            tuple(
+                Candidate(
+                    j,
+                    Rationale((Aspect(f"storm {tag} {j}"),), (Triple("storm", tag, f"x{j}"),)),
+                    f"storm flooded {tag} {j}",
+                )
+                for j in range(2)
+            ),
+        )
+        pairs.append((cs, Document(f"doc-{i}", f"storm flood rain {tag}", f"river {tag}")))
+    return pairs
+
+
+def test_select_corpus_chunks_give_the_results_of_one_pass(tiny_model, monkeypatch, tmp_path):
+    pairs = _distinct_pairs(7)
+    cfg = SelectionConfig(fold_in_iterations=5)
+    whole = select_corpus(pairs, tiny_model, MockLlmClient(seed=0), cfg)
+    monkeypatch.setattr(selection, "_CHUNK_DOCUMENTS", 3)
+    with EmbeddingCache(tmp_path) as cache:
+        assert select_corpus(pairs, tiny_model, MockLlmClient(seed=0), cfg, cache) == whole
+
+
+def test_select_corpus_memory_is_bounded_by_the_chunk(tiny_model, monkeypatch, tmp_path):
+    # 5 distinct embedded texts per document, 64 KiB each as 8,192 float64 values.
+    chunk, vector_bytes = 4, 8192 * 8
+    monkeypatch.setattr(selection, "_CHUNK_DOCUMENTS", chunk)
+    cfg = SelectionConfig(fold_in_iterations=5)
+
+    def peak(n_docs: int) -> int:
+        pairs = _distinct_pairs(n_docs)
+        provider = MockLlmClient(seed=0, dimension=8192)
+        with EmbeddingCache(tmp_path / str(n_docs)) as cache:
+            tracemalloc.start()
+            try:
+                select_corpus(pairs, tiny_model, provider, cfg, cache)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    small, large = peak(2 * chunk), peak(16 * chunk)
+    # Holding every vector until the corpus is scored would add 56 documents'
+    # worth, 56 x 5 x 64 KiB = 17.5 MiB; a chunk's vectors are 1.25 MiB.
+    assert large - small < chunk * 5 * vector_bytes / 2
+    assert small < 3 * chunk * 5 * vector_bytes
 
 
 def test_text_embedding_cache_hit_skips_provider(tmp_path):
