@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
+from typing import TYPE_CHECKING
 
 import numpy as np
-import requests
 
 from .errors import TransportError
+
+if TYPE_CHECKING:
+    import requests
 
 DEFAULT_API_KEY_ENV = "ASPECTSUM_API_KEY"
 
@@ -49,7 +52,9 @@ class OpenAiCompatClient(LlmClient):
 
     The credential comes from the environment (``api_key_env``); endpoint URL
     and model ids are configuration. No retry policy beyond what the caller
-    implements: transport failures surface as TransportError.
+    implements: transport failures surface as TransportError. ``requests`` is
+    imported only when a client is built, so offline runs never load the
+    network stack (urllib3, ssl, http.client).
     """
 
     def __init__(
@@ -66,6 +71,9 @@ class OpenAiCompatClient(LlmClient):
         self.embedding_model_id = embedding_model_id
         self.api_key_env = api_key_env
         self.timeout = timeout
+        import requests
+
+        self._request_error = requests.RequestException
         self._session = session or requests.Session()
         self._dimension: int | None = None
         self.cache_namespace = f"{self.endpoint_url}:{model_id}:{embedding_model_id}"
@@ -84,7 +92,7 @@ class OpenAiCompatClient(LlmClient):
                 headers=self._headers(),
                 timeout=self.timeout,
             )
-        except requests.RequestException as exc:
+        except self._request_error as exc:
             raise TransportError(f"request to {path} failed: {exc}") from exc
         if resp.status_code != 200:
             raise TransportError(f"{path} returned HTTP {resp.status_code}: {resp.text[:200]}")

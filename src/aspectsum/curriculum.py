@@ -9,6 +9,7 @@ sidecar of stage metadata and loss weights. No gradients live here.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
@@ -114,6 +115,11 @@ class StageManifest:
     skipped: tuple[SkipRecord, ...] = ()
 
     def to_jsonl(self) -> str:
+        return self._jsonl
+
+    @functools.cached_property
+    def _jsonl(self) -> str:
+        # Built once: the write, the sidecar digest and the report digest share it.
         records = (
             {"stage": self.stage.value, "task": ex.task.value, "input": ex.input,
              "target": ex.target, "loss_weight": ex.loss_weight,
@@ -211,23 +217,30 @@ def _document_examples(
     )
 
 
-def _teacher_forced_examples(pairs: list[Pair]):
+def _checked(pairs: list[Pair]) -> list[Pair]:
+    return [(d, _check_pair(d, r)) for d, r in pairs]
+
+
+def _teacher_forced_examples(checked: list[Pair]) -> list:
     """Per document, its three examples conditioned on the golden rationale."""
-    for d, r in pairs:
-        r = _check_pair(d, r)
-        yield _document_examples(
+    return [
+        _document_examples(
             d, r, serialize_aspects(r.aspects), serialize_triples(r.triples), PROVENANCE_GOLDEN
         )
+        for d, r in checked
+    ]
 
 
 _SINGULAR_STAGES = (Stage.SINGULAR_ASPECT, Stage.SINGULAR_TRIPLE, Stage.SINGULAR_SUMMARY)
 
 
-def _singular_manifest(stage: Stage, pairs: list[Pair]) -> StageManifest:
+def _singular_manifest(stage: Stage, forced: list) -> StageManifest:
     task = _SINGULAR_STAGES.index(stage)
-    return StageManifest(
-        stage, tuple(examples[task] for examples in _teacher_forced_examples(pairs))
-    )
+    return StageManifest(stage, tuple(examples[task] for examples in forced))
+
+
+def _concurrent_early_manifest(forced: list) -> StageManifest:
+    return StageManifest(Stage.CONCURRENT_EARLY, tuple(ex for per_doc in forced for ex in per_doc))
 
 
 def build_singular_manifests(
@@ -235,14 +248,14 @@ def build_singular_manifests(
 ) -> tuple[StageManifest, StageManifest, StageManifest]:
     """One manifest per singular task: aspects from D, triples from (D, A*),
     summary from (D, A*, T*)."""
-    return tuple(_singular_manifest(stage, pairs) for stage in _SINGULAR_STAGES)
+    forced = _teacher_forced_examples(_checked(pairs))
+    return tuple(_singular_manifest(stage, forced) for stage in _SINGULAR_STAGES)
 
 
 def build_concurrent_early_manifest(pairs: list[Pair]) -> StageManifest:
     """All three tasks per document, every conditioning segment teacher-forced
     from the golden rationale."""
-    examples = [ex for per_doc in _teacher_forced_examples(pairs) for ex in per_doc]
-    return StageManifest(Stage.CONCURRENT_EARLY, tuple(examples))
+    return _concurrent_early_manifest(_teacher_forced_examples(_checked(pairs)))
 
 
 def build_concurrent_late_manifest(pairs: list[Pair], adapter: TrainerAdapter) -> StageManifest:
@@ -253,10 +266,15 @@ def build_concurrent_late_manifest(pairs: list[Pair], adapter: TrainerAdapter) -
     those outputs become conditioning segments verbatim, while targets stay
     golden. Documents whose decode fails are skipped with an audit entry.
     """
+    return _concurrent_late_manifest(_checked(pairs), adapter)
+
+
+def _concurrent_late_manifest(
+    checked: list[Pair], adapter: TrainerAdapter
+) -> StageManifest:
     examples = []
     skipped = []
-    for d, r in pairs:
-        r = _check_pair(d, r)
+    for d, r in checked:
         try:
             decoded_aspects = adapter.greedy_decode(TaskKind.ASP_EXT, _aspext_input(d))
             decoded_triples = adapter.greedy_decode(
@@ -281,12 +299,17 @@ def build_joint_manifest(
     lambda_summary: float = 1.2,
 ) -> StageManifest:
     """One rationale-summary example per document; a single encode-decode pair."""
+    return _joint_manifest(_checked(pairs), lambda_rationale, lambda_summary)
+
+
+def _joint_manifest(
+    checked: list[Pair], lambda_rationale: float, lambda_summary: float
+) -> StageManifest:
     for name, value in (("lambda_rationale", lambda_rationale), ("lambda_summary", lambda_summary)):
         if not 0.0 < value < float("inf"):  # also false for NaN
             raise ValueError(f"{name} must be positive and finite")
     examples = []
-    for d, r in pairs:
-        r = _check_pair(d, r)
+    for d, r in checked:
         target = f"{serialize_rationale(r)} {SUMMARY_TOKEN} {d.ground_truth_summary}"
         examples.append(TrainingExample(TaskKind.RAT_GEN, _ratgen_input(d), target, d.id))
     return StageManifest(
@@ -322,22 +345,6 @@ def article_segment(input: str) -> str:
     return input[start : min(ends) - 1]
 
 
-def _build_stage(
-    stage: Stage,
-    pairs: list[Pair],
-    adapter: TrainerAdapter,
-    lambda_rationale: float,
-    lambda_summary: float,
-) -> StageManifest:
-    if stage in _SINGULAR_STAGES:
-        return _singular_manifest(stage, pairs)
-    if stage is Stage.CONCURRENT_EARLY:
-        return build_concurrent_early_manifest(pairs)
-    if stage is Stage.CONCURRENT_LATE:
-        return build_concurrent_late_manifest(pairs, adapter)
-    return build_joint_manifest(pairs, lambda_rationale, lambda_summary)
-
-
 def run_curriculum(
     pairs: list[Pair],
     adapter: TrainerAdapter,
@@ -357,10 +364,20 @@ def run_curriculum(
     after it. The two lambdas weight the joint stage's rationale and summary
     losses.
     """
+    checked = _checked(pairs)
+    forced = _teacher_forced_examples(checked)  # the examples of the first four stages
     entries: list[dict] = []
     resuming = True
     for i, stage in enumerate(CANONICAL_STAGE_ORDER):
-        manifest = _build_stage(stage, pairs, adapter, lambda_rationale, lambda_summary)
+        if stage in _SINGULAR_STAGES:
+            manifest = _singular_manifest(stage, forced)
+        elif stage is Stage.CONCURRENT_EARLY:
+            manifest = _concurrent_early_manifest(forced)
+            del forced  # no later stage reads them
+        elif stage is Stage.CONCURRENT_LATE:
+            manifest = _concurrent_late_manifest(checked, adapter)
+        else:
+            manifest = _joint_manifest(checked, lambda_rationale, lambda_summary)
         if on_manifest is not None:
             on_manifest(manifest)
         entry = {"stage": stage.value, "digest": manifest.digest()}

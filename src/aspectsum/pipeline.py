@@ -333,7 +333,8 @@ def stage_eval(
 
 def _eval(ws: Workspace, external_scores: Path | None) -> dict:
     documents = {d.id: d for d in ws.load_corpus()}
-    candidate_sets = {cs.document_id: cs for cs in ws.load_candidate_sets()}
+    # select parsed these same bytes and is current, so the summaries suffice.
+    summaries = ws.load_candidate_summaries()
     ids = []
     pairs = []
     for record in ws.load_selections():
@@ -341,13 +342,13 @@ def _eval(ws: Workspace, external_scores: Path | None) -> dict:
         # Guards against a hand-edited selections file.
         if doc_id not in documents:
             raise MissingPrerequisite(f"corpus document {doc_id}")
-        if doc_id not in candidate_sets:
+        if doc_id not in summaries:
             raise MissingPrerequisite(f"candidate set of document {doc_id}")
-        candidates = candidate_sets[doc_id].candidates
+        candidates = summaries[doc_id]
         if not 0 <= golden_index < len(candidates):
             raise MissingPrerequisite(f"candidate {golden_index} of document {doc_id}")
         ids.append(doc_id)
-        pairs.append((candidates[golden_index].summary, documents[doc_id].ground_truth_summary))
+        pairs.append((candidates[golden_index], documents[doc_id].ground_truth_summary))
 
     report = evaluate_corpus(pairs)
     obj = report.to_json()

@@ -7,6 +7,7 @@ placeholder-looking text inside a document can never be re-substituted.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import re
@@ -117,10 +118,25 @@ class _Store:
     def _key(self, namespace: str, *parts: str) -> bytes:
         return hashlib.sha256("\x00".join((self.kind, namespace, *parts)).encode("utf-8")).digest()
 
+    @contextlib.contextmanager
+    def _connection(self):
+        """The connection, under the lock. A damaged file raises SchemaError naming
+        it; an OperationalError (an I/O failure, a full disk) propagates as it is."""
+        with self._lock:
+            try:
+                yield self._db
+            except sqlite3.OperationalError:
+                raise
+            except sqlite3.DatabaseError as exc:
+                raise SchemaError(
+                    f"damaged cache database {self.path} ({exc}); delete it to go on, "
+                    "at the cost of asking the provider again for what it held"
+                ) from None
+
     def _get(self, key: bytes) -> bytes | None:
         """The stored bytes, or None when absent or damaged (store() overwrites them)."""
-        with self._lock:
-            row = self._db.execute("SELECT value FROM entries WHERE key = ?", (key,)).fetchone()
+        with self._connection() as db:
+            row = db.execute("SELECT value FROM entries WHERE key = ?", (key,)).fetchone()
         try:
             return zlib.decompress(row[0]) if row is not None else None
         except zlib.error:
@@ -128,20 +144,20 @@ class _Store:
 
     def _put(self, key: bytes, data: bytes) -> None:
         value = zlib.compress(data)
-        with self._lock:
-            self._db.execute("INSERT OR REPLACE INTO entries VALUES (?, ?)", (key, value))
+        with self._connection() as db:
+            db.execute("INSERT OR REPLACE INTO entries VALUES (?, ?)", (key, value))
 
     def commit(self) -> None:
-        with self._lock:
-            self._db.commit()
+        with self._connection() as db:
+            db.commit()
 
     def close(self) -> None:
         """Commit what was stored and close; the last close folds the WAL into the file."""
-        with self._lock:
+        with self._connection() as db:
             try:
-                self._db.commit()
+                db.commit()
             finally:
-                self._db.close()
+                db.close()
 
     def __enter__(self):
         return self

@@ -214,6 +214,15 @@ class Workspace:
             )
         return sets
 
+    def load_candidate_summaries(self) -> dict[str, list[str]]:
+        """Each document's candidate summaries in index order; no rationale is rebuilt."""
+        summaries = {}
+        for line in self.candidates_path.read_text(encoding="utf-8").splitlines():
+            if line.strip():
+                obj = json.loads(line)
+                summaries[obj["document_id"]] = [c["summary"] for c in obj["candidates"]]
+        return summaries
+
     def load_selections(self) -> list[dict]:
         return [
             json.loads(line)

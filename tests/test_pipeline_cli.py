@@ -720,6 +720,29 @@ def test_cli_cache_file_that_is_not_a_database(tmp_path, corpus_file, capsys):
     assert not (ws_root / "candidates").exists()
 
 
+def test_cli_cache_file_with_a_damaged_page(tmp_path, capsys):
+    corpus = write_jsonl(tmp_path / "corpus.jsonl", synthetic_records(30))
+    ws_root = tmp_path / "ws"
+    args = ["run-all", "--workspace", ws_root, "--input", corpus, "--mock-llm"]
+    flags = ["--n-samples", "2", "--lda-k", "3"]
+    assert cli(*args, *flags) == 0
+    path = ws_root / "cache" / "cache.sqlite"
+    assert path.stat().st_size > 8192 + 200
+    with path.open("r+b") as fh:  # the header stays valid; a b-tree page does not
+        fh.seek(8192)
+        fh.write(b"\xff" * 200)
+    candidates = ws_root / "candidates" / "candidates.jsonl"
+    candidates.unlink()
+    capsys.readouterr()
+    assert cli(*args, *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: damaged cache database ") and str(path) in err
+    assert "delete it" in err
+    assert not candidates.exists()
+    # The connection was closed: its WAL and shared-memory files are gone.
+    assert [p.name for p in path.parent.iterdir()] == ["cache.sqlite"]
+
+
 def test_run_all_fail_fast_keeps_earlier_artifacts(tmp_path, corpus_file):
     from aspectsum.clients import LlmClient
     from aspectsum.errors import TransportError
