@@ -24,7 +24,7 @@ from .rationale import (
     serialize_rationale,
     serialize_triples,
 )
-from .workspace import dump_json
+from .workspace import jsonl_text
 
 
 class TaskKind(enum.Enum):
@@ -126,7 +126,7 @@ class StageManifest:
              "document_id": ex.document_id, "provenance": ex.provenance}
             for ex in self.examples
         )
-        return "".join(dump_json(record) + "\n" for record in records)
+        return jsonl_text(records)
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_jsonl().encode("utf-8")).hexdigest()

@@ -29,11 +29,11 @@ from .errors import DuplicateId, MissingPrerequisite, SchemaError
 from .evaluation import evaluate_corpus
 from .mock import EchoTrainerAdapter
 from .probe import EmbeddingCache, ResponseCache, probe_rationales, render_probe_prompt
-from .rationale import Document, rationale_from_json
+from .rationale import Document, candidate_set_to_json, rationale_from_json
 from .selection import select_corpus, select_golden  # noqa: F401  (perfbench wraps select_golden)
 from .textutil import stable_digest, token_count
 from .topics import LdaModel, train_lda
-from .workspace import Workspace, dump_json, dump_json_pretty, file_sha256
+from .workspace import Workspace, dump_json_pretty, file_sha256
 
 
 class _Protocol(NamedTuple):
@@ -176,7 +176,7 @@ def _ingest(ws: Workspace, cfg: PipelineConfig, input_path: Path) -> dict:
     if total == 0:
         raise SchemaError("input contains no records")
 
-    ws.save_corpus(documents)
+    ws.write_jsonl(ws.corpus_path, map(asdict, documents))
     report = {
         "total_records": total,
         "ingested": len(documents),
@@ -219,11 +219,8 @@ def _probe(ws: Workspace, cfg: PipelineConfig, client: LlmClient) -> dict:
     sets = [replace(results[p][0], document_id=doc.id) for p, doc in zip(prompts, documents)]
     discards = [record for _, recs in results.values() for record in recs]
 
-    ws.save_candidate_sets(sets)
-    ws.write_text(
-        ws.discards_path,
-        "".join(dump_json(asdict(record)) + "\n" for record in discards),
-    )
+    ws.write_jsonl(ws.candidates_path, map(candidate_set_to_json, sets))
+    ws.write_jsonl(ws.discards_path, map(asdict, discards))
     return {
         "documents": len(documents),
         "candidates": sum(len(cs.candidates) for cs in sets),
@@ -258,8 +255,7 @@ def _select(ws: Workspace, cfg: PipelineConfig, provider: LlmClient) -> dict:
     pairs = [(cs, by_id[cs.document_id]) for cs in candidate_sets]
     with EmbeddingCache(ws.cache_dir) as cache:
         results = select_corpus(pairs, model, provider, selection_cfg, cache, cfg.jobs)
-    lines = [dump_json(result.to_json(selection_cfg)) for result in results]
-    ws.write_text(ws.selections_path, "\n".join(lines) + ("\n" if lines else ""))
+    ws.write_jsonl(ws.selections_path, (result.to_json(selection_cfg) for result in results))
     return {"documents": len(results)}
 
 
@@ -334,7 +330,12 @@ def stage_eval(
 def _eval(ws: Workspace, external_scores: Path | None) -> dict:
     documents = {d.id: d for d in ws.load_corpus()}
     # select parsed these same bytes and is current, so the summaries suffice.
-    summaries = ws.load_candidate_summaries()
+    summaries = dict(
+        ws.read_jsonl(
+            ws.candidates_path,
+            lambda o: (o["document_id"], [c["summary"] for c in o["candidates"]]),
+        )
+    )
     ids = []
     pairs = []
     for record in ws.load_selections():

@@ -227,3 +227,19 @@ def rationale_from_json(obj: dict) -> Rationale:
     if not aspects or not triples:
         raise MalformedRationale("rationale record has empty aspects or triples")
     return Rationale(aspects, triples)
+
+
+def candidate_set_to_json(cs: CandidateSet) -> dict:
+    candidates = [
+        {"index": c.index, "rationale": rationale_to_json(c.rationale), "summary": c.summary}
+        for c in cs.candidates
+    ]
+    return {"document_id": cs.document_id, "candidates": candidates}
+
+
+def candidate_set_from_json(obj: dict) -> CandidateSet:
+    candidates = (
+        Candidate(c["index"], rationale_from_json(c["rationale"]), c["summary"])
+        for c in obj["candidates"]
+    )
+    return CandidateSet(obj["document_id"], tuple(candidates))

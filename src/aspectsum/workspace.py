@@ -14,14 +14,8 @@ import hashlib
 import json
 from pathlib import Path
 
-from .errors import SchemaError, WorkspaceLocked
-from .rationale import (
-    CandidateSet,
-    Candidate,
-    Document,
-    rationale_from_json,
-    rationale_to_json,
-)
+from .errors import AspectsumError, SchemaError, WorkspaceLocked
+from .rationale import CandidateSet, Document, candidate_set_from_json
 
 
 def dump_json(obj) -> str:
@@ -32,8 +26,17 @@ def dump_json_pretty(obj) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
 
 
+def jsonl_text(records) -> str:
+    """JSON Lines, the form of every artifact: one compact object per line, ending at \\n."""
+    return "".join(dump_json(record) + "\n" for record in records)
+
+
 def file_sha256(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):  # 1 MiB at a time
+            digest.update(block)
+    return digest.hexdigest()
 
 
 class Workspace:
@@ -111,6 +114,33 @@ class Workspace:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
 
+    def write_jsonl(self, path: Path, records) -> None:
+        self.write_text(path, jsonl_text(records))
+
+    def read_jsonl(self, path: Path, record=lambda obj: obj) -> list:
+        """record(obj) for each object line of the file; a bad line raises SchemaError.
+
+        Lines end only at \\n, not also at U+2028, U+2029 or U+0085 as Python's
+        line splitting does: dump_json leaves those raw inside strings.
+        """
+        records = []
+        for line_no, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
+            if not line.strip():
+                continue
+            where = f"{path}, line {line_no}"
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise SchemaError("record is not a JSON object")
+                records.append(record(obj))
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"{where}: invalid JSON: {exc.msg}") from None
+            except KeyError as exc:
+                raise SchemaError(f"{where}: missing field {exc}") from None
+            except (TypeError, ValueError, AspectsumError) as exc:
+                raise SchemaError(f"{where}: {exc}") from None
+        return records
+
     @contextlib.contextmanager
     def exclusive_lock(self):
         """Single-writer lock (POSIX flock); readers are unrestricted. The kernel
@@ -153,79 +183,15 @@ class Workspace:
         with self.ledger_path.open("ab") as fh:
             fh.write(head + (dump_json(entry) + "\n").encode("utf-8"))
 
-    # -- typed stores ----------------------------------------------------------
-
-    def save_corpus(self, documents: list[Document]) -> None:
-        lines = [
-            dump_json(
-                {"id": d.id, "text": d.text, "ground_truth_summary": d.ground_truth_summary}
-            )
-            for d in documents
-        ]
-        self.write_text(self.corpus_path, "\n".join(lines) + ("\n" if lines else ""))
+    # -- typed stores: the loaders the benchmark's tracer wraps ----------------
 
     def load_corpus(self) -> list[Document]:
-        documents = []
-        for line in self.corpus_path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            documents.append(Document(obj["id"], obj["text"], obj["ground_truth_summary"]))
-        return documents
-
-    def save_candidate_sets(self, sets: list[CandidateSet]) -> None:
-        lines = []
-        for cs in sets:
-            lines.append(
-                dump_json(
-                    {
-                        "document_id": cs.document_id,
-                        "candidates": [
-                            {
-                                "index": c.index,
-                                "rationale": rationale_to_json(c.rationale),
-                                "summary": c.summary,
-                            }
-                            for c in cs.candidates
-                        ],
-                    }
-                )
-            )
-        self.write_text(self.candidates_path, "\n".join(lines) + ("\n" if lines else ""))
+        return self.read_jsonl(
+            self.corpus_path, lambda o: Document(o["id"], o["text"], o["ground_truth_summary"])
+        )
 
     def load_candidate_sets(self) -> list[CandidateSet]:
-        sets = []
-        for line in self.candidates_path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            sets.append(
-                CandidateSet(
-                    document_id=obj["document_id"],
-                    candidates=tuple(
-                        Candidate(
-                            index=c["index"],
-                            rationale=rationale_from_json(c["rationale"]),
-                            summary=c["summary"],
-                        )
-                        for c in obj["candidates"]
-                    ),
-                )
-            )
-        return sets
-
-    def load_candidate_summaries(self) -> dict[str, list[str]]:
-        """Each document's candidate summaries in index order; no rationale is rebuilt."""
-        summaries = {}
-        for line in self.candidates_path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                obj = json.loads(line)
-                summaries[obj["document_id"]] = [c["summary"] for c in obj["candidates"]]
-        return summaries
+        return self.read_jsonl(self.candidates_path, candidate_set_from_json)
 
     def load_selections(self) -> list[dict]:
-        return [
-            json.loads(line)
-            for line in self.selections_path.read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
+        return self.read_jsonl(self.selections_path)

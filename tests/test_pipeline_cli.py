@@ -8,6 +8,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -741,6 +742,68 @@ def test_cli_cache_file_with_a_damaged_page(tmp_path, capsys):
     assert not candidates.exists()
     # The connection was closed: its WAL and shared-memory files are gone.
     assert [p.name for p in path.parent.iterdir()] == ["cache.sqlite"]
+
+
+def test_cli_candidates_line_cut_short_names_file_and_line(tmp_path, corpus_file, capsys):
+    ws_root = tmp_path / "ws"
+    flags = ["--workspace", ws_root, "--mock-llm", "--n-samples", "2", "--lda-k", "3"]
+    assert cli("ingest", "--input", corpus_file, *flags) == 0
+    assert cli("probe", *flags) == 0
+    path = ws_root / "candidates" / "candidates.jsonl"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[3] = lines[3][:40]
+    path.write_text("\n".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert cli("select", *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}, line 4: invalid JSON")
+    assert not (ws_root / "selection").exists()
+
+
+def test_cli_corpus_record_missing_a_field_names_file_and_line(tmp_path, corpus_file, capsys):
+    ws_root = tmp_path / "ws"
+    flags = ["--workspace", ws_root, "--mock-llm", "--n-samples", "2", "--lda-k", "3"]
+    assert cli("ingest", "--input", corpus_file, *flags) == 0
+    path = ws_root / "corpus" / "documents.jsonl"
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").split("\n") if line]
+    del records[2]["text"]
+    path.write_text("".join(dump_json(r) + "\n" for r in records), encoding="utf-8")
+    capsys.readouterr()
+    assert cli("probe", *flags) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}, line 3: missing field 'text'\n"
+    assert not (ws_root / "candidates").exists()
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+def test_run_all_keeps_line_separators_inside_text(tmp_path, separator):
+    records = synthetic_records(6)
+    records[1]["document"] = records[1]["document"].replace(" ", separator, 1)
+    records[4]["summary"] = records[4]["summary"].replace(" ", f" {separator}", 1)
+    corpus = write_jsonl(tmp_path / "corpus.jsonl", records)
+    assert corpus.read_bytes().isascii()  # written \u-escaped
+    ws_root = tmp_path / "ws"
+    assert cli(*run_all_args(ws_root, corpus)) == 0
+    documents = Workspace(ws_root).load_corpus()
+    assert [(d.text, d.ground_truth_summary) for d in documents] == [
+        (r["document"], r["summary"]) for r in records
+    ]
+
+
+def test_file_sha256_reads_in_bounded_blocks(tmp_path):
+    path = tmp_path / "big.bin"
+    data = bytes(range(256)) * (16 * 4096)  # 16 MiB
+    path.write_bytes(data)
+    expected = hashlib.sha256(data).hexdigest()
+    del data
+    tracemalloc.start()
+    try:
+        digest = file_sha256(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == expected
+    assert peak < 4 * 2**20
 
 
 def test_run_all_fail_fast_keeps_earlier_artifacts(tmp_path, corpus_file):
