@@ -63,12 +63,6 @@ class ReservedTokenCollision(AspectsumError):
 class SchemaError(AspectsumError):
     """An input record does not match the expected schema."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
 
 class DuplicateId(AspectsumError):
     """Two corpus records share the same document id."""

@@ -33,7 +33,7 @@ from .rationale import Document, candidate_set_to_json, rationale_from_json
 from .selection import select_corpus, select_golden  # noqa: F401  (perfbench wraps select_golden)
 from .textutil import stable_digest, token_count
 from .topics import LdaModel, train_lda
-from .workspace import Workspace, dump_json_pretty, file_sha256
+from .workspace import Workspace, checked, dump_json_pretty, file_sha256
 
 
 class _Protocol(NamedTuple):
@@ -131,54 +131,40 @@ def stage_ingest(ws: Workspace, cfg: PipelineConfig, input_path: Path) -> dict:
 
 
 def _ingest(ws: Workspace, cfg: PipelineConfig, input_path: Path) -> dict:
-    documents: list[Document] = []
+    def record(obj: dict) -> tuple[str, Document | str]:
+        """(id, the Document, or for an excluded record only the reason)."""
+        checked(obj, id=str, document=str, summary=str)
+        doc_id, text, summary = obj["id"], obj["document"], obj["summary"]
+        if not doc_id.strip():
+            raise SchemaError("empty id")
+        if token_count(text) == 0 or token_count(summary) == 0:
+            return doc_id, "empty"
+        if find_reserved_token(text) or find_reserved_token(summary):
+            return doc_id, "reserved_token"
+        if token_count(text) > cfg.max_doc_tokens:
+            return doc_id, "doc_too_long"
+        if token_count(summary) > cfg.max_summary_tokens:
+            return doc_id, "summary_too_long"
+        return doc_id, Document(doc_id, text, summary)
+
+    records = ws.read_jsonl(input_path, record)
+    if not records:
+        raise SchemaError(f"no records in {input_path}")
     seen: set[str] = set()
-    reasons = ("empty", "doc_too_long", "summary_too_long", "reserved_token")
-    excluded_ids = {reason: [] for reason in reasons}
-    total = 0
-    with input_path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            total += 1
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc.msg}", line=line_no) from exc
-            if not isinstance(obj, dict):
-                raise SchemaError("record is not a JSON object", line=line_no)
-            for key in ("id", "document", "summary"):
-                if key not in obj:
-                    raise SchemaError(f"missing field {key!r}", line=line_no)
-                if not isinstance(obj[key], str):
-                    raise SchemaError(f"field {key!r} is not a string", line=line_no)
-            doc_id = obj["id"]
-            if not doc_id.strip():
-                raise SchemaError("empty id", line=line_no)
-            if doc_id in seen:
-                raise DuplicateId(f"duplicate id {doc_id!r} at line {line_no}")
-            seen.add(doc_id)
-
-            text, summary = obj["document"], obj["summary"]
-            if token_count(text) == 0 or token_count(summary) == 0:
-                reason = "empty"
-            elif find_reserved_token(text) or find_reserved_token(summary):
-                reason = "reserved_token"
-            elif token_count(text) > cfg.max_doc_tokens:
-                reason = "doc_too_long"
-            elif token_count(summary) > cfg.max_summary_tokens:
-                reason = "summary_too_long"
-            else:
-                documents.append(Document(doc_id, text, summary))
-                continue
-            excluded_ids[reason].append(doc_id)
-
-    if total == 0:
-        raise SchemaError("input contains no records")
+    documents: list[Document] = []
+    excluded_ids = {r: [] for r in ("empty", "doc_too_long", "summary_too_long", "reserved_token")}
+    for doc_id, kept in records:
+        if doc_id in seen:
+            raise DuplicateId(f"duplicate id {doc_id!r} in {input_path}")
+        seen.add(doc_id)
+        if isinstance(kept, Document):
+            documents.append(kept)
+        else:
+            excluded_ids[kept].append(doc_id)
 
     ws.write_jsonl(ws.corpus_path, map(asdict, documents))
     report = {
-        "total_records": total,
+        "total_records": len(records),
         "ingested": len(documents),
         "excluded": {reason: len(ids) for reason, ids in excluded_ids.items()},
         "excluded_ids": excluded_ids,
@@ -250,7 +236,13 @@ def _select(ws: Workspace, cfg: PipelineConfig, provider: LlmClient) -> dict:
         return {"model": model}
 
     lda = _run_stage(ws, cfg, "lda", train)
-    model = LdaModel.load(ws.lda_model_path) if lda["skipped"] else lda["model"]
+    try:  # no digest covers the saved model, so its damage shows only here
+        model = LdaModel.load(ws.lda_model_path) if lda["skipped"] else lda["model"]
+    except (KeyError, TypeError, ValueError) as exc:
+        reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise SchemaError(
+            f"damaged LDA model {ws.lda_model_path} ({reason}); delete it to retrain the model"
+        ) from None
     selection_cfg = cfg.selection_config()
     pairs = [(cs, by_id[cs.document_id]) for cs in candidate_sets]
     with EmbeddingCache(ws.cache_dir) as cache:
@@ -259,14 +251,15 @@ def _select(ws: Workspace, cfg: PipelineConfig, provider: LlmClient) -> dict:
     return {"documents": len(results)}
 
 
-def _golden_pairs(ws: Workspace) -> list:
+def _selected(ws: Workspace) -> list[tuple[dict, Document]]:
+    """Each selection record with its corpus document, in selection order."""
     documents = {d.id: d for d in ws.load_corpus()}
     pairs = []
     for record in ws.load_selections():
         doc = documents.get(record["document_id"])
-        if doc is None:
+        if doc is None:  # guards against a hand-edited selections file
             raise MissingPrerequisite(f"corpus document {record['document_id']}")
-        pairs.append((doc, rationale_from_json(record["golden_rationale"])))
+        pairs.append((record, doc))
     return pairs
 
 
@@ -290,7 +283,7 @@ def stage_curriculum(
     """
 
     def work(digest: str) -> dict:
-        pairs = _golden_pairs(ws)
+        pairs = [(doc, rationale_from_json(r["golden_rationale"])) for r, doc in _selected(ws)]
 
         def on_manifest(manifest: StageManifest) -> None:
             jsonl, meta = ws.manifest_paths(manifest.stage)
@@ -328,7 +321,7 @@ def stage_eval(
 
 
 def _eval(ws: Workspace, external_scores: Path | None) -> dict:
-    documents = {d.id: d for d in ws.load_corpus()}
+    selected = _selected(ws)
     # select parsed these same bytes and is current, so the summaries suffice.
     summaries = dict(
         ws.read_jsonl(
@@ -338,18 +331,15 @@ def _eval(ws: Workspace, external_scores: Path | None) -> dict:
     )
     ids = []
     pairs = []
-    for record in ws.load_selections():
-        doc_id, golden_index = record["document_id"], record["golden_index"]
-        # Guards against a hand-edited selections file.
-        if doc_id not in documents:
-            raise MissingPrerequisite(f"corpus document {doc_id}")
+    for record, doc in selected:
+        doc_id, golden_index = doc.id, record["golden_index"]
         if doc_id not in summaries:
             raise MissingPrerequisite(f"candidate set of document {doc_id}")
         candidates = summaries[doc_id]
         if not 0 <= golden_index < len(candidates):
             raise MissingPrerequisite(f"candidate {golden_index} of document {doc_id}")
         ids.append(doc_id)
-        pairs.append((candidates[golden_index], documents[doc_id].ground_truth_summary))
+        pairs.append((candidates[golden_index], doc.ground_truth_summary))
 
     report = evaluate_corpus(pairs)
     obj = report.to_json()

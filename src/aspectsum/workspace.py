@@ -15,7 +15,7 @@ import json
 from pathlib import Path
 
 from .errors import AspectsumError, SchemaError, WorkspaceLocked
-from .rationale import CandidateSet, Document, candidate_set_from_json
+from .rationale import CandidateSet, Document, candidate_set_from_json, rationale_from_json
 
 
 def dump_json(obj) -> str:
@@ -29,6 +29,14 @@ def dump_json_pretty(obj) -> str:
 def jsonl_text(records) -> str:
     """JSON Lines, the form of every artifact: one compact object per line, ending at \\n."""
     return "".join(dump_json(record) + "\n" for record in records)
+
+
+def checked(obj: dict, **kinds: type) -> dict:
+    """obj, once each named field (str or int) holds its kind; a missing one raises KeyError."""
+    for key, kind in kinds.items():
+        if not isinstance(obj[key], kind):
+            raise SchemaError(f"field {key!r} is not {'a string' if kind is str else 'an integer'}")
+    return obj
 
 
 def file_sha256(path: Path) -> str:
@@ -120,25 +128,27 @@ class Workspace:
     def read_jsonl(self, path: Path, record=lambda obj: obj) -> list:
         """record(obj) for each object line of the file; a bad line raises SchemaError.
 
-        Lines end only at \\n, not also at U+2028, U+2029 or U+0085 as Python's
-        line splitting does: dump_json leaves those raw inside strings.
+        The open file is read a line at a time, so only the records are held.
+        Lines end at \\n (as \\r\\n and \\r read), never at U+2028, U+2029 or
+        U+0085 as str.splitlines() does: dump_json leaves those raw in strings.
         """
         records = []
-        for line_no, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
-            if not line.strip():
-                continue
-            where = f"{path}, line {line_no}"
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise SchemaError("record is not a JSON object")
-                records.append(record(obj))
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{where}: invalid JSON: {exc.msg}") from None
-            except KeyError as exc:
-                raise SchemaError(f"{where}: missing field {exc}") from None
-            except (TypeError, ValueError, AspectsumError) as exc:
-                raise SchemaError(f"{where}: {exc}") from None
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                where = f"{path}, line {line_no}"
+                try:
+                    obj = json.loads(line)
+                    if not isinstance(obj, dict):
+                        raise SchemaError("record is not a JSON object")
+                    records.append(record(obj))
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(f"{where}: invalid JSON: {exc.msg}") from None
+                except KeyError as exc:
+                    raise SchemaError(f"{where}: missing field {exc}") from None
+                except (TypeError, ValueError, AspectsumError) as exc:
+                    raise SchemaError(f"{where}: {exc}") from None
         return records
 
     @contextlib.contextmanager
@@ -148,7 +158,7 @@ class Workspace:
         deleted, or two writers could lock two different files."""
         import fcntl  # POSIX only; the library imports without it
 
-        with self.lock_path.open("a") as fh:
+        with self.lock_path.open("ab") as fh:
             try:
                 fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
             except BlockingIOError:
@@ -194,4 +204,8 @@ class Workspace:
         return self.read_jsonl(self.candidates_path, candidate_set_from_json)
 
     def load_selections(self) -> list[dict]:
-        return self.read_jsonl(self.selections_path)
+        def selection(obj: dict) -> dict:
+            rationale_from_json(checked(obj, document_id=str, golden_index=int)["golden_rationale"])
+            return obj
+
+        return self.read_jsonl(self.selections_path, selection)

@@ -35,7 +35,7 @@ from aspectsum.pipeline import (
 )
 from aspectsum.textutil import stable_digest
 from aspectsum.topics import LdaModel, train_lda
-from aspectsum.workspace import Workspace, dump_json, file_sha256
+from aspectsum.workspace import Workspace, dump_json, file_sha256, jsonl_text
 from conftest import cache_rows, synthetic_records, write_cache_rows, write_jsonl
 
 CFG = dict(n_samples=2, lda_k=3, lda_iterations=40, fold_in_iterations=10, seed=5)
@@ -142,26 +142,35 @@ def test_ingest_duplicate_id(tmp_path):
             {"id": "a", "document": "d2", "summary": "s2"},
         ],
     )
-    with pytest.raises(DuplicateId):
+    with pytest.raises(DuplicateId) as err:
         stage_ingest(Workspace(tmp_path / "ws"), small_config(), path)
+    assert str(err.value) == f"duplicate id 'a' in {path}"
+
+
+def _schema_case(line: str, needle: str, message: str):
+    return pytest.param(line, message, id=f"{line}-{needle}")
 
 
 @pytest.mark.parametrize(
-    "line,needle",
+    "line,message",
     [
-        ("not json", "line 1"),
-        ('{"id": "a", "document": "d"}', "summary"),
-        ('{"id": "a", "document": 5, "summary": "s"}', "document"),
-        ('{"id": "  ", "document": "d", "summary": "s"}', "id"),
-        ('["not", "object"]', "object"),
+        _schema_case("not json", "line 1", "invalid JSON: Expecting value"),
+        _schema_case('{"id": "a", "document": "d"}', "summary", "missing field 'summary'"),
+        _schema_case(
+            '{"id": "a", "document": 5, "summary": "s"}',
+            "document",
+            "field 'document' is not a string",
+        ),
+        _schema_case('{"id": "  ", "document": "d", "summary": "s"}', "id", "empty id"),
+        _schema_case('["not", "object"]', "object", "record is not a JSON object"),
     ],
 )
-def test_ingest_schema_errors(tmp_path, line, needle):
+def test_ingest_schema_errors(tmp_path, line, message):
     path = tmp_path / "in.jsonl"
     path.write_text(line + "\n", encoding="utf-8")
     with pytest.raises(SchemaError) as err:
         stage_ingest(Workspace(tmp_path / "ws"), small_config(), path)
-    assert needle in str(err.value)
+    assert str(err.value) == f"{path}, line 1: {message}"
 
 
 def test_ingest_empty_file(tmp_path):
@@ -744,6 +753,42 @@ def test_cli_cache_file_with_a_damaged_page(tmp_path, capsys):
     assert [p.name for p in path.parent.iterdir()] == ["cache.sqlite"]
 
 
+@pytest.mark.parametrize(
+    "field,command", [("golden_index", "eval"), ("golden_rationale", "curriculum")]
+)
+def test_cli_selection_record_missing_a_field_names_file_and_line(
+    tmp_path, corpus_file, capsys, field, command
+):
+    ws_root = tmp_path / "ws"
+    assert cli(*run_all_args(ws_root, corpus_file)) == 0
+    path = ws_root / "selection" / "selections.jsonl"
+    records = Workspace(ws_root).load_selections()
+    del records[2][field]
+    path.write_text("".join(dump_json(r) + "\n" for r in records), encoding="utf-8")
+    capsys.readouterr()
+    flags = run_all_args(ws_root, corpus_file)[5:]  # --mock-llm and the config, no --input
+    assert cli(command, "--workspace", ws_root, *flags) == 2
+    assert capsys.readouterr().err == f"error: {path}, line 3: missing field {field!r}\n"
+
+
+@pytest.mark.parametrize("damage", ['{"k": 3}', '{"k": 3'], ids=["field-missing", "cut-short"])
+def test_cli_damaged_lda_model_names_its_file(tmp_path, corpus_file, capsys, damage):
+    ws_root = tmp_path / "ws"
+    assert cli(*run_all_args(ws_root, corpus_file)) == 0
+    model = ws_root / "lda" / "model.json"
+    model.write_text(damage, encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lambda_cs": 2.0}), encoding="utf-8")
+    capsys.readouterr()
+    # lambda_cs re-runs select but not the lda stage, which reads current.
+    assert cli(*run_all_args(ws_root, corpus_file), "--config", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: damaged LDA model {model} (")
+    assert err.endswith("); delete it to retrain the model\n")
+    model.unlink()
+    assert cli(*run_all_args(ws_root, corpus_file), "--config", config) == 0
+
+
 def test_cli_candidates_line_cut_short_names_file_and_line(tmp_path, corpus_file, capsys):
     ws_root = tmp_path / "ws"
     flags = ["--workspace", ws_root, "--mock-llm", "--n-samples", "2", "--lda-k", "3"]
@@ -790,19 +835,44 @@ def test_run_all_keeps_line_separators_inside_text(tmp_path, separator):
     ]
 
 
+def traced_peak(fn):
+    """(fn(), the peak bytes Python allocated while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_file_sha256_reads_in_bounded_blocks(tmp_path):
     path = tmp_path / "big.bin"
     data = bytes(range(256)) * (16 * 4096)  # 16 MiB
     path.write_bytes(data)
     expected = hashlib.sha256(data).hexdigest()
     del data
-    tracemalloc.start()
-    try:
-        digest = file_sha256(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    digest, peak = traced_peak(lambda: file_sha256(path))
     assert digest == expected
+    assert peak < 4 * 2**20
+
+
+def test_read_jsonl_holds_one_line_at_a_time(tmp_path):
+    path = tmp_path / "big.jsonl"
+    path.write_text(jsonl_text({"n": i, "text": "x" * 1000} for i in range(8500)), "utf-8")
+    assert path.stat().st_size > 8 * 2**20
+    records, peak = traced_peak(lambda: Workspace(tmp_path / "ws").read_jsonl(path, lambda o: None))
+    assert len(records) == 8500
+    assert peak < 4 * 2**20
+
+
+def test_ingest_keeps_no_text_of_an_excluded_record(tmp_path):
+    # Two long tokens make a document too long at a limit of one.
+    document = " ".join(["storm" * 580, "flood" * 580])
+    records = [{"id": f"doc-{i:04d}", "document": document, "summary": "s"} for i in range(2000)]
+    path = write_jsonl(tmp_path / "in.jsonl", records)
+    assert path.stat().st_size > 11 * 2**20
+    cfg = small_config(max_doc_tokens=1)
+    report, peak = traced_peak(lambda: stage_ingest(Workspace(tmp_path / "ws"), cfg, path))
+    assert report["excluded"]["doc_too_long"] == 2000
     assert peak < 4 * 2**20
 
 
