@@ -8,11 +8,12 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .curriculum import build_joint_manifest
+from .curriculum import check_loss_weights
 from .probe import ProbeConfig
 from .selection import SelectionConfig
 from .textutil import stable_digest
 from .topics import VocabularyConfig, _validate_hyperparameters
+from .workspace import read_json_object
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,8 @@ class PipelineConfig:
         self.probe_config()
         self.selection_config()
         self.vocab_config()
-        build_joint_manifest([], self.lambda_rationale, self.lambda_summary)
-        for name in ("max_doc_tokens", "max_summary_tokens"):  # ingest's limits
+        check_loss_weights(self.lambda_rationale, self.lambda_summary)
+        for name in ("max_doc_tokens", "max_summary_tokens", "jobs"):  # counts of at least 1
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         # max() keeps k <= 0 from dividing by zero; the check rejects any k < 2.
@@ -112,11 +113,7 @@ def build_config(
         )
 
     if config_file is not None:
-        if not Path(config_file).is_file():
-            raise ValueError(f"no config file at {config_file}")
-        loaded = json.loads(Path(config_file).read_text(encoding="utf-8"))
-        if not isinstance(loaded, dict):
-            raise ValueError("config file must contain a JSON object")
+        loaded = read_json_object(config_file, "config file")
         unknown = set(loaded) - set(_FIELD_TYPES)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import functools
 import hashlib
+import itertools
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -221,26 +222,36 @@ def _checked(pairs: list[Pair]) -> list[Pair]:
     return [(d, _check_pair(d, r)) for d, r in pairs]
 
 
-def _teacher_forced_examples(checked: list[Pair]) -> list:
-    """Per document, its three examples conditioned on the golden rationale."""
-    return [
+def check_loss_weights(lambda_rationale: float, lambda_summary: float) -> None:
+    for name, value in (("lambda_rationale", lambda_rationale), ("lambda_summary", lambda_summary)):
+        if not 0.0 < value < float("inf"):  # also false for NaN
+            raise ValueError(f"{name} must be positive and finite")
+
+
+def _stage_manifests(
+    pairs: list[Pair],
+    adapter: TrainerAdapter | None = None,
+    lambda_rationale: float = 0.8,
+    lambda_summary: float = 1.2,
+):
+    """The six stage manifests in CANONICAL_STAGE_ORDER, each built when asked for:
+    the loss weights are checked before the first, so a bad one fails before
+    anything trains, and concurrent_late decodes with the adapter trained so far."""
+    check_loss_weights(lambda_rationale, lambda_summary)
+    checked = _checked(pairs)
+    # Per document, its three examples conditioned on the golden rationale.
+    forced = [
         _document_examples(
             d, r, serialize_aspects(r.aspects), serialize_triples(r.triples), PROVENANCE_GOLDEN
         )
         for d, r in checked
     ]
-
-
-_SINGULAR_STAGES = (Stage.SINGULAR_ASPECT, Stage.SINGULAR_TRIPLE, Stage.SINGULAR_SUMMARY)
-
-
-def _singular_manifest(stage: Stage, forced: list) -> StageManifest:
-    task = _SINGULAR_STAGES.index(stage)
-    return StageManifest(stage, tuple(examples[task] for examples in forced))
-
-
-def _concurrent_early_manifest(forced: list) -> StageManifest:
-    return StageManifest(Stage.CONCURRENT_EARLY, tuple(ex for per_doc in forced for ex in per_doc))
+    for task, stage in enumerate(CANONICAL_STAGE_ORDER[:3]):
+        yield StageManifest(stage, tuple(examples[task] for examples in forced))
+    yield StageManifest(Stage.CONCURRENT_EARLY, tuple(ex for per_doc in forced for ex in per_doc))
+    del forced  # no later stage reads them
+    yield _concurrent_late_manifest(checked, adapter)
+    yield _joint_manifest(checked, lambda_rationale, lambda_summary)
 
 
 def build_singular_manifests(
@@ -248,14 +259,13 @@ def build_singular_manifests(
 ) -> tuple[StageManifest, StageManifest, StageManifest]:
     """One manifest per singular task: aspects from D, triples from (D, A*),
     summary from (D, A*, T*)."""
-    forced = _teacher_forced_examples(_checked(pairs))
-    return tuple(_singular_manifest(stage, forced) for stage in _SINGULAR_STAGES)
+    return tuple(itertools.islice(_stage_manifests(pairs), 3))
 
 
 def build_concurrent_early_manifest(pairs: list[Pair]) -> StageManifest:
     """All three tasks per document, every conditioning segment teacher-forced
     from the golden rationale."""
-    return _concurrent_early_manifest(_teacher_forced_examples(_checked(pairs)))
+    return next(itertools.islice(_stage_manifests(pairs), 3, None))
 
 
 def build_concurrent_late_manifest(pairs: list[Pair], adapter: TrainerAdapter) -> StageManifest:
@@ -299,15 +309,13 @@ def build_joint_manifest(
     lambda_summary: float = 1.2,
 ) -> StageManifest:
     """One rationale-summary example per document; a single encode-decode pair."""
+    check_loss_weights(lambda_rationale, lambda_summary)
     return _joint_manifest(_checked(pairs), lambda_rationale, lambda_summary)
 
 
 def _joint_manifest(
     checked: list[Pair], lambda_rationale: float, lambda_summary: float
 ) -> StageManifest:
-    for name, value in (("lambda_rationale", lambda_rationale), ("lambda_summary", lambda_summary)):
-        if not 0.0 < value < float("inf"):  # also false for NaN
-            raise ValueError(f"{name} must be positive and finite")
     examples = []
     for d, r in checked:
         target = f"{serialize_rationale(r)} {SUMMARY_TOKEN} {d.ground_truth_summary}"
@@ -362,25 +370,15 @@ def run_curriculum(
     untrained, and every stage from the first new or changed one is trained.
     on_manifest(manifest) is called before a stage trains and on_stage(entries)
     after it. The two lambdas weight the joint stage's rationale and summary
-    losses.
+    losses; a bad one raises ValueError before any stage is built.
     """
-    checked = _checked(pairs)
-    forced = _teacher_forced_examples(checked)  # the examples of the first four stages
     entries: list[dict] = []
     resuming = True
-    for i, stage in enumerate(CANONICAL_STAGE_ORDER):
-        if stage in _SINGULAR_STAGES:
-            manifest = _singular_manifest(stage, forced)
-        elif stage is Stage.CONCURRENT_EARLY:
-            manifest = _concurrent_early_manifest(forced)
-            del forced  # no later stage reads them
-        elif stage is Stage.CONCURRENT_LATE:
-            manifest = _concurrent_late_manifest(checked, adapter)
-        else:
-            manifest = _joint_manifest(checked, lambda_rationale, lambda_summary)
+    manifests = _stage_manifests(pairs, adapter, lambda_rationale, lambda_summary)
+    for i, manifest in enumerate(manifests):
         if on_manifest is not None:
             on_manifest(manifest)
-        entry = {"stage": stage.value, "digest": manifest.digest()}
+        entry = {"stage": manifest.stage.value, "digest": manifest.digest()}
         resuming = resuming and i < len(recorded) and all(
             recorded[i].get(key) == value for key, value in entry.items()
         )

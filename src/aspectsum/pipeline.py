@@ -33,7 +33,7 @@ from .rationale import Document, candidate_set_to_json, rationale_from_json
 from .selection import select_corpus, select_golden  # noqa: F401  (perfbench wraps select_golden)
 from .textutil import stable_digest, token_count
 from .topics import LdaModel, train_lda
-from .workspace import Workspace, checked, dump_json_pretty, file_sha256
+from .workspace import Workspace, checked, dump_json_pretty, file_sha256, read_json_object
 
 
 class _Protocol(NamedTuple):
@@ -314,13 +314,14 @@ def stage_eval(
     external_scores: Path | None = None,
 ) -> dict:
     """ROUGE-score each document's golden candidate summary against the ground truth."""
-    if external_scores is not None and not Path(external_scores).is_file():
-        raise SchemaError(f"no external scores file at {external_scores}")
-    external = (file_sha256(external_scores),) if external_scores else ()
-    return _run_stage(ws, cfg, "eval", lambda _: _eval(ws, external_scores), external)
+    external, extra = None, ()
+    if external_scores is not None:
+        external = read_json_object(external_scores, "external scores file")
+        extra = (file_sha256(external_scores),)
+    return _run_stage(ws, cfg, "eval", lambda _: _eval(ws, external), extra)
 
 
-def _eval(ws: Workspace, external_scores: Path | None) -> dict:
+def _eval(ws: Workspace, external: dict | None) -> dict:
     selected = _selected(ws)
     # select parsed these same bytes and is current, so the summaries suffice.
     summaries = dict(
@@ -344,11 +345,8 @@ def _eval(ws: Workspace, external_scores: Path | None) -> dict:
     report = evaluate_corpus(pairs)
     obj = report.to_json()
     obj["document_ids"] = ids
-    if external_scores is not None:
-        loaded = json.loads(Path(external_scores).read_text(encoding="utf-8"))
-        if not isinstance(loaded, dict):
-            raise SchemaError("external scores file must contain a JSON object")
-        obj["external"] = loaded
+    if external is not None:
+        obj["external"] = external
 
     ws.write_text(ws.eval_json_path, dump_json_pretty(obj))
     ws.write_text(ws.eval_table_path, report.to_table())

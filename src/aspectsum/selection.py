@@ -22,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clients import LlmClient, map_ordered
-from .errors import (
-    AllCandidatesFailed,
-    DimensionMismatch,
-    EmptyText,
-    TransportError,
-    ZeroVector,
-)
+from .errors import AllCandidatesFailed, DimensionMismatch, EmptyText, ZeroVector
 from .probe import EmbeddingCache
 from .rationale import (
     CandidateSet,
@@ -183,9 +177,12 @@ def select_corpus(
     A pass folds in each of its distinct texts once, in one batched call,
     and embeds each once, on up to `jobs` threads; then it scores its
     documents and commits the cache. Every row is computed on its own, so
-    the results do not depend on the chunking. A candidate whose scoring
-    fails (transport, empty text, degenerate vectors) is excluded with a
-    recorded reason; a document with none left raises AllCandidatesFailed.
+    the results do not depend on the chunking. A provider error (such as
+    TransportError) stops the stage, as it stops probe; the vectors fetched
+    so far stay in the cache, so the next run asks only for the rest. A
+    candidate whose vectors are degenerate (all-zero, or of another
+    dimension) is excluded with a recorded reason, the same on every run; a
+    document with none left raises AllCandidatesFailed.
     """
     results = []
     for start in range(0, len(pairs), _CHUNK_DOCUMENTS):
@@ -214,19 +211,10 @@ def _select_chunk(
     topic_texts, embed_texts = list(dict.fromkeys(topic_texts)), list(dict.fromkeys(embed_texts))
     topics = dict(zip(topic_texts, infer_topics_batch(model, topic_texts, config.fold_in_iterations)))
 
-    def embed(text: str):
-        try:
-            return text_embedding(provider, text, cache)
-        except (TransportError, EmptyText) as exc:
-            return exc  # fails only the candidates that use this text
-
-    vectors = dict(zip(embed_texts, map_ordered(embed, embed_texts, jobs)))
-
-    def vector(text: str) -> np.ndarray:
-        found = vectors[text]
-        if isinstance(found, Exception):
-            raise found
-        return found
+    # A provider error stops the stage here. text_embedding is looked up at
+    # call time, so a tracer that wraps it in this module sees each call.
+    embedded = map_ordered(lambda text: text_embedding(provider, text, cache), embed_texts, jobs)
+    vectors = dict(zip(embed_texts, embedded))
 
     def score(cs: CandidateSet, d: Document) -> SelectionResult:
         p_doc = topics[d.text]
@@ -234,9 +222,9 @@ def _select_chunk(
         failures: list[CandidateFailure] = []
         for c in cs.candidates:
             try:
-                e_summary = vector(c.summary)
-                e_ground_truth = vector(d.ground_truth_summary)
-                e_rationale = vector(serialize_rationale(c.rationale))
+                e_summary = vectors[c.summary]
+                e_ground_truth = vectors[d.ground_truth_summary]
+                e_rationale = vectors[serialize_rationale(c.rationale)]
                 s_score = summary_score_from_sims(
                     cosine_similarity(e_summary, e_ground_truth),
                     cosine_similarity(e_summary, e_rationale),
@@ -247,7 +235,7 @@ def _select_chunk(
                     kl_divergence(p_doc, topics[rationale_text(c.rationale)]),
                     config.phi_beta,
                 )
-            except (TransportError, EmptyText, ZeroVector, DimensionMismatch) as exc:
+            except (ZeroVector, DimensionMismatch) as exc:  # from the vectors themselves
                 failures.append(CandidateFailure(c.index, str(exc)))
                 continue
             combined = combine_scores(s_score, c_score, config.lambda_cs)

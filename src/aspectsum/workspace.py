@@ -39,6 +39,19 @@ def checked(obj: dict, **kinds: type) -> dict:
     return obj
 
 
+def read_json_object(path: Path, what: str) -> dict:
+    """The JSON object a user-given file holds, such as a config file; else SchemaError."""
+    if not Path(path).is_file():
+        raise SchemaError(f"no {what} at {path}")
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        raise SchemaError(f"{what} {path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{what} {path} does not hold a JSON object")
+    return obj
+
+
 def file_sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -133,22 +146,25 @@ class Workspace:
         U+0085 as str.splitlines() does: dump_json leaves those raw in strings.
         """
         records = []
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                where = f"{path}, line {line_no}"
-                try:
-                    obj = json.loads(line)
-                    if not isinstance(obj, dict):
-                        raise SchemaError("record is not a JSON object")
-                    records.append(record(obj))
-                except json.JSONDecodeError as exc:
-                    raise SchemaError(f"{where}: invalid JSON: {exc.msg}") from None
-                except KeyError as exc:
-                    raise SchemaError(f"{where}: missing field {exc}") from None
-                except (TypeError, ValueError, AspectsumError) as exc:
-                    raise SchemaError(f"{where}: {exc}") from None
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for line_no, line in enumerate(fh, start=1):
+                    if not line.strip():
+                        continue
+                    where = f"{path}, line {line_no}"
+                    try:
+                        obj = json.loads(line)
+                        if not isinstance(obj, dict):
+                            raise SchemaError("record is not a JSON object")
+                        records.append(record(obj))
+                    except json.JSONDecodeError as exc:
+                        raise SchemaError(f"{where}: invalid JSON: {exc.msg}") from None
+                    except KeyError as exc:
+                        raise SchemaError(f"{where}: missing field {exc}") from None
+                    except (TypeError, ValueError, AspectsumError) as exc:
+                        raise SchemaError(f"{where}: {exc}") from None
+        except UnicodeDecodeError as exc:  # raised by read-ahead, so no line is named
+            raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
         return records
 
     @contextlib.contextmanager

@@ -298,6 +298,16 @@ def test_run_curriculum_full_plan():
         assert entry["metrics"]["examples"] == entry["example_count"]
 
 
+@pytest.mark.parametrize("weight", ["lambda_rationale", "lambda_summary"])
+def test_run_curriculum_checks_loss_weights_before_anything_trains(weight):
+    pairs = make_pairs(2)
+    adapter, manifests = EchoTrainerAdapter(pairs), []
+    with pytest.raises(ValueError, match=weight):
+        run_curriculum(pairs, adapter, on_manifest=manifests.append, **{weight: float("nan")})
+    assert adapter.trained_stages == []
+    assert manifests == []
+
+
 def test_run_curriculum_deterministic_digests():
     pairs = make_pairs(2)
     r1 = run_curriculum(pairs, EchoTrainerAdapter(pairs))

@@ -684,7 +684,7 @@ def test_probe_killed_at_a_completion_refetches_only_uncommitted_entries(tmp_pat
 
 def test_every_cache_connection_is_closed_after_a_run(tmp_path, corpus_file):
     from aspectsum.clients import LlmClient
-    from aspectsum.errors import AllCandidatesFailed, TransportError
+    from aspectsum.errors import TransportError
     from aspectsum.pipeline import run_all
 
     class EmbedDown(MockLlmClient):
@@ -708,12 +708,49 @@ def test_every_cache_connection_is_closed_after_a_run(tmp_path, corpus_file):
         run_all(ws, cfg, corpus_file, Down())
     assert [p.name for p in ws.cache_dir.iterdir()] == only_the_database
     ws = Workspace(tmp_path / "select-raises")
-    with pytest.raises(AllCandidatesFailed):
+    with pytest.raises(TransportError):
         run_all(ws, cfg, corpus_file, EmbedDown(seed=cfg.seed))
     assert [p.name for p in ws.cache_dir.iterdir()] == only_the_database
     assert len(cache_rows(ws.cache_dir)) == 6 * 2  # probe's entries are kept
     run_all(ws, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
     assert [p.name for p in ws.cache_dir.iterdir()] == only_the_database
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_select_stops_on_a_provider_error_and_resumes_from_the_cache(
+    tmp_path, corpus_file, jobs
+):
+    import threading
+
+    from aspectsum.errors import TransportError
+    from aspectsum.pipeline import run_all
+
+    class FailsOnce(MockLlmClient):
+        """Answers HTTP 429 to the first rationale embedding asked for."""
+
+        failed = False
+        gate = threading.Lock()
+
+        def embed(self, text):
+            with self.gate:
+                fail = not self.failed and text.startswith("Aspects:")
+                self.failed = self.failed or fail
+            if fail:
+                raise TransportError("HTTP 429")
+            return super().embed(text)
+
+    cfg = small_config(jobs=jobs)
+    clean, first = Workspace(tmp_path / "clean"), MockLlmClient(seed=cfg.seed)
+    run_all(clean, cfg, corpus_file, first)
+    ws = Workspace(tmp_path / "flaky")
+    with pytest.raises(TransportError):
+        run_all(ws, cfg, corpus_file, FailsOnce(seed=cfg.seed))
+    assert ws.last_entry("select")["digest"] is None  # begun, not ended: select is stale
+    healthy = MockLlmClient(seed=cfg.seed)
+    run_all(ws, cfg, corpus_file, healthy)
+    assert healthy.completion_calls == 0
+    assert 0 < healthy.embed_calls < first.embed_calls  # the fetched vectors were kept
+    assert ws.selections_path.read_bytes() == clean.selections_path.read_bytes()
 
 
 def test_cli_cache_file_that_is_not_a_database(tmp_path, corpus_file, capsys):
@@ -1241,12 +1278,15 @@ def test_cli_flag_reaches_the_config(tmp_path, monkeypatch, flag, field, value):
         ({"lambda_summary": 0.0}, []),
         ({"max_doc_tokens": 0}, []),
         ({"max_summary_tokens": 0}, []),
+        ({}, ["--jobs", "0"]),
+        ({"jobs": -4}, []),
     ],
     ids=[
         "lda-k-1", "phi-alpha-nan", "stopwords-klingon", "min-df-0", "n-samples-0",
         "lda-alpha-nan", "lda-beta-nan", "lda-alpha-inf", "max-retries-str", "min-df-bool",
         "fold-in-iterations-0", "lambda-summary-nan", "lambda-rationale-negative",
-        "lambda-summary-0", "max-doc-tokens-0", "max-summary-tokens-0",
+        "lambda-summary-0", "max-doc-tokens-0", "max-summary-tokens-0", "jobs-0",
+        "jobs-negative",
     ],
 )
 def test_cli_bad_config_fails_before_any_stage(tmp_path, corpus_file, capsys, config, flags):
@@ -1256,6 +1296,34 @@ def test_cli_bad_config_fails_before_any_stage(tmp_path, corpus_file, capsys, co
     assert cli(*run_all_args(ws_root, corpus_file), "--config", config_file, *flags) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not ws_root.exists()
+
+
+@pytest.mark.parametrize("flag", ["--config", "--external-scores"])
+@pytest.mark.parametrize(
+    "content",
+    [b"{not json", b'["a", "list"]', '{"note": "caf\u00e9"}'.encode("latin-1")],
+    ids=["bad-json", "json-list", "not-utf8"],
+)
+def test_cli_bad_json_object_file_names_itself(tmp_path, corpus_file, capsys, flag, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    ws_root = tmp_path / "ws"
+    assert cli(*run_all_args(ws_root, corpus_file), flag, bad) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    if flag == "--config":
+        assert not ws_root.exists()
+    else:  # eval stops before its begin line
+        assert Workspace(ws_root).last_entry("eval") == {}
+
+
+def test_cli_input_that_is_not_utf8_names_its_file(tmp_path, capsys):
+    path = tmp_path / "latin1.jsonl"
+    record = {"id": "a", "document": "caf\u00e9 au lait", "summary": "caf\u00e9"}
+    path.write_bytes(json.dumps(record, ensure_ascii=False).encode("latin-1") + b"\n")
+    args = ["--workspace", tmp_path / "ws", "--input", path, "--n-samples", "2", "--lda-k", "3"]
+    assert cli("ingest", *args) == 2
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid continuation byte)\n"
 
 
 def test_cli_custom_profile_needs_scale(tmp_path, capsys):

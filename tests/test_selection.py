@@ -277,7 +277,7 @@ class FlakyProvider(MockLlmClient):
 
     def embed(self, text):
         if self.poison in text:
-            raise TransportError("provider outage")
+            return np.zeros_like(super().embed(text))
         return super().embed(text)
 
 
@@ -290,7 +290,7 @@ def test_select_golden_excludes_failing_candidates(tiny_model):
     assert result.golden_index == 0
     assert len(result.failures) == 1
     assert result.failures[0].index == 1
-    assert "outage" in result.failures[0].reason
+    assert "all-zero vector" in result.failures[0].reason
 
 
 def test_select_golden_all_failed(tiny_model):
@@ -299,6 +299,16 @@ def test_select_golden_all_failed(tiny_model):
     provider = FlakyProvider("", seed=0)  # poisons everything
     with pytest.raises(AllCandidatesFailed):
         select_golden(cs, d, tiny_model, provider, SelectionConfig(fold_in_iterations=5))
+
+
+def test_select_golden_stops_on_a_provider_error(tiny_model):
+    class Down(MockLlmClient):
+        def embed(self, text):
+            raise TransportError("HTTP 429")
+
+    d = Document("doc-x", "storm flood rain river", "storm flooded the river")
+    with pytest.raises(TransportError, match="HTTP 429"):
+        select_golden(_candidate_set(), d, tiny_model, Down(seed=0), SelectionConfig())
 
 
 def test_select_corpus_equals_select_golden_and_embeds_each_text_once(tiny_model):
