@@ -107,9 +107,11 @@ class OpenAiCompatClient(LlmClient):
             {"model": self.model_id, "messages": [{"role": "user", "content": prompt}]},
         )
         try:
-            return body["choices"][0]["message"]["content"]
+            content = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise TransportError("malformed completion payload") from exc
+        # A refusal sends content null: a sample that does not parse, not a crash.
+        return content if isinstance(content, str) else ""
 
     def embed(self, text: str) -> np.ndarray:
         body = self._post("/embeddings", {"model": self.embedding_model_id, "input": text})

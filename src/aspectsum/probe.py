@@ -222,48 +222,35 @@ def probe_rationales(
 ) -> CandidateSet:
     """Collect exactly config.n_samples parseable (rationale, summary) pairs.
 
-    Each sample slot consults the cache first; a cached but unparseable
-    response does not consume the retry budget. Unparseable completions are
-    retried up to config.max_retries times and recorded as discarded, never
-    silently repaired. Transport failures propagate immediately.
+    Each sample slot runs one loop of attempts. Attempt -1 is the cached
+    response, if any, which uses no retry and is never stored again; attempts
+    0 to config.max_retries are fresh completions, and the first that parses
+    is stored. A response that does not parse is recorded as discarded with
+    its attempt number, never silently repaired. The document stops at its
+    first slot that never parses. Transport failures propagate immediately.
     """
     prompt = render_probe_prompt(document)
     namespace = client.cache_namespace
 
     accepted: list[tuple[Rationale, str]] = []
     for slot in range(config.n_samples):
-        parsed = None
         cached = cache.lookup(namespace, prompt, slot) if cache else None
-        if cached is not None:
+        for attempt in range(-1 if cached is not None else 0, 1 + config.max_retries):
+            response = cached if attempt < 0 else client.complete(prompt)
             try:
-                parsed = parse_probe_response(cached)
+                accepted.append(parse_probe_response(response))
             except MalformedRationale as exc:
                 if discards is not None:
-                    discards.append(DiscardRecord(document.id, slot, -1, str(exc), cached))
-
-        if parsed is None:
-            for attempt in range(1 + config.max_retries):
-                response = client.complete(prompt)
-                try:
-                    parsed = parse_probe_response(response)
-                except MalformedRationale as exc:
-                    if discards is not None:
-                        discards.append(
-                            DiscardRecord(document.id, slot, attempt, str(exc), response)
-                        )
-                    continue
-                if cache is not None:
-                    cache.store(namespace, prompt, slot, response)
-                break
-
-        if parsed is not None:
-            accepted.append(parsed)
-
-    if len(accepted) < config.n_samples:
-        raise InsufficientValidSamples(
-            f"document {document.id}: {len(accepted)} of {config.n_samples} samples "
-            f"parsed after {config.max_retries} retries per slot"
-        )
+                    discards.append(DiscardRecord(document.id, slot, attempt, str(exc), response))
+                continue
+            if attempt >= 0 and cache is not None:
+                cache.store(namespace, prompt, slot, response)
+            break
+        else:
+            raise InsufficientValidSamples(
+                f"document {document.id}: sample {slot} did not parse "
+                f"after {config.max_retries} retries"
+            )
     return CandidateSet(
         document_id=document.id,
         candidates=tuple(

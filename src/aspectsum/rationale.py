@@ -188,8 +188,9 @@ def parse_probe_response(text: str) -> tuple[Rationale, str]:
     that follows the triples block.
     """
     rationale = parse_rationale(text)
-    m_triples = _TRIPLES_RE.search(text)
-    m_summary = _SUMMARY_RE.search(text, m_triples.end()) if m_triples else None
+    # The blocks parse_rationale parsed: a preamble's labels are skipped.
+    m_triples = _TRIPLES_RE.search(text, _ASPECTS_RE.search(text).end())
+    m_summary = _SUMMARY_RE.search(text, m_triples.end())
     if m_summary is None:
         raise MalformedRationale("missing 'Summary:' block")
     summary = text[m_summary.end() :].strip()

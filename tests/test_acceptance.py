@@ -439,7 +439,7 @@ def test_criterion_6_end_to_end_determinism(tmp_path, capsys):
         "manifests/05_concurrent_late.jsonl",
         "manifests/06_joint.jsonl",
     ]
-    selections = (tmp_path / "ws_a" / "selection" / "selections.jsonl").read_text()
+    selections = (tmp_path / "ws_a" / "selection" / "selections.jsonl").read_text(encoding="utf-8")
     ok &= len(selections.splitlines()) == 50
     ok &= (tmp_path / "ws_a" / "eval" / "report.json").exists()
 

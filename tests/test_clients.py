@@ -6,6 +6,7 @@ import pytest
 
 from aspectsum.clients import OpenAiCompatClient
 from aspectsum.errors import TransportError
+from aspectsum.probe import ProbeConfig, probe_rationales
 
 
 class FakeResponse:
@@ -82,6 +83,25 @@ def test_http_error_and_bad_payload(monkeypatch):
         client.complete("x")
     with pytest.raises(TransportError, match="non-JSON"):
         client.complete("x")
+
+
+def test_null_content_is_a_discarded_sample(monkeypatch, sample_document):
+    # OpenAI-style APIs send content null on a refusal; probe retries that slot.
+    good = "Aspects: a\nTriples: [x | y | z]\nSummary: fine"
+    client, session = client_with(
+        [
+            FakeResponse(payload={"choices": [{"message": {"content": None}}]}),
+            FakeResponse(payload={"choices": [{"message": {"content": good}}]}),
+        ],
+        monkeypatch,
+    )
+    discards = []
+    cs = probe_rationales(
+        client, sample_document, ProbeConfig(n_samples=1, max_retries=1), discards=discards
+    )
+    assert len(cs.candidates) == 1
+    assert [(d.sample_index, d.attempt, d.response) for d in discards] == [(0, 0, "")]
+    assert len(session.requests) == 2
 
 
 def test_embed_dimension_contract(monkeypatch):

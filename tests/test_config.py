@@ -32,7 +32,7 @@ def test_unknown_profile_rejected():
 
 def test_config_file_merge_and_overrides(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"n_samples": 5, "lda_k": 7, "seed": 3}))
+    path.write_text(json.dumps({"n_samples": 5, "lda_k": 7, "seed": 3}), encoding="utf-8")
     cfg = build_config(profile="custom", config_file=path, overrides={"seed": 9, "jobs": None})
     assert cfg.n_samples == 5
     assert cfg.seed == 9  # explicit override wins
@@ -41,7 +41,7 @@ def test_config_file_merge_and_overrides(tmp_path):
 
 def test_config_file_unknown_key(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"n_sample": 5}))
+    path.write_text(json.dumps({"n_sample": 5}), encoding="utf-8")
     with pytest.raises(ValueError):
         build_config(profile="cnndm", config_file=path)
     with pytest.raises(ValueError):
@@ -85,18 +85,18 @@ def test_lda_alpha_defaults_to_fifty_over_k():
 )
 def test_config_file_value_of_the_wrong_type(tmp_path, values):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(values))
+    path.write_text(json.dumps(values), encoding="utf-8")
     with pytest.raises(ValueError, match=f"config key '{next(iter(values))}' must be"):
         build_config(profile="cnndm", config_file=path)
 
 
 def test_config_file_int_fits_a_float_field(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"lda_alpha": 1, "phi_beta": 2, "lda_beta": None}))
+    path.write_text(json.dumps({"lda_alpha": 1, "phi_beta": 2, "lda_beta": None}), encoding="utf-8")
     with pytest.raises(ValueError, match="'lda_beta' must be float, not NoneType"):
         build_config(profile="cnndm", config_file=path)
-    path.write_text(json.dumps({"lda_alpha": 1, "phi_beta": 2}))
+    path.write_text(json.dumps({"lda_alpha": 1, "phi_beta": 2}), encoding="utf-8")
     cfg = build_config(profile="cnndm", config_file=path)
     assert (cfg.lda_alpha, cfg.phi_beta) == (1, 2)
-    path.write_text(json.dumps({"lda_alpha": None}))
+    path.write_text(json.dumps({"lda_alpha": None}), encoding="utf-8")
     assert build_config(profile="cnndm", config_file=path).lda_alpha is None

@@ -46,7 +46,7 @@ def test_offline_run_loads_no_network_module(tmp_path):
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     out = subprocess.run(
         [sys.executable, "-c", _PROBE.format(network=NETWORK_MODULES, argv=argv)],
-        capture_output=True, text=True, check=True, cwd=tmp_path,
+        capture_output=True, text=True, encoding="utf-8", check=True, cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=path),
     ).stdout
     result = json.loads(out.splitlines()[-1])

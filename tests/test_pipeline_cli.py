@@ -268,7 +268,7 @@ def test_eval_rejects_hand_edited_golden_index(tmp_path, corpus_file):
 
     records = ws.load_selections()
     records[0]["golden_index"] = cfg.n_samples
-    ws.selections_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    ws.selections_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     with pytest.raises(MissingPrerequisite, match=f"candidate {cfg.n_samples} of document"):
         stage_eval(ws, cfg)
 
@@ -279,7 +279,7 @@ def test_joint_manifest_uses_configured_loss_weights(tmp_path, corpus_file):
     ws = Workspace(tmp_path / "ws")
     cfg = small_config(lambda_rationale=0.5, lambda_summary=1.5)
     run_all(ws, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
-    meta = json.loads((ws.manifests_dir / "06_joint.meta.json").read_text())
+    meta = json.loads((ws.manifests_dir / "06_joint.meta.json").read_text(encoding="utf-8"))
     assert meta["loss_config"] == {"rationale": 0.5, "summary": 1.5}
 
 
@@ -354,7 +354,7 @@ def test_curriculum_resumes_from_its_report(tmp_path, corpus_file, monkeypatch):
     with pytest.raises(RuntimeError):
         # The crash comes before the self-guided stage decodes, so no pairs.
         stage_curriculum(ws, cfg, adapter=CrashingAdapter([]))
-    report = json.loads(ws.curriculum_report_path.read_text())
+    report = json.loads(ws.curriculum_report_path.read_text(encoding="utf-8"))
     assert [e["stage"] for e in report["stages"]] == ["singular_aspect", "singular_triple"]
     assert not (ws.root / "curriculum" / "checkpoint.json").exists()
 
@@ -368,14 +368,14 @@ def test_curriculum_resumes_from_its_report(tmp_path, corpus_file, monkeypatch):
     every_stage = [s.value for s in CANONICAL_STAGE_ORDER]
     # A report under another key has no recorded stages, though it keeps its
     # entries: all six train again, on an adapter built by this run.
-    report = json.loads(ws.curriculum_report_path.read_text())
-    ws.curriculum_report_path.write_text(json.dumps(dict(report, key="0" * 16)))
+    report = json.loads(ws.curriculum_report_path.read_text(encoding="utf-8"))
+    ws.curriculum_report_path.write_text(json.dumps(dict(report, key="0" * 16)), encoding="utf-8")
     (ws.manifests_dir / "01_singular_aspect.jsonl").unlink()
     built = len(adapters)
     stage_curriculum(ws, cfg)
     assert len(adapters) == built + 1 and adapters[-1].trained_stages == every_stage
     # Nor has a report cut short while it was written.
-    ws.curriculum_report_path.write_text('{"key"')
+    ws.curriculum_report_path.write_text('{"key"', encoding="utf-8")
     (ws.manifests_dir / "06_joint.jsonl").unlink()
     stage_curriculum(ws, cfg)
     assert len(adapters) == built + 2 and adapters[-1].trained_stages == every_stage
@@ -935,7 +935,7 @@ def test_run_all_fail_fast_keeps_earlier_artifacts(tmp_path, corpus_file):
     assert ws.corpus_path.exists()
     assert len(ws.load_corpus()) == 6
     assert not ws.candidates_path.exists()
-    entries = [json.loads(l) for l in ws.ledger_path.read_text().splitlines()]
+    entries = [json.loads(l) for l in ws.ledger_path.read_text(encoding="utf-8").splitlines()]
     # ingest's begin and end lines, then probe's begin line: probe is not current.
     assert [(e["command"], e["digest"] is None) for e in entries] == [
         ("ingest", True),
@@ -949,7 +949,7 @@ def test_ledger_appends_only_on_effective_runs(tmp_path, corpus_file):
     cfg = small_config()
     stage_ingest(ws, cfg, corpus_file)
     stage_ingest(ws, cfg, corpus_file)  # skipped, no entry
-    entries = [json.loads(l) for l in ws.ledger_path.read_text().splitlines()]
+    entries = [json.loads(l) for l in ws.ledger_path.read_text(encoding="utf-8").splitlines()]
     # The effective run's begin line, then its end line.
     assert [e["command"] for e in entries] == ["ingest", "ingest"]
     assert [e["seq"] for e in entries] == [0, 1]
@@ -977,7 +977,8 @@ def test_stage_whose_ledger_append_failed_runs_again(tmp_path, corpus_file, monk
 
     result = run_all(ws, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
     assert not result["select"]["skipped"]
-    commands = {json.loads(l)["command"] for l in ws.ledger_path.read_text().splitlines()}
+    ledger = ws.ledger_path.read_text(encoding="utf-8")
+    commands = {json.loads(l)["command"] for l in ledger.splitlines()}
     assert set(_STAGES) <= commands
     rerun = run_all(ws, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
     assert all(stage_result["skipped"] for stage_result in rerun.values())
@@ -1078,13 +1079,13 @@ def test_workspace_of_the_state_file_format_reruns_without_calls(
     # only there), ledger lines without one.
     state = ws.root / "state"
     state.mkdir()
-    entries = [json.loads(l) for l in ws.ledger_path.read_text().splitlines()]
+    entries = [json.loads(l) for l in ws.ledger_path.read_text(encoding="utf-8").splitlines()]
     for entry in entries:
         (state / f"{entry['command']}.json").write_text(
-            dump_json({"digest": entry.pop("digest")}) + "\n"
+            dump_json({"digest": entry.pop("digest")}) + "\n", encoding="utf-8"
         )
     entries = [dict(e, seq=i) for i, e in enumerate(e for e in entries if e["command"] != "lda")]
-    ws.ledger_path.write_text("".join(dump_json(e) + "\n" for e in entries))
+    ws.ledger_path.write_text("".join(dump_json(e) + "\n" for e in entries), encoding="utf-8")
 
     def artifacts() -> dict[str, str]:
         hashes = tree_hashes(ws.root)
@@ -1129,7 +1130,7 @@ def test_seed_changes_probe_outputs(tmp_path, corpus_file):
         cfg = small_config(seed=seed)
         stage_ingest(ws, cfg, corpus_file)
         stage_probe(ws, cfg, MockLlmClient(seed=cfg.seed))
-        outputs.append(ws.candidates_path.read_text())
+        outputs.append(ws.candidates_path.read_text(encoding="utf-8"))
     assert outputs[0] != outputs[1]
 
 
@@ -1174,7 +1175,8 @@ def test_cli_run_all_and_artifacts(tmp_path, corpus_file, capsys):
         "05_concurrent_late.jsonl",
         "06_joint.jsonl",
     ]
-    selections = (ws_root / "selection" / "selections.jsonl").read_text().splitlines()
+    selections = (ws_root / "selection" / "selections.jsonl").read_text(encoding="utf-8")
+    selections = selections.splitlines()
     assert len(selections) == 6  # one record per document
     assert (ws_root / "eval" / "report.json").exists()
     with Workspace(ws_root).exclusive_lock():  # the command released its lock
@@ -1230,11 +1232,11 @@ def test_cli_bad_user_path_is_an_error_line(tmp_path, monkeypatch, capsys, args)
 @pytest.mark.parametrize("workspace", ["a_file", "a_file/ws"], ids=["file", "under-a-file"])
 def test_cli_workspace_naming_a_file_is_an_error_line(tmp_path, monkeypatch, capsys, workspace):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "a_file").write_text("kept")
+    (tmp_path / "a_file").write_text("kept", encoding="utf-8")
     scale = ["--n-samples", "2", "--lda-k", "3"]
     assert cli("probe", "--workspace", workspace, "--mock-llm", *scale) == 2
     assert capsys.readouterr().err == f"error: no workspace directory at {workspace}\n"
-    assert (tmp_path / "a_file").read_text() == "kept"
+    assert (tmp_path / "a_file").read_text(encoding="utf-8") == "kept"
 
 
 CONFIG_FLAGS = [
@@ -1291,7 +1293,7 @@ def test_cli_flag_reaches_the_config(tmp_path, monkeypatch, flag, field, value):
 )
 def test_cli_bad_config_fails_before_any_stage(tmp_path, corpus_file, capsys, config, flags):
     config_file = tmp_path / "config.json"
-    config_file.write_text(json.dumps(config))
+    config_file.write_text(json.dumps(config), encoding="utf-8")
     ws_root = tmp_path / "ws"
     assert cli(*run_all_args(ws_root, corpus_file), "--config", config_file, *flags) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -1362,6 +1364,7 @@ def test_cli_lock_of_a_killed_writer_is_free(tmp_path, corpus_file, capsys):
         [sys.executable, "-c", _HOLD_LOCK, str(ws_root)],
         stdout=subprocess.PIPE,
         text=True,
+        encoding="utf-8",
         env=dict(os.environ, PYTHONPATH=path),
     ) as writer:
         try:
@@ -1392,13 +1395,13 @@ def test_cli_external_scores_merged(tmp_path, corpus_file):
     ws_root = tmp_path / "ws"
     assert cli(*run_all_args(ws_root, corpus_file)) == 0
     external = tmp_path / "ext.json"
-    external.write_text(json.dumps({"bertscore": {"doc-000": 0.91}}))
+    external.write_text(json.dumps({"bertscore": {"doc-000": 0.91}}), encoding="utf-8")
     assert cli(
         "eval", "--workspace", ws_root, "--external-scores", external, "--mock-llm",
         "--n-samples", "2", "--lda-k", "3", "--lda-iterations", "40",
         "--fold-in-iterations", "10", "--seed", "5",
     ) == 0
-    report = json.loads((ws_root / "eval" / "report.json").read_text())
+    report = json.loads((ws_root / "eval" / "report.json").read_text(encoding="utf-8"))
     assert report["external"] == {"bertscore": {"doc-000": 0.91}}
 
 

@@ -124,7 +124,7 @@ def test_probe_garbage_client(sample_document):
     client = ScriptedClient([BAD] * 30)
     with pytest.raises(InsufficientValidSamples):
         probe_rationales(client, sample_document, ProbeConfig(n_samples=2, max_retries=2))
-    assert client.calls == 2 * 3  # (1 + max_retries) per slot
+    assert client.calls == 3  # 1 + max_retries, then the document stops
 
 
 def test_probe_retry_then_success(sample_document):
@@ -299,6 +299,31 @@ def test_unparseable_cache_entry_is_refetched(tmp_path, sample_document):
     assert client.calls == 1
     # the bad entry was recorded and replaced by the fresh response
     assert discards[0].attempt == -1
+    assert cache.lookup(ScriptedClient.cache_namespace, prompt, 0) == GOOD
+
+
+def test_unparseable_cache_entry_uses_no_retry(tmp_path, sample_document):
+    cache = ResponseCache(tmp_path)
+    prompt = render_probe_prompt(sample_document)
+    cache.store(ScriptedClient.cache_namespace, prompt, 0, BAD)
+    client = ScriptedClient([GOOD])
+    cs = probe_rationales(
+        client, sample_document, ProbeConfig(n_samples=1, max_retries=0), cache=cache
+    )
+    assert len(cs.candidates) == 1
+    assert client.calls == 1
+
+
+def test_cached_and_fresh_discards_are_one_attempt_sequence(tmp_path, sample_document):
+    cache = ResponseCache(tmp_path)
+    prompt = render_probe_prompt(sample_document)
+    cache.store(ScriptedClient.cache_namespace, prompt, 0, BAD)
+    client = ScriptedClient([BAD, GOOD])
+    discards = []
+    cfg = ProbeConfig(n_samples=1, max_retries=1)
+    probe_rationales(client, sample_document, cfg, cache=cache, discards=discards)
+    assert [d.attempt for d in discards] == [-1, 0]
+    assert client.calls == 2
     assert cache.lookup(ScriptedClient.cache_namespace, prompt, 0) == GOOD
 
 

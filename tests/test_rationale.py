@@ -106,6 +106,15 @@ def test_probe_response_multiline_summary():
     assert summary == "first line\nsecond line"
 
 
+def test_probe_response_summary_follows_the_parsed_triples():
+    # An echoed format before the answer is a preamble, not the summary.
+    r, summary = parse_probe_response(
+        "Triples: junk\nSummary: early\nAspects: a\nTriples: [s | r | o]\nSummary: real"
+    )
+    assert [a.phrase for a in r.aspects] == ["a"]
+    assert summary == "real"
+
+
 def test_round_trip_small():
     r = Rationale(
         aspects=(Aspect("sea levels"), Aspect("ice melt")),
