@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
+from collections import deque
+from collections.abc import Iterator
+from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -21,14 +24,37 @@ if TYPE_CHECKING:
 DEFAULT_API_KEY_ENV = "ASPECTSUM_API_KEY"
 
 
-def map_ordered(fn, items, jobs: int):
-    """Apply fn to items on up to `jobs` threads (to overlap requests), keeping order."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+def batched(items, n: int) -> Iterator[list]:
+    """Lists of n items at a time, the last one shorter, taken from items as each is asked for."""
+    items = iter(items)
+    while batch := list(islice(items, n)):
+        yield batch
+
+
+def map_ordered(fn, items, jobs: int) -> Iterator:
+    """Yield fn(item) for each item, in order, from up to `jobs` threads (to overlap requests).
+
+    Lazy: an item is taken only when a call can start, and at most 2 x jobs
+    calls are in flight or done but not yet yielded, so neither the items
+    nor the results are held. A call's error is raised where its result
+    would be yielded; calls not yet started are then cancelled.
+    """
+    if jobs <= 1:
+        yield from map(fn, items)
+        return
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    pool = ThreadPoolExecutor(max_workers=jobs)
+    pending: deque = deque()
+    try:
+        for item in items:
+            if len(pending) == 2 * jobs:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 class LlmClient(ABC):

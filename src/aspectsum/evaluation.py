@@ -8,7 +8,9 @@ whose preprocessing differs.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import AspectsumError
@@ -78,9 +80,38 @@ class DocumentScores:
     rouge_l: RougeScore
 
 
+class _PackedScores(Sequence):
+    """DocumentScores kept as their nine float64 values: 72 bytes a document,
+    where the objects take about 500."""
+
+    def __init__(self, scores: Iterable[DocumentScores]):
+        self._values = array(
+            "d",
+            (
+                value
+                for d in scores
+                for s in (d.rouge1, d.rouge2, d.rouge_l)
+                for value in (s.precision, s.recall, s.f1)
+            ),
+        )
+
+    def __len__(self) -> int:
+        return len(self._values) // 9
+
+    def __getitem__(self, i: int) -> DocumentScores:
+        i = range(len(self))[i]  # IndexError past either end
+        v = self._values[9 * i : 9 * i + 9]
+        return DocumentScores(RougeScore(*v[:3]), RougeScore(*v[3:6]), RougeScore(*v[6:]))
+
+    def mean(self, offset: int) -> RougeScore:
+        """The arithmetic mean of the score at offset (0: ROUGE-1, 3: ROUGE-2, 6: ROUGE-L)."""
+        n = len(self)
+        return RougeScore(*(sum(self._values[offset + j :: 9]) / n for j in range(3)))
+
+
 @dataclass(frozen=True)
 class EvalReport:
-    scores: tuple[DocumentScores, ...]
+    scores: Sequence[DocumentScores]
     mean_rouge1: RougeScore
     mean_rouge2: RougeScore
     mean_rouge_l: RougeScore
@@ -89,10 +120,17 @@ class EvalReport:
     def count(self) -> int:
         return len(self.scores)
 
-    def to_json(self) -> dict:
+    def to_json(self, lazy: bool = False) -> dict:
+        """The report as JSON; lazy gives "documents" as an iterator, which
+        workspace.dump_json_pretty_chunks writes without building the list."""
+
         def score(s: RougeScore) -> dict:
             return {"precision": s.precision, "recall": s.recall, "f1": s.f1}
 
+        documents = (
+            {"rouge1": score(d.rouge1), "rouge2": score(d.rouge2), "rougeL": score(d.rouge_l)}
+            for d in self.scores
+        )
         return {
             "count": self.count,
             "mean": {
@@ -100,41 +138,33 @@ class EvalReport:
                 "rouge2": score(self.mean_rouge2),
                 "rougeL": score(self.mean_rouge_l),
             },
-            "documents": [
-                {
-                    "rouge1": score(d.rouge1),
-                    "rouge2": score(d.rouge2),
-                    "rougeL": score(d.rouge_l),
-                }
-                for d in self.scores
-            ],
+            "documents": documents if lazy else list(documents),
         }
 
-    def to_table(self) -> str:
-        """Aligned plain-text table of per-document and mean F1 values."""
-        lines = [f"{'doc':>6}  {'R-1':>8}  {'R-2':>8}  {'R-L':>8}"]
+    def table_lines(self) -> Iterator[str]:
+        """Aligned plain-text table of per-document and mean F1 values, a line at a time."""
+        yield f"{'doc':>6}  {'R-1':>8}  {'R-2':>8}  {'R-L':>8}\n"
         for i, d in enumerate(self.scores):
-            lines.append(
-                f"{i:>6}  {d.rouge1.f1:>8.4f}  {d.rouge2.f1:>8.4f}  {d.rouge_l.f1:>8.4f}"
-            )
-        lines.append(
+            yield f"{i:>6}  {d.rouge1.f1:>8.4f}  {d.rouge2.f1:>8.4f}  {d.rouge_l.f1:>8.4f}\n"
+        yield (
             f"{'mean':>6}  {self.mean_rouge1.f1:>8.4f}  "
-            f"{self.mean_rouge2.f1:>8.4f}  {self.mean_rouge_l.f1:>8.4f}"
+            f"{self.mean_rouge2.f1:>8.4f}  {self.mean_rouge_l.f1:>8.4f}\n"
         )
-        return "\n".join(lines) + "\n"
+
+    def to_table(self) -> str:
+        return "".join(self.table_lines())
+
+    @classmethod
+    def of(cls, scores: Iterable[DocumentScores]) -> "EvalReport":
+        """The report of per-document scores, kept packed; no scores raise EmptyInput."""
+        packed = _PackedScores(scores)
+        if not packed:
+            raise EmptyInput("no (candidate, reference) pairs to evaluate")
+        return cls(packed, packed.mean(0), packed.mean(3), packed.mean(6))
 
 
 class EmptyInput(AspectsumError):
     """evaluate_corpus received no pairs."""
-
-
-def _mean_score(scores: list[RougeScore]) -> RougeScore:
-    n = len(scores)
-    return RougeScore(
-        sum(s.precision for s in scores) / n,
-        sum(s.recall for s in scores) / n,
-        sum(s.f1 for s in scores) / n,
-    )
 
 
 def _score_pair(pair: tuple[str, str]) -> DocumentScores:
@@ -148,12 +178,4 @@ def _score_pair(pair: tuple[str, str]) -> DocumentScores:
 
 def evaluate_corpus(pairs: list[tuple[str, str]]) -> EvalReport:
     """Score (candidate, reference) pairs and aggregate arithmetic means."""
-    if not pairs:
-        raise EmptyInput("no (candidate, reference) pairs to evaluate")
-    per_doc = [_score_pair(pair) for pair in pairs]
-    return EvalReport(
-        scores=tuple(per_doc),
-        mean_rouge1=_mean_score([d.rouge1 for d in per_doc]),
-        mean_rouge2=_mean_score([d.rouge2 for d in per_doc]),
-        mean_rouge_l=_mean_score([d.rouge_l for d in per_doc]),
-    )
+    return EvalReport.of(map(_score_pair, pairs))

@@ -10,12 +10,15 @@ fail-fast semantics: the first failing stage raises and earlier artifacts stay i
 
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import asdict, replace
+from collections.abc import Iterator
+from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
-from .clients import LlmClient, map_ordered
+from .clients import LlmClient, batched, map_ordered
 from .config import PipelineConfig
 from .curriculum import (
     CANONICAL_STAGE_ORDER,
@@ -26,14 +29,25 @@ from .curriculum import (
     run_curriculum,
 )
 from .errors import DuplicateId, MissingPrerequisite, SchemaError
-from .evaluation import evaluate_corpus
+from .evaluation import EvalReport, evaluate_corpus
 from .mock import EchoTrainerAdapter
 from .probe import EmbeddingCache, ResponseCache, probe_rationales, render_probe_prompt
 from .rationale import Document, candidate_set_to_json, rationale_from_json
-from .selection import select_corpus, select_golden  # noqa: F401  (perfbench wraps select_golden)
+from .selection import select_each, select_golden  # noqa: F401  (perfbench wraps select_golden)
 from .textutil import stable_digest, token_count
 from .topics import LdaModel, train_lda
-from .workspace import Workspace, checked, dump_json_pretty, file_sha256, read_json_object
+from .workspace import (
+    Workspace,
+    checked,
+    dump_json_pretty,
+    dump_json_pretty_chunks,
+    file_sha256,
+    read_json_object,
+)
+
+
+# Pairs scored per evaluate_corpus call in eval.
+_EVAL_BATCH = 128
 
 
 class _Protocol(NamedTuple):
@@ -147,26 +161,28 @@ def _ingest(ws: Workspace, cfg: PipelineConfig, input_path: Path) -> dict:
             return doc_id, "summary_too_long"
         return doc_id, Document(doc_id, text, summary)
 
-    records = ws.read_jsonl(input_path, record)
-    if not records:
-        raise SchemaError(f"no records in {input_path}")
-    seen: set[str] = set()
-    documents: list[Document] = []
+    seen: set[str] = set()  # every id, for the duplicate check
     excluded_ids = {r: [] for r in ("empty", "doc_too_long", "summary_too_long", "reserved_token")}
-    for doc_id, kept in records:
-        if doc_id in seen:
-            raise DuplicateId(f"duplicate id {doc_id!r} in {input_path}")
-        seen.add(doc_id)
-        if isinstance(kept, Document):
-            documents.append(kept)
-        else:
-            excluded_ids[kept].append(doc_id)
 
-    ws.write_jsonl(ws.corpus_path, map(asdict, documents))
+    def documents():
+        for doc_id, kept in ws.read_jsonl(input_path, record):
+            if doc_id in seen:
+                raise DuplicateId(f"duplicate id {doc_id!r} in {input_path}")
+            seen.add(doc_id)
+            if isinstance(kept, Document):
+                yield asdict(kept)
+            else:
+                excluded_ids[kept].append(doc_id)
+        if not seen:
+            raise SchemaError(f"no records in {input_path}")
+
+    # Each line is written as it is read; a bad record leaves the old corpus.
+    ws.write_jsonl(ws.corpus_path, documents())
+    excluded = {reason: len(ids) for reason, ids in excluded_ids.items()}
     report = {
-        "total_records": len(records),
-        "ingested": len(documents),
-        "excluded": {reason: len(ids) for reason, ids in excluded_ids.items()},
+        "total_records": len(seen),
+        "ingested": len(seen) - sum(excluded.values()),
+        "excluded": excluded,
         "excluded_ids": excluded_ids,
         "limits": {
             "max_doc_tokens": cfg.max_doc_tokens,
@@ -183,35 +199,45 @@ def stage_probe(ws: Workspace, cfg: PipelineConfig, client: LlmClient) -> dict:
 
 
 def _probe(ws: Workspace, cfg: PipelineConfig, client: LlmClient) -> dict:
-    documents = ws.load_corpus()
     probe_cfg = cfg.probe_config()
     # Records that render one prompt share its cached responses. Each prompt
-    # is probed once, under its first id, and the others copy its candidates,
-    # so the bytes do not depend on which worker reaches the cache first.
-    prompts = [render_probe_prompt(doc) for doc in documents]
-    first: dict[str, Document] = {}
-    for prompt, doc in zip(prompts, documents):
-        first.setdefault(prompt, doc)
+    # is probed once, under its first id, so the bytes do not depend on
+    # which worker reaches the cache first; only its sha256 is kept.
+    seen: set[bytes] = set()
+
+    def first_seen(documents):
+        for doc in documents:
+            digest = hashlib.sha256(render_probe_prompt(doc).encode("utf-8")).digest()
+            first = digest not in seen
+            seen.add(digest)
+            yield doc, first
+
+    def work(item: tuple[Document, bool]):
+        doc, first = item
+        if not first:
+            return doc, None, []
+        discards = []
+        candidate_set = probe_rationales(client, doc, probe_cfg, cache=cache, discards=discards)
+        cache.commit()  # a killed run re-asks only for the documents in flight
+        return doc, candidate_set, discards
+
+    discards = []
+    counts = {"documents": 0, "candidates": 0}
+
+    def candidate_lines():
+        results = map_ordered(work, first_seen(ws.corpus()), cfg.jobs)
+        for doc, candidate_set, doc_discards in results:
+            if candidate_set is None:  # an earlier record's probe cached this prompt's responses
+                candidate_set = probe_rationales(client, doc, probe_cfg, cache=cache)
+            discards.extend(doc_discards)
+            counts["documents"] += 1
+            counts["candidates"] += len(candidate_set.candidates)
+            yield candidate_set_to_json(candidate_set)
 
     with ResponseCache(ws.cache_dir) as cache:
-
-        def work(doc: Document):
-            discards = []
-            candidate_set = probe_rationales(client, doc, probe_cfg, cache=cache, discards=discards)
-            cache.commit()  # a killed run re-asks only for the documents in flight
-            return candidate_set, discards
-
-        results = dict(zip(first, map_ordered(work, list(first.values()), cfg.jobs)))
-    sets = [replace(results[p][0], document_id=doc.id) for p, doc in zip(prompts, documents)]
-    discards = [record for _, recs in results.values() for record in recs]
-
-    ws.write_jsonl(ws.candidates_path, map(candidate_set_to_json, sets))
+        ws.write_jsonl(ws.candidates_path, candidate_lines())
     ws.write_jsonl(ws.discards_path, map(asdict, discards))
-    return {
-        "documents": len(documents),
-        "candidates": sum(len(cs.candidates) for cs in sets),
-        "discarded": len(discards),
-    }
+    return dict(counts, discarded=len(discards))
 
 
 def stage_select(ws: Workspace, cfg: PipelineConfig, provider: LlmClient) -> dict:
@@ -220,16 +246,10 @@ def stage_select(ws: Workspace, cfg: PipelineConfig, provider: LlmClient) -> dic
 
 
 def _select(ws: Workspace, cfg: PipelineConfig, provider: LlmClient) -> dict:
-    documents = ws.load_corpus()
-    by_id = {d.id: d for d in documents}
-    candidate_sets = ws.load_candidate_sets()
-    for cs in candidate_sets:
-        if cs.document_id not in by_id:
-            raise MissingPrerequisite(f"corpus document {cs.document_id}")
-
     def train(_) -> dict:
         settings = dict(k=cfg.lda_k, alpha=cfg.lda_alpha, beta=cfg.lda_beta, seed=cfg.lda_seed)
         vocab = cfg.vocab_config()
+        documents = ws.load_corpus()  # the one time a stage holds the whole corpus
         model = train_lda(documents, iterations=cfg.lda_iterations, vocab_config=vocab, **settings)
         ws.lda_model_path.parent.mkdir(parents=True, exist_ok=True)
         model.save(ws.lda_model_path)
@@ -244,23 +264,46 @@ def _select(ws: Workspace, cfg: PipelineConfig, provider: LlmClient) -> dict:
             f"damaged LDA model {ws.lda_model_path} ({reason}); delete it to retrain the model"
         ) from None
     selection_cfg = cfg.selection_config()
-    pairs = [(cs, by_id[cs.document_id]) for cs in candidate_sets]
+    pairs = _with_documents(ws, ws.candidate_sets(), lambda cs: cs.document_id)
+    documents = 0
+
+    def selection_lines():
+        nonlocal documents
+        for result in select_each(pairs, model, provider, selection_cfg, cache, cfg.jobs):
+            documents += 1
+            yield result.to_json(selection_cfg)
+
     with EmbeddingCache(ws.cache_dir) as cache:
-        results = select_corpus(pairs, model, provider, selection_cfg, cache, cfg.jobs)
-    ws.write_jsonl(ws.selections_path, (result.to_json(selection_cfg) for result in results))
-    return {"documents": len(results)}
+        ws.write_jsonl(ws.selections_path, selection_lines())
+    return {"documents": documents}
 
 
-def _selected(ws: Workspace) -> list[tuple[dict, Document]]:
+def _next_with_id(items: Iterator, wanted: str, item_id, missing: str):
+    """The next of items whose item_id is wanted, skipping the ones before it.
+
+    Artifacts follow corpus order (probe writes candidate sets in it, and
+    select keeps it), so one pass over each file pairs them. An item not
+    found further on, such as one a hand edit moved, raises
+    MissingPrerequisite(missing).
+    """
+    for item in items:
+        if item_id(item) == wanted:
+            return item
+    raise MissingPrerequisite(missing)
+
+
+def _with_documents(ws: Workspace, records, document_id) -> Iterator[tuple]:
+    """(record, its corpus Document) for each record, in one pass over the corpus."""
+    documents = ws.corpus()
+    for record in records:
+        wanted = document_id(record)
+        missing = f"corpus document {wanted}, in corpus order"
+        yield record, _next_with_id(documents, wanted, lambda doc: doc.id, missing)
+
+
+def _selected(ws: Workspace) -> Iterator[tuple[dict, Document]]:
     """Each selection record with its corpus document, in selection order."""
-    documents = {d.id: d for d in ws.load_corpus()}
-    pairs = []
-    for record in ws.load_selections():
-        doc = documents.get(record["document_id"])
-        if doc is None:  # guards against a hand-edited selections file
-            raise MissingPrerequisite(f"corpus document {record['document_id']}")
-        pairs.append((record, doc))
-    return pairs
+    return _with_documents(ws, ws.selections(), lambda record: record["document_id"])
 
 
 def _recorded_stages(ws: Workspace, key: str) -> list[dict]:
@@ -322,34 +365,32 @@ def stage_eval(
 
 
 def _eval(ws: Workspace, external: dict | None) -> dict:
-    selected = _selected(ws)
-    # select parsed these same bytes and is current, so the summaries suffice.
-    summaries = dict(
-        ws.read_jsonl(
+    def pairs():
+        # select parsed these same bytes and is current, so the summaries suffice.
+        candidate_sets = ws.read_jsonl(
             ws.candidates_path,
             lambda o: (o["document_id"], [c["summary"] for c in o["candidates"]]),
         )
-    )
-    ids = []
-    pairs = []
-    for record, doc in selected:
-        doc_id, golden_index = doc.id, record["golden_index"]
-        if doc_id not in summaries:
-            raise MissingPrerequisite(f"candidate set of document {doc_id}")
-        candidates = summaries[doc_id]
-        if not 0 <= golden_index < len(candidates):
-            raise MissingPrerequisite(f"candidate {golden_index} of document {doc_id}")
-        ids.append(doc_id)
-        pairs.append((candidates[golden_index], doc.ground_truth_summary))
+        for record, doc in _selected(ws):
+            doc_id, golden_index = doc.id, record["golden_index"]
+            missing = f"candidate set of document {doc_id}"
+            _, candidates = _next_with_id(candidate_sets, doc_id, lambda cs: cs[0], missing)
+            if not 0 <= golden_index < len(candidates):
+                raise MissingPrerequisite(f"candidate {golden_index} of document {doc_id}")
+            yield candidates[golden_index], doc.ground_truth_summary
 
-    report = evaluate_corpus(pairs)
-    obj = report.to_json()
-    obj["document_ids"] = ids
+    # Scored a batch at a time, so one batch of summaries is held; the report
+    # keeps each document's nine scores.
+    batches = (evaluate_corpus(batch).scores for batch in batched(pairs(), _EVAL_BATCH))
+    report = EvalReport.of(chain.from_iterable(batches))
+    obj = report.to_json(lazy=True)
+    # The ids are read again, after the count that the report lists first.
+    obj["document_ids"] = ws.read_jsonl(ws.selections_path, lambda o: o["document_id"])
     if external is not None:
         obj["external"] = external
 
-    ws.write_text(ws.eval_json_path, dump_json_pretty(obj))
-    ws.write_text(ws.eval_table_path, report.to_table())
+    ws.write_text(ws.eval_json_path, dump_json_pretty_chunks(obj))
+    ws.write_text(ws.eval_table_path, report.table_lines())
     return {
         "documents": report.count,
         "mean_rouge1_f1": report.mean_rouge1.f1,

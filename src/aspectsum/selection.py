@@ -17,11 +17,12 @@ with ties broken toward the lowest index.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clients import LlmClient, map_ordered
+from .clients import LlmClient, batched, map_ordered
 from .errors import AllCandidatesFailed, DimensionMismatch, EmptyText, ZeroVector
 from .probe import EmbeddingCache
 from .rationale import (
@@ -158,10 +159,14 @@ def argmax_combined(table) -> int:
     return best.index
 
 
-# Documents scored per pass of select_corpus. A cnndm document (15 samples)
+# Documents scored per pass of select_each. A cnndm document (15 samples)
 # embeds 31 texts, each about 12 KB as 1,536 float64 values, so a pass holds
-# about 128 x 31 x 12 KB = 48 MB of vectors, whatever the corpus size.
-_CHUNK_DOCUMENTS = 128
+# about 32 x 31 x 12 KB = 12 MB of vectors, whatever the corpus size. Peak
+# RSS of the fanout-cold benchmark by pass size, one run each on a 2-vCPU VM:
+# 128: 43.4 MiB, 64: 41.4, 32: 40.9, 16: 40.8, 8: 40.5. Below 32 the saving
+# is under 0.5 MiB, while every pass ends with its embedding threads idle
+# until the slowest finishes (under --jobs > 1) and with a cache commit.
+_CHUNK_DOCUMENTS = 32
 
 
 def select_corpus(
@@ -172,26 +177,37 @@ def select_corpus(
     cache: EmbeddingCache | None = None,
     jobs: int = 1,
 ) -> list[SelectionResult]:
-    """Select each document's golden candidate in passes of _CHUNK_DOCUMENTS documents.
+    """Every document's selection, from select_each."""
+    return list(select_each(pairs, model, provider, config, cache, jobs))
 
-    A pass folds in each of its distinct texts once, in one batched call,
-    and embeds each once, on up to `jobs` threads; then it scores its
-    documents and commits the cache. Every row is computed on its own, so
-    the results do not depend on the chunking. A provider error (such as
-    TransportError) stops the stage, as it stops probe; the vectors fetched
-    so far stay in the cache, so the next run asks only for the rest. A
-    candidate whose vectors are degenerate (all-zero, or of another
-    dimension) is excluded with a recorded reason, the same on every run; a
-    document with none left raises AllCandidatesFailed.
+
+def select_each(
+    pairs: Iterable[tuple[CandidateSet, Document]],
+    model: LdaModel,
+    provider: LlmClient,
+    config: SelectionConfig,
+    cache: EmbeddingCache | None = None,
+    jobs: int = 1,
+) -> Iterator[SelectionResult]:
+    """Yield each document's golden candidate, in passes of _CHUNK_DOCUMENTS documents.
+
+    A pass takes its pairs from `pairs` only once the previous pass's
+    results have been taken. It folds in each of its distinct texts once,
+    in one batched call, and embeds each once, on up to `jobs` threads;
+    then it scores its documents and commits the cache. Every row is
+    computed on its own, so the results do not depend on the chunking. A
+    provider error (such as TransportError) stops the stage, as it stops
+    probe; the vectors fetched so far stay in the cache, so the next run
+    asks only for the rest. A candidate whose vectors are degenerate
+    (all-zero, or of another dimension) is excluded with a recorded reason,
+    the same on every run; a document with none left raises
+    AllCandidatesFailed.
     """
-    results = []
-    for start in range(0, len(pairs), _CHUNK_DOCUMENTS):
-        results += _select_chunk(
-            pairs[start : start + _CHUNK_DOCUMENTS], model, provider, config, cache, jobs
-        )
+    for chunk in batched(pairs, _CHUNK_DOCUMENTS):
+        results = _select_chunk(chunk, model, provider, config, cache, jobs)
         if cache is not None:
             cache.commit()
-    return results
+        yield from results
 
 
 def _select_chunk(

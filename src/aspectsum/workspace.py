@@ -12,6 +12,8 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import os
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .errors import AspectsumError, SchemaError, WorkspaceLocked
@@ -26,9 +28,34 @@ def dump_json_pretty(obj) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
 
 
-def jsonl_text(records) -> str:
+def jsonl_lines(records) -> Iterator[str]:
     """JSON Lines, the form of every artifact: one compact object per line, ending at \\n."""
-    return "".join(dump_json(record) + "\n" for record in records)
+    return (dump_json(record) + "\n" for record in records)
+
+
+def jsonl_text(records) -> str:
+    return "".join(jsonl_lines(records))
+
+
+def dump_json_pretty_chunks(obj: dict) -> Iterator[str]:
+    """dump_json_pretty(obj) in pieces; a value that is an iterator is written
+    as a JSON list, one element at a time, so the list is never held."""
+
+    def nested(value, level: int) -> str:  # the text of value where it sits, level deep
+        return dump_json_pretty(value)[:-1].replace("\n", "\n" + "  " * level)
+
+    yield "{"
+    for i, (key, value) in enumerate(sorted(obj.items())):
+        yield f'{"," if i else ""}\n  {dump_json(key)}: '
+        if not isinstance(value, Iterator):
+            yield nested(value, 1)
+            continue
+        opening = "["
+        for element in value:
+            yield f"{opening}\n    {nested(element, 2)}"
+            opening = ","
+        yield "[]" if opening == "[" else "\n  ]"
+    yield "\n}\n"
 
 
 def checked(obj: dict, **kinds: type) -> dict:
@@ -131,21 +158,43 @@ class Workspace:
 
     # -- plumbing ------------------------------------------------------------
 
-    def write_text(self, path: Path, text: str) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+    def write_text(self, path: Path, text: str | Iterable[str]) -> None:
+        """Write text, a str or str pieces, to `<name>.part`, then rename it over path.
+
+        path changes only once every piece is written. If a piece cannot be
+        made or written, the part file goes, and so does path's directory
+        if this write made it: a failed write leaves the workspace as it was.
+        """
+        pieces = iter([text] if isinstance(text, str) else text)
+        part = path.with_name(path.name + ".part")
+        made_dir = not path.parent.exists()
+        try:
+            first = next(pieces, "")  # no directory or file until a piece is made
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(part, "w", encoding="utf-8") as fh:
+                fh.write(first)
+                fh.writelines(pieces)
+            os.replace(part, path)
+        except BaseException:
+            part.unlink(missing_ok=True)
+            if made_dir:
+                with contextlib.suppress(OSError):  # not empty: an earlier write made it too
+                    path.parent.rmdir()
+            raise
 
     def write_jsonl(self, path: Path, records) -> None:
-        self.write_text(path, jsonl_text(records))
+        self.write_text(path, jsonl_lines(records))
 
-    def read_jsonl(self, path: Path, record=lambda obj: obj) -> list:
-        """record(obj) for each object line of the file; a bad line raises SchemaError.
+    def read_jsonl(self, path: Path, record=lambda obj: obj) -> Iterator:
+        """Yield record(obj) for each object line of the file; a bad line raises SchemaError.
 
-        The open file is read a line at a time, so only the records are held.
-        Lines end at \\n (as \\r\\n and \\r read), never at U+2028, U+2029 or
-        U+0085 as str.splitlines() does: dump_json leaves those raw in strings.
+        The file is opened at the first record asked for and read a line at
+        a time, so a caller holds only the records it keeps. It is closed
+        once the last record is read, on an error, or when the caller drops
+        the reader before its end. Lines end at \\n (as \\r\\n and \\r read),
+        never at U+2028, U+2029 or U+0085 as str.splitlines() does: dump_json
+        leaves those raw in strings.
         """
-        records = []
         try:
             with open(path, encoding="utf-8") as fh:
                 for line_no, line in enumerate(fh, start=1):
@@ -156,16 +205,16 @@ class Workspace:
                         obj = json.loads(line)
                         if not isinstance(obj, dict):
                             raise SchemaError("record is not a JSON object")
-                        records.append(record(obj))
+                        value = record(obj)
                     except json.JSONDecodeError as exc:
                         raise SchemaError(f"{where}: invalid JSON: {exc.msg}") from None
                     except KeyError as exc:
                         raise SchemaError(f"{where}: missing field {exc}") from None
                     except (TypeError, ValueError, AspectsumError) as exc:
                         raise SchemaError(f"{where}: {exc}") from None
+                    yield value
         except UnicodeDecodeError as exc:  # raised by read-ahead, so no line is named
             raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        return records
 
     @contextlib.contextmanager
     def exclusive_lock(self):
@@ -209,19 +258,28 @@ class Workspace:
         with self.ledger_path.open("ab") as fh:
             fh.write(head + (dump_json(entry) + "\n").encode("utf-8"))
 
-    # -- typed stores: the loaders the benchmark's tracer wraps ----------------
+    # -- typed stores: lazy readers, and the loaders the benchmark's tracer wraps
 
-    def load_corpus(self) -> list[Document]:
+    def corpus(self) -> Iterator[Document]:
         return self.read_jsonl(
             self.corpus_path, lambda o: Document(o["id"], o["text"], o["ground_truth_summary"])
         )
 
-    def load_candidate_sets(self) -> list[CandidateSet]:
+    def candidate_sets(self) -> Iterator[CandidateSet]:
         return self.read_jsonl(self.candidates_path, candidate_set_from_json)
 
-    def load_selections(self) -> list[dict]:
+    def selections(self) -> Iterator[dict]:
         def selection(obj: dict) -> dict:
             rationale_from_json(checked(obj, document_id=str, golden_index=int)["golden_rationale"])
             return obj
 
         return self.read_jsonl(self.selections_path, selection)
+
+    def load_corpus(self) -> list[Document]:
+        return list(self.corpus())
+
+    def load_candidate_sets(self) -> list[CandidateSet]:
+        return list(self.candidate_sets())
+
+    def load_selections(self) -> list[dict]:
+        return list(self.selections())

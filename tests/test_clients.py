@@ -133,3 +133,43 @@ def test_transport_exception_wrapped(monkeypatch):
     client = OpenAiCompatClient("https://down.test", "m", "e", session=RaisingSession())
     with pytest.raises(TransportError, match="failed"):
         client.complete("x")
+
+
+def test_map_ordered_keeps_order_with_a_bounded_window():
+    from aspectsum.clients import map_ordered
+
+    taken = []
+
+    def items():
+        for i in range(40):
+            taken.append(i)
+            yield i
+
+    for jobs in (1, 3):
+        taken.clear()
+        for i, result in enumerate(map_ordered(lambda x: x * x, items(), jobs)):
+            assert result == i * i
+            # Items are taken only as calls can start: at most 2 x jobs ahead.
+            assert len(taken) <= i + 1 + 2 * jobs
+
+
+def test_map_ordered_raises_in_order_and_starts_no_more_calls():
+    import threading
+
+    from aspectsum.clients import map_ordered
+
+    started = []
+    lock = threading.Lock()
+
+    def call(x):
+        with lock:
+            started.append(x)
+        if x == 5:
+            raise TransportError("provider down")
+        return x
+
+    results = map_ordered(call, range(1000), 2)
+    assert [next(results) for _ in range(5)] == [0, 1, 2, 3, 4]
+    with pytest.raises(TransportError):
+        next(results)
+    assert len(started) <= 5 + 1 + 2 * 2

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -271,6 +273,22 @@ def test_eval_rejects_hand_edited_golden_index(tmp_path, corpus_file):
     ws.selections_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     with pytest.raises(MissingPrerequisite, match=f"candidate {cfg.n_samples} of document"):
         stage_eval(ws, cfg)
+
+
+def test_eval_names_a_selection_out_of_corpus_order(tmp_path, corpus_file):
+    ws = Workspace(tmp_path / "ws")
+    cfg = small_config()
+    client = MockLlmClient(seed=cfg.seed)
+    stage_ingest(ws, cfg, corpus_file)
+    stage_probe(ws, cfg, client)
+    stage_select(ws, cfg, client)
+
+    lines = ws.selections_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    ws.selections_path.write_text("".join(lines[1:] + lines[:1]), encoding="utf-8")
+    # eval reads the files side by side: doc-000, now last, is behind it.
+    with pytest.raises(MissingPrerequisite, match="corpus document doc-000, in corpus order"):
+        stage_eval(ws, cfg)
+    assert not ws.eval_json_path.parent.exists()
 
 
 def test_joint_manifest_uses_configured_loss_weights(tmp_path, corpus_file):
@@ -896,8 +914,9 @@ def test_read_jsonl_holds_one_line_at_a_time(tmp_path):
     path = tmp_path / "big.jsonl"
     path.write_text(jsonl_text({"n": i, "text": "x" * 1000} for i in range(8500)), "utf-8")
     assert path.stat().st_size > 8 * 2**20
-    records, peak = traced_peak(lambda: Workspace(tmp_path / "ws").read_jsonl(path, lambda o: None))
-    assert len(records) == 8500
+    reader = Workspace(tmp_path / "ws").read_jsonl(path, lambda o: None)
+    count, peak = traced_peak(lambda: sum(1 for _ in reader))
+    assert count == 8500
     assert peak < 4 * 2**20
 
 
@@ -911,6 +930,135 @@ def test_ingest_keeps_no_text_of_an_excluded_record(tmp_path):
     report, peak = traced_peak(lambda: stage_ingest(Workspace(tmp_path / "ws"), cfg, path))
     assert report["excluded"]["doc_too_long"] == 2000
     assert peak < 4 * 2**20
+
+
+# The stage memory tests: select scores passes of this many documents.
+_TEST_CHUNK = 8
+
+
+def _long_word_records(n: int) -> list[dict]:
+    """Records of about 25 KB in 400 tokens, so that 48 of them fill file_sha256's
+    1 MiB block: each stage then peaks at the same hashing cost at n and 4n."""
+    records = synthetic_records(n, doc_words=400)
+    for r in records:
+        r["document"] = " ".join(word + "x" * 56 for word in r["document"].split())
+    return records
+
+
+@pytest.fixture(scope="module")
+def stage_peaks(tmp_path_factory) -> dict:
+    """{n: {stage: traced Python peak}} for n = 48 and 4 x 48 documents, and
+    "record" -> the mean bytes of an input line. select is measured when it
+    runs again with its LDA model current, since training holds the corpus."""
+    from aspectsum import selection
+
+    peaks = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(selection, "_CHUNK_DOCUMENTS", _TEST_CHUNK)
+        for n in (48, 4 * 48):
+            root = tmp_path_factory.mktemp(f"peaks{n}")
+            corpus = write_jsonl(root / "corpus.jsonl", _long_word_records(n))
+            assert corpus.stat().st_size > 2**20
+            peaks["record"] = corpus.stat().st_size / n
+            ws = Workspace(root / "ws")
+            cfg = small_config(lda_iterations=2, fold_in_iterations=2)
+            client = MockLlmClient(seed=cfg.seed)
+            peaks[n] = {
+                "ingest": traced_peak(lambda: stage_ingest(ws, cfg, corpus))[1],
+                "probe": traced_peak(lambda: stage_probe(ws, cfg, client))[1],
+            }
+            stage_select(ws, cfg, client)
+            ws.selections_path.unlink()
+            peaks[n]["select"] = traced_peak(lambda: stage_select(ws, cfg, client))[1]
+            peaks[n]["eval"] = traced_peak(lambda: stage_eval(ws, cfg))[1]
+    return peaks
+
+
+@pytest.mark.parametrize(
+    "stage,window",
+    # The records a stage holds at once: ingest and eval one, probe 2 x jobs
+    # (jobs is 1), select one pass.
+    [("ingest", 1), ("probe", 2), ("select", _TEST_CHUNK), ("eval", 1)],
+)
+def test_stage_memory_is_bounded_by_its_window(stage_peaks, stage, window):
+    small, large = stage_peaks[48][stage], stage_peaks[4 * 48][stage]
+    # Holding the corpus would add 144 records, about 3.6 MB of text.
+    assert large - small < window * stage_peaks["record"]
+
+
+def test_select_error_past_its_first_pass_keeps_the_old_selections(tmp_path, monkeypatch):
+    from aspectsum import selection
+
+    ws = Workspace(tmp_path / "ws")
+    cfg = small_config()
+    client = MockLlmClient(seed=cfg.seed)
+    stage_ingest(ws, cfg, write_jsonl(tmp_path / "corpus.jsonl", synthetic_records(9)))
+    stage_probe(ws, cfg, client)
+    stage_select(ws, cfg, client)
+    before = ws.selections_path.read_bytes()
+
+    monkeypatch.setattr(selection, "_CHUNK_DOCUMENTS", 2)
+    lines = ws.candidates_path.read_text(encoding="utf-8").split("\n")
+    lines[6] = lines[6][:40]  # in the fourth pass; the first three are written
+    ws.candidates_path.write_text("\n".join(lines), encoding="utf-8")
+    written = []
+    write_text = Workspace.write_text
+
+    def recording_write_text(self, path, text):
+        if path == ws.selections_path:
+            text = (written.append(line) or line for line in text)
+        write_text(self, path, text)
+
+    monkeypatch.setattr(Workspace, "write_text", recording_write_text)
+    with pytest.raises(SchemaError) as err:
+        stage_select(ws, cfg, client)
+    assert str(err.value).startswith(f"{ws.candidates_path}, line 7: invalid JSON")
+    assert len(written) == 6
+    assert ws.selections_path.read_bytes() == before
+    assert not list(ws.root.rglob("*.part"))
+
+
+def test_dropped_reader_closes_its_file(tmp_path):
+    path = write_jsonl(tmp_path / "records.jsonl", synthetic_records(3))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        reader = Workspace(tmp_path / "ws").read_jsonl(path)
+        assert next(reader)["id"] == "doc-000"
+        del reader
+        gc.collect()
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_failed_write_leaves_no_part_file_and_no_new_directory(tmp_path):
+    ws = Workspace(tmp_path / "ws")
+    path = ws.root / "new" / "out.jsonl"
+
+    def lines():
+        yield "one\n"
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        ws.write_text(path, lines())
+    assert list(ws.root.iterdir()) == []
+    ws.write_text(path, "kept\n")
+    with pytest.raises(OSError, match="disk full"):
+        ws.write_text(path, lines())
+    assert [p.name for p in path.parent.iterdir()] == ["out.jsonl"]
+    assert path.read_text(encoding="utf-8") == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"count": 2, "ids": ["a", "b\u2028"], "mean": {"f1": 0.5, "r": [1, {"x": None}]}},
+        {"empty": [], "nested": {}, "z\u00e9": [[], {"k": "v"}], "n": 1.0e-300},
+    ],
+)
+def test_pretty_json_chunks_equal_pretty_json(obj):
+    from aspectsum.workspace import dump_json_pretty, dump_json_pretty_chunks
+
+    lazy = {k: iter(v) if isinstance(v, list) else v for k, v in obj.items()}
+    assert "".join(dump_json_pretty_chunks(lazy)) == dump_json_pretty(obj)
 
 
 def test_run_all_fail_fast_keeps_earlier_artifacts(tmp_path, corpus_file):
@@ -1036,6 +1184,8 @@ def test_run_killed_at_any_artifact_write_leaves_no_stage_current(tmp_path, monk
 
         def killing_write_text(self, path, text):
             calls.append(path)
+            if not isinstance(text, str):  # a streamed write
+                text = "".join(text)
             if len(calls) == k:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 write_half_then_kill(path, text.encode("utf-8"))

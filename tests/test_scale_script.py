@@ -1,0 +1,33 @@
+"""scripts/scale.py runs every stage in its own process and records each one."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "scale.py"
+
+
+def test_scale_script_records_every_stage(tmp_path):
+    out = tmp_path / "scale.json"
+    subprocess.run(
+        [
+            sys.executable, str(SCRIPT), "--docs", "50", "--out", str(out),
+            "--vocabulary", "500", "--doc-words", "60", "--summary-words", "10",
+        ],
+        check=True,
+        capture_output=True,
+    )
+    result = json.loads(out.read_text(encoding="utf-8"))
+    (run,) = result["runs"]
+    assert (run["src"], run["docs"]) == ("checkout", 50)
+    assert list(run["stages"]) == ["ingest", "probe", "select", "curriculum", "eval"]
+    for stage in run["stages"].values():
+        assert stage["wall_s"] > 0 and stage["cpu_s"] > 0
+        assert 10 < stage["max_rss_mib"] < 1024
+    assert run["stages"]["ingest"]["report"]["ingested"] == 50
+    assert run["stages"]["probe"]["report"]["candidates"] == 50 * 15  # the cnndm profile
+    assert run["stages"]["eval"]["report"]["documents"] == 50
+    assert run["workspace_bytes"]["selection"] > 0
