@@ -13,8 +13,9 @@ Documents draw ``--doc-words`` words from ``--vocabulary`` word types with
 Zipf (1/rank) weights; a summary draws ``--summary-words`` words from its
 document. ``--src NAME=PATH`` (repeatable) runs the package found under PATH,
 so two checkouts can be measured on the same corpus; by default it runs this
-checkout's ``src``. select trains with ``--lda-iterations 2`` and folds in
-with ``--fold-in-iterations 5`` by default, which keeps LDA from dominating.
+checkout's ``src``. Every stage runs with the seed and jobs below, and select
+trains with ``--lda-iterations 2`` and folds in with ``--fold-in-iterations 5``,
+which keeps LDA from dominating.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 STAGES = ("ingest", "probe", "select", "curriculum", "eval")
+SEED = 11  # of the corpus and of the pipeline
+JOBS = 1
+LDA_ITERATIONS = 2
+FOLD_IN_ITERATIONS = 5
 
 
 def word_types(n: int) -> list[str]:
@@ -96,10 +101,6 @@ def main(argv=None) -> int:
     parser.add_argument("--vocabulary", type=int, default=20_000, help="word types")
     parser.add_argument("--doc-words", type=int, default=400)
     parser.add_argument("--summary-words", type=int, default=30)
-    parser.add_argument("--seed", type=int, default=11, help="corpus and pipeline seed")
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--lda-iterations", type=int, default=2)
-    parser.add_argument("--fold-in-iterations", type=int, default=5)
     parser.add_argument("--src", action="append", metavar="NAME=PATH",
                         help="a package source directory to run (default: this checkout's)")
     args = parser.parse_args(argv)
@@ -109,21 +110,24 @@ def main(argv=None) -> int:
         sources[name] = Path(path).resolve()
 
     settings = {key: value for key, value in vars(args).items() if key not in ("out", "src")}
-    settings.update(profile="cnndm", python=sys.version.split()[0], cpus=os.cpu_count())
+    settings.update(
+        seed=SEED, jobs=JOBS, lda_iterations=LDA_ITERATIONS,
+        fold_in_iterations=FOLD_IN_ITERATIONS, profile="cnndm",
+        python=sys.version.split()[0], cpus=os.cpu_count(),
+    )
     runs = []
     with tempfile.TemporaryDirectory(prefix="aspectsum-scale-") as tmp:
         tmp = Path(tmp)
         for docs in args.docs:
             corpus = tmp / f"corpus-{docs}.jsonl"
-            write_corpus(corpus, docs, args.vocabulary, args.doc_words, args.summary_words,
-                         args.seed)
+            write_corpus(corpus, docs, args.vocabulary, args.doc_words, args.summary_words, SEED)
             for name, src in sources.items():
                 ws = tmp / f"ws-{name}-{docs}"
                 flags = [
                     "--workspace", str(ws), "--mock-llm", "--profile", "cnndm",
-                    "--seed", str(args.seed), "--jobs", str(args.jobs),
-                    "--lda-iterations", str(args.lda_iterations),
-                    "--fold-in-iterations", str(args.fold_in_iterations),
+                    "--seed", str(SEED), "--jobs", str(JOBS),
+                    "--lda-iterations", str(LDA_ITERATIONS),
+                    "--fold-in-iterations", str(FOLD_IN_ITERATIONS),
                 ]
                 stages = {}
                 for stage in STAGES:

@@ -82,7 +82,8 @@ class DocumentScores:
 
 class _PackedScores(Sequence):
     """DocumentScores kept as their nine float64 values: 72 bytes a document,
-    where the objects take about 500."""
+    where the objects take about 500. It indexes, slices, compares and
+    hashes as the tuple of its DocumentScores does."""
 
     def __init__(self, scores: Iterable[DocumentScores]):
         self._values = array(
@@ -98,10 +99,18 @@ class _PackedScores(Sequence):
     def __len__(self) -> int:
         return len(self._values) // 9
 
-    def __getitem__(self, i: int) -> DocumentScores:
+    def __getitem__(self, i: int | slice):
         i = range(len(self))[i]  # IndexError past either end
+        if isinstance(i, range):  # a slice
+            return tuple(map(self.__getitem__, i))
         v = self._values[9 * i : 9 * i + 9]
         return DocumentScores(RougeScore(*v[:3]), RougeScore(*v[3:6]), RougeScore(*v[6:]))
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == (tuple(other) if isinstance(other, _PackedScores) else other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
     def mean(self, offset: int) -> RougeScore:
         """The arithmetic mean of the score at offset (0: ROUGE-1, 3: ROUGE-2, 6: ROUGE-L)."""

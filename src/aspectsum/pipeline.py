@@ -10,8 +10,10 @@ fail-fast semantics: the first failing stage raises and earlier artifacts stay i
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import tempfile
 from collections.abc import Iterator
 from dataclasses import asdict
 from itertools import chain
@@ -42,6 +44,7 @@ from .workspace import (
     dump_json_pretty,
     dump_json_pretty_chunks,
     file_sha256,
+    jsonl_lines,
     read_json_object,
 )
 
@@ -221,23 +224,30 @@ def _probe(ws: Workspace, cfg: PipelineConfig, client: LlmClient) -> dict:
         cache.commit()  # a killed run re-asks only for the documents in flight
         return doc, candidate_set, discards
 
-    discards = []
-    counts = {"documents": 0, "candidates": 0}
+    counts = {"documents": 0, "candidates": 0, "discarded": 0}
 
-    def candidate_lines():
-        results = map_ordered(work, first_seen(ws.corpus()), cfg.jobs)
-        for doc, candidate_set, doc_discards in results:
+    def candidate_lines(results, spool):
+        for doc, candidate_set, discards in results:
             if candidate_set is None:  # an earlier record's probe cached this prompt's responses
                 candidate_set = probe_rationales(client, doc, probe_cfg, cache=cache)
-            discards.extend(doc_discards)
+            spool.writelines(jsonl_lines(map(asdict, discards)))
             counts["documents"] += 1
             counts["candidates"] += len(candidate_set.candidates)
+            counts["discarded"] += len(discards)
             yield candidate_set_to_json(candidate_set)
 
-    with ResponseCache(ws.cache_dir) as cache:
-        ws.write_jsonl(ws.candidates_path, candidate_lines())
-    ws.write_jsonl(ws.discards_path, map(asdict, discards))
-    return dict(counts, discarded=len(discards))
+    # The discards, each with its whole response, wait in an unnamed
+    # temporary file until candidates.jsonl is complete. The workers stop
+    # before the cache closes, also when that write fails part way.
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as spool:
+        with (
+            ResponseCache(ws.cache_dir) as cache,
+            contextlib.closing(map_ordered(work, first_seen(ws.corpus()), cfg.jobs)) as results,
+        ):
+            ws.write_jsonl(ws.candidates_path, candidate_lines(results, spool))
+        spool.seek(0)
+        ws.write_text(ws.discards_path, spool)
+    return counts
 
 
 def stage_select(ws: Workspace, cfg: PipelineConfig, provider: LlmClient) -> dict:

@@ -108,6 +108,19 @@ def test_corpus_two_pair_hand_mean():
     assert report.mean_rouge_l.f1 == pytest.approx((2 / 3 + 1.0) / 2, abs=1e-12)
 
 
+def test_corpus_report_scores_act_as_a_tuple():
+    pairs = [("a b", "a c"), ("x", "x"), ("q r s", "q")]
+    report = evaluate_corpus(pairs)
+    scores = tuple(report.scores)
+    assert report.scores[1:] == scores[1:] and report.scores[::-2] == scores[::-2]
+    assert report.scores[-1] == scores[-1]
+    with pytest.raises(IndexError):
+        report.scores[3]
+    assert report.scores == scores and hash(report.scores) == hash(scores)
+    assert report == evaluate_corpus(pairs) and hash(report) == hash(evaluate_corpus(pairs))
+    assert report != evaluate_corpus(pairs[:2])
+
+
 def test_corpus_report_shapes():
     pairs = [("a b", "a c"), ("x", "x"), ("q r s", "q")]
     report = evaluate_corpus(pairs)

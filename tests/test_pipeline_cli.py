@@ -1018,6 +1018,92 @@ def test_select_error_past_its_first_pass_keeps_the_old_selections(tmp_path, mon
     assert not list(ws.root.rglob("*.part"))
 
 
+def test_probe_write_error_stops_its_workers_before_the_cache_closes(tmp_path, monkeypatch):
+    import threading
+    import time
+
+    from aspectsum import pipeline
+
+    in_flight, failed = threading.Semaphore(0), threading.Event()
+    started, late = [], []  # documents whose probe began before and after the write failed
+
+    class Recording(MockLlmClient):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.lock = threading.Lock()
+            self.prompts = []  # in the order of their first call
+            self.calls = 0
+
+        def complete(self, prompt):
+            with self.lock:
+                if prompt not in self.prompts:
+                    self.prompts.append(prompt)
+                later = prompt not in self.prompts[:2]
+                self.calls += 1
+            if later:  # a later document waits, running, until the write fails
+                in_flight.release()
+                failed.wait(timeout=10)
+                time.sleep(0.05)
+            return super().complete(prompt)
+
+    def recording_probe(client, doc, *args, **kwargs):
+        (late if failed.is_set() else started).append(doc.id)
+        return real_probe(client, doc, *args, **kwargs)
+
+    def second_line_fails(candidate_set):
+        if lines:
+            for _ in range(cfg.jobs):
+                in_flight.acquire(timeout=10)
+            failed.set()
+            raise OSError(28, "No space left on device")
+        lines.append(real_to_json(candidate_set))
+        return lines[-1]
+
+    ws = Workspace(tmp_path / "ws")
+    cfg = small_config(jobs=2)
+    stage_ingest(ws, cfg, write_jsonl(tmp_path / "corpus.jsonl", synthetic_records(12)))
+    client = Recording(seed=cfg.seed)
+    real_probe, real_to_json, lines = pipeline.probe_rationales, pipeline.candidate_set_to_json, []
+    monkeypatch.setattr(pipeline, "probe_rationales", recording_probe)
+    monkeypatch.setattr(pipeline, "candidate_set_to_json", second_line_fails)
+    with pytest.raises(OSError, match="No space left"):
+        stage_probe(ws, cfg, client)
+    calls = client.calls
+    time.sleep(0.3)
+    # The two documents running when the write failed finish, and store
+    # their responses, before the stage returns; the queued ones never start.
+    assert (len(started), late, client.calls) == (4, [], calls)
+    assert len(cache_rows(ws.cache_dir)) == 4 * cfg.n_samples
+    assert not ws.candidates_path.exists()
+    assert not list(ws.root.rglob("*.part"))
+
+
+def test_probe_memory_does_not_grow_with_its_discards(tmp_path):
+    response_bytes = 25_000
+
+    class UnparseableFirst(MockLlmClient):
+        """Answers each sample's first attempt with text that does not parse."""
+
+        odd = False
+
+        def complete(self, prompt):
+            self.odd = not self.odd
+            return "x" * response_bytes if self.odd else super().complete(prompt)
+
+    peaks = {}
+    for n in (48, 4 * 48):
+        ws = Workspace(tmp_path / f"ws{n}")
+        cfg = small_config()
+        stage_ingest(ws, cfg, write_jsonl(tmp_path / f"corpus{n}.jsonl", synthetic_records(n)))
+        client = UnparseableFirst(seed=cfg.seed)
+        report, peaks[n] = traced_peak(lambda: stage_probe(ws, cfg, client))
+        assert report["discarded"] == 2 * n
+    assert len(ws.discards_path.read_bytes()) > 2 * 4 * 48 * response_bytes
+    # Holding the discards would add 144 documents' two responses, about 7.2 MB;
+    # probe holds two documents (2 x jobs) with two discards each.
+    assert peaks[4 * 48] - peaks[48] < 2 * 2 * response_bytes
+
+
 def test_dropped_reader_closes_its_file(tmp_path):
     path = write_jsonl(tmp_path / "records.jsonl", synthetic_records(3))
     with warnings.catch_warnings(record=True) as caught:
