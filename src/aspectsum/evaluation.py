@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import AspectsumError
@@ -80,54 +80,45 @@ class DocumentScores:
     rouge_l: RougeScore
 
 
-class _PackedScores(Sequence):
-    """DocumentScores kept as their nine float64 values: 72 bytes a document,
-    where the objects take about 500. It indexes, slices, compares and
-    hashes as the tuple of its DocumentScores does."""
-
-    def __init__(self, scores: Iterable[DocumentScores]):
-        self._values = array(
-            "d",
-            (
-                value
-                for d in scores
-                for s in (d.rouge1, d.rouge2, d.rouge_l)
-                for value in (s.precision, s.recall, s.f1)
-            ),
-        )
-
-    def __len__(self) -> int:
-        return len(self._values) // 9
-
-    def __getitem__(self, i: int | slice):
-        i = range(len(self))[i]  # IndexError past either end
-        if isinstance(i, range):  # a slice
-            return tuple(map(self.__getitem__, i))
-        v = self._values[9 * i : 9 * i + 9]
-        return DocumentScores(RougeScore(*v[:3]), RougeScore(*v[3:6]), RougeScore(*v[6:]))
-
-    def __eq__(self, other) -> bool:
-        return tuple(self) == (tuple(other) if isinstance(other, _PackedScores) else other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def mean(self, offset: int) -> RougeScore:
-        """The arithmetic mean of the score at offset (0: ROUGE-1, 3: ROUGE-2, 6: ROUGE-L)."""
-        n = len(self)
-        return RougeScore(*(sum(self._values[offset + j :: 9]) / n for j in range(3)))
-
-
 @dataclass(frozen=True)
 class EvalReport:
-    scores: Sequence[DocumentScores]
-    mean_rouge1: RougeScore
-    mean_rouge2: RougeScore
-    mean_rouge_l: RougeScore
+    """Per-document ROUGE scores and their arithmetic means.
+
+    values holds each document's nine scores, ROUGE-1, ROUGE-2 and ROUGE-L
+    precision, recall and f1, as float64. Eval keeps every document's scores
+    until its report is written: 72 bytes a document this way, where
+    DocumentScores objects take about 500. No scores raise EmptyInput.
+    """
+
+    values: array
+
+    def __post_init__(self):
+        if not self.values:
+            raise EmptyInput("no (candidate, reference) pairs to evaluate")
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.values))
 
     @property
     def count(self) -> int:
-        return len(self.scores)
+        return len(self.values) // 9
+
+    def _documents(self) -> Iterator[DocumentScores]:
+        v = self.values
+        for i in range(0, len(v), 9):
+            yield DocumentScores(*(RougeScore(*v[j : j + 3]) for j in range(i, i + 9, 3)))
+
+    @property
+    def scores(self) -> tuple[DocumentScores, ...]:
+        return tuple(self._documents())
+
+    def _mean(self, offset: int) -> RougeScore:
+        """The mean of the score at offset (0: ROUGE-1, 3: ROUGE-2, 6: ROUGE-L)."""
+        return RougeScore(*(sum(self.values[offset + j :: 9]) / self.count for j in range(3)))
+
+    mean_rouge1 = property(lambda self: self._mean(0))
+    mean_rouge2 = property(lambda self: self._mean(3))
+    mean_rouge_l = property(lambda self: self._mean(6))
 
     def to_json(self, lazy: bool = False) -> dict:
         """The report as JSON; lazy gives "documents" as an iterator, which
@@ -138,7 +129,7 @@ class EvalReport:
 
         documents = (
             {"rouge1": score(d.rouge1), "rouge2": score(d.rouge2), "rougeL": score(d.rouge_l)}
-            for d in self.scores
+            for d in self._documents()
         )
         return {
             "count": self.count,
@@ -153,7 +144,7 @@ class EvalReport:
     def table_lines(self) -> Iterator[str]:
         """Aligned plain-text table of per-document and mean F1 values, a line at a time."""
         yield f"{'doc':>6}  {'R-1':>8}  {'R-2':>8}  {'R-L':>8}\n"
-        for i, d in enumerate(self.scores):
+        for i, d in enumerate(self._documents()):
             yield f"{i:>6}  {d.rouge1.f1:>8.4f}  {d.rouge2.f1:>8.4f}  {d.rouge_l.f1:>8.4f}\n"
         yield (
             f"{'mean':>6}  {self.mean_rouge1.f1:>8.4f}  "
@@ -163,28 +154,16 @@ class EvalReport:
     def to_table(self) -> str:
         return "".join(self.table_lines())
 
-    @classmethod
-    def of(cls, scores: Iterable[DocumentScores]) -> "EvalReport":
-        """The report of per-document scores, kept packed; no scores raise EmptyInput."""
-        packed = _PackedScores(scores)
-        if not packed:
-            raise EmptyInput("no (candidate, reference) pairs to evaluate")
-        return cls(packed, packed.mean(0), packed.mean(3), packed.mean(6))
-
 
 class EmptyInput(AspectsumError):
     """evaluate_corpus received no pairs."""
 
 
-def _score_pair(pair: tuple[str, str]) -> DocumentScores:
-    cand, ref = pair
-    return DocumentScores(
-        rouge1=rouge_n(cand, ref, 1),
-        rouge2=rouge_n(cand, ref, 2),
-        rouge_l=rouge_l(cand, ref),
-    )
-
-
 def evaluate_corpus(pairs: list[tuple[str, str]]) -> EvalReport:
     """Score (candidate, reference) pairs and aggregate arithmetic means."""
-    return EvalReport.of(map(_score_pair, pairs))
+    scores = (
+        s
+        for cand, ref in pairs
+        for s in (rouge_n(cand, ref, 1), rouge_n(cand, ref, 2), rouge_l(cand, ref))
+    )
+    return EvalReport(array("d", (v for s in scores for v in (s.precision, s.recall, s.f1))))

@@ -14,9 +14,9 @@ import contextlib
 import hashlib
 import json
 import tempfile
+from array import array
 from collections.abc import Iterator
 from dataclasses import asdict
-from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -49,7 +49,8 @@ from .workspace import (
 )
 
 
-# Pairs scored per evaluate_corpus call in eval.
+# Pairs scored per evaluate_corpus call in eval. Batches bound memory to one
+# batch of summaries, and each call gets a list, whose len perfbench's tracer reads.
 _EVAL_BATCH = 128
 
 
@@ -261,8 +262,7 @@ def _select(ws: Workspace, cfg: PipelineConfig, provider: LlmClient) -> dict:
         vocab = cfg.vocab_config()
         documents = ws.load_corpus()  # the one time a stage holds the whole corpus
         model = train_lda(documents, iterations=cfg.lda_iterations, vocab_config=vocab, **settings)
-        ws.lda_model_path.parent.mkdir(parents=True, exist_ok=True)
-        model.save(ws.lda_model_path)
+        ws.write_text(ws.lda_model_path, model.dumps())
         return {"model": model}
 
     lda = _run_stage(ws, cfg, "lda", train)
@@ -389,10 +389,10 @@ def _eval(ws: Workspace, external: dict | None) -> dict:
                 raise MissingPrerequisite(f"candidate {golden_index} of document {doc_id}")
             yield candidates[golden_index], doc.ground_truth_summary
 
-    # Scored a batch at a time, so one batch of summaries is held; the report
-    # keeps each document's nine scores.
-    batches = (evaluate_corpus(batch).scores for batch in batched(pairs(), _EVAL_BATCH))
-    report = EvalReport.of(chain.from_iterable(batches))
+    values = array("d")
+    for batch in batched(pairs(), _EVAL_BATCH):
+        values.extend(evaluate_corpus(batch).values)
+    report = EvalReport(values)
     obj = report.to_json(lazy=True)
     # The ids are read again, after the count that the report lists first.
     obj["document_ids"] = ws.read_jsonl(ws.selections_path, lambda o: o["document_id"])

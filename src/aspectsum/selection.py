@@ -169,18 +169,6 @@ def argmax_combined(table) -> int:
 _CHUNK_DOCUMENTS = 32
 
 
-def select_corpus(
-    pairs: list[tuple[CandidateSet, Document]],
-    model: LdaModel,
-    provider: LlmClient,
-    config: SelectionConfig,
-    cache: EmbeddingCache | None = None,
-    jobs: int = 1,
-) -> list[SelectionResult]:
-    """Every document's selection, from select_each."""
-    return list(select_each(pairs, model, provider, config, cache, jobs))
-
-
 def select_each(
     pairs: Iterable[tuple[CandidateSet, Document]],
     model: LdaModel,
@@ -276,5 +264,6 @@ def select_golden(
     config: SelectionConfig,
     cache: EmbeddingCache | None = None,
 ) -> SelectionResult:
-    """One document's selection, by the same passes as select_corpus."""
-    return select_corpus([(cs, d)], model, provider, config, cache)[0]
+    """One document's selection, by the one pass of select_each."""
+    (result,) = select_each([(cs, d)], model, provider, config, cache)
+    return result

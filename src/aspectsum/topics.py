@@ -220,7 +220,8 @@ class LdaModel:
         # exp(E[log beta]) under lambda = counts + beta, as V x k.
         return np.ascontiguousarray(_exp_elog(self.topic_word_counts + self.beta).T)
 
-    def save(self, path: Path) -> None:
+    def dumps(self) -> str:
+        """The model as the JSON text of lda/model.json, which load reads back."""
         obj = {
             "k": self.k,
             "alpha": self.alpha,
@@ -233,7 +234,7 @@ class LdaModel:
             },
             "topic_word_counts": self.topic_word_counts.tolist(),
         }
-        path.write_text(json.dumps(obj, sort_keys=True), encoding="utf-8")
+        return json.dumps(obj, sort_keys=True)
 
     @classmethod
     def load(cls, path: Path) -> "LdaModel":

@@ -447,7 +447,7 @@ def test_lda_model_of_the_earlier_trainer_is_retrained(tmp_path, corpus_file, mo
         ws.append_ledger("lda", old_digest, cfg.digest(), ["lda/model.json"])
         if trainer is None:
             other = train_lda(ws.load_corpus(), k=cfg.lda_k, iterations=1, seed=99)
-            other.save(ws.lda_model_path)
+            ws.lda_model_path.write_text(other.dumps(), encoding="utf-8")
             assert ws.lda_model_path.read_bytes() != fresh[0]
         ws.selections_path.unlink()
 
@@ -511,6 +511,22 @@ def test_only_the_lda_fields_retrain_the_model(tmp_path, corpus_file, monkeypatc
     if field == "jobs":
         assert all(stage_result["skipped"] for stage_result in result.values())
     assert _status(ws, changed, "lda")[2]
+
+
+def test_failed_model_write_leaves_the_old_model(tmp_path, corpus_file, monkeypatch):
+    from aspectsum.pipeline import run_all
+
+    ws = Workspace(tmp_path / "ws")
+    cfg = small_config()
+    run_all(ws, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
+    old = ws.lda_model_path.read_bytes()
+    # A lone surrogate fails UTF-8 encoding once the model's file is open.
+    monkeypatch.setattr(LdaModel, "dumps", lambda self: '{"k": 3, "terms": ["\ud800"]}')
+    retrain = dataclasses.replace(cfg, lda_iterations=cfg.lda_iterations + 1)
+    with pytest.raises(UnicodeEncodeError):
+        run_all(ws, retrain, corpus_file, MockLlmClient(seed=retrain.seed))
+    assert ws.lda_model_path.read_bytes() == old
+    assert not ws.lda_model_path.with_name("model.json.part").exists()
 
 
 def test_status_reads_current_on_its_own_after_run_all(tmp_path, corpus_file):
@@ -1256,7 +1272,7 @@ def test_run_killed_at_any_artifact_write_leaves_no_stage_current(tmp_path, monk
     run_a = Workspace(tmp_path / "a")
     run_all(run_a, cfg_a, corpus, MockLlmClient(seed=cfg_a.seed))
     expected = artifacts(run_a)
-    write_text, save = Workspace.write_text, LdaModel.save
+    write_text = Workspace.write_text
 
     k = 0
     completed = False
@@ -1277,12 +1293,6 @@ def test_run_killed_at_any_artifact_write_leaves_no_stage_current(tmp_path, monk
                 write_half_then_kill(path, text.encode("utf-8"))
             write_text(self, path, text)
 
-        def killing_save(self, path):
-            calls.append(path)
-            save(self, path)
-            if len(calls) == k:
-                write_half_then_kill(path, path.read_bytes())
-
         # Step 1, a run under A: a copy of one, the same bytes by the
         # determinism contract.
         ws = Workspace(tmp_path / f"k{k}")
@@ -1290,7 +1300,6 @@ def test_run_killed_at_any_artifact_write_leaves_no_stage_current(tmp_path, monk
         # Step 2: a run under B, killed at its k-th artifact write.
         with monkeypatch.context() as patch:
             patch.setattr(Workspace, "write_text", killing_write_text)
-            patch.setattr(LdaModel, "save", killing_save)
             try:
                 run_all(ws, cfg_b, corpus, MockLlmClient(seed=cfg_b.seed))
                 completed = True

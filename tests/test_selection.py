@@ -36,7 +36,7 @@ from aspectsum.selection import (
     coherence_score_from_kl,
     combine_scores,
     cosine_similarity,
-    select_corpus,
+    select_each,
     select_golden,
     summary_score_from_sims,
     text_embedding,
@@ -311,14 +311,14 @@ def test_select_golden_stops_on_a_provider_error(tiny_model):
         select_golden(_candidate_set(), d, tiny_model, Down(seed=0), SelectionConfig())
 
 
-def test_select_corpus_equals_select_golden_and_embeds_each_text_once(tiny_model):
+def test_select_each_equals_select_golden_and_embeds_each_text_once(tiny_model):
     # Two documents share a reference summary and a candidate summary.
     d1 = Document("doc-1", "storm flood rain river", "storm flooded the river")
     d2 = Document("doc-2", "vote senate ballot poll", "storm flooded the river")
     cs1, cs2 = _candidate_set("doc-1"), _candidate_set("doc-2")
     cfg = SelectionConfig(fold_in_iterations=10)
     provider = MockLlmClient(seed=0)
-    batch = select_corpus([(cs1, d1), (cs2, d2)], tiny_model, provider, cfg)
+    batch = list(select_each([(cs1, d1), (cs2, d2)], tiny_model, provider, cfg))
     texts = {d1.ground_truth_summary}
     for c in cs1.candidates:
         texts |= {c.summary, serialize_rationale(c.rationale)}
@@ -365,16 +365,16 @@ def _distinct_pairs(n: int):
     return pairs
 
 
-def test_select_corpus_chunks_give_the_results_of_one_pass(tiny_model, monkeypatch, tmp_path):
+def test_select_each_chunks_give_the_results_of_one_pass(tiny_model, monkeypatch, tmp_path):
     pairs = _distinct_pairs(7)
     cfg = SelectionConfig(fold_in_iterations=5)
-    whole = select_corpus(pairs, tiny_model, MockLlmClient(seed=0), cfg)
+    whole = list(select_each(pairs, tiny_model, MockLlmClient(seed=0), cfg))
     monkeypatch.setattr(selection, "_CHUNK_DOCUMENTS", 3)
     with EmbeddingCache(tmp_path) as cache:
-        assert select_corpus(pairs, tiny_model, MockLlmClient(seed=0), cfg, cache) == whole
+        assert list(select_each(pairs, tiny_model, MockLlmClient(seed=0), cfg, cache)) == whole
 
 
-def test_select_corpus_memory_is_bounded_by_the_chunk(tiny_model, monkeypatch, tmp_path):
+def test_select_each_memory_is_bounded_by_the_chunk(tiny_model, monkeypatch, tmp_path):
     # 5 distinct embedded texts per document, 64 KiB each as 8,192 float64 values.
     chunk, vector_bytes = 4, 8192 * 8
     monkeypatch.setattr(selection, "_CHUNK_DOCUMENTS", chunk)
@@ -386,7 +386,7 @@ def test_select_corpus_memory_is_bounded_by_the_chunk(tiny_model, monkeypatch, t
         with EmbeddingCache(tmp_path / str(n_docs)) as cache:
             tracemalloc.start()
             try:
-                select_corpus(pairs, tiny_model, provider, cfg, cache)
+                list(select_each(pairs, tiny_model, provider, cfg, cache))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -216,7 +216,7 @@ def test_model_json_round_trip(tmp_path):
     docs, _ = planted_corpus(n_docs=20)
     model = train_lda(docs, k=3, iterations=15, seed=2)
     path = tmp_path / "model.json"
-    model.save(path)
+    path.write_text(model.dumps(), encoding="utf-8")
     loaded = LdaModel.load(path)
     assert loaded.k == model.k
     assert loaded.alpha == model.alpha
