@@ -33,7 +33,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="dataset profile carrying default n_samples and lda_k",
     )
     common.add_argument("--seed", type=int, help="base RNG seed")
-    common.add_argument("--jobs", type=int, help="worker pool size for probe/select")
+    common.add_argument(
+        "--jobs",
+        type=int,
+        help="worker threads for probe's completion requests; no artifact byte depends on it",
+    )
     common.add_argument("--n-samples", type=int)
     common.add_argument("--lda-k", type=int)
     common.add_argument("--lda-iterations", type=int)

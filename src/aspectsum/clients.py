@@ -1,8 +1,10 @@
 """LLM provider abstraction: completions plus text embeddings.
 
 One provider instance serves both the rationale probing (complete) and the
-summary scoring (embed). Implementations must be safe to call from multiple
-worker threads at once.
+summary scoring (embed_many). Under `--jobs N` probe calls complete from N
+worker threads at once, so it must be thread safe; embed and embed_many are
+called only from the stage's own thread. No worker thread touches the
+cache: the stage's thread does every lookup and store.
 """
 
 from __future__ import annotations
@@ -22,6 +24,11 @@ if TYPE_CHECKING:
     import requests
 
 DEFAULT_API_KEY_ENV = "ASPECTSUM_API_KEY"
+# Inputs per /embeddings request. OpenAI's API reference (Embeddings, "Create
+# embeddings", the `input` parameter) allows at most 2,048 inputs and 300,000
+# tokens summed over one request; 256 inputs stay under the token limit
+# unless they average over 1,171 tokens.
+EMBED_BATCH_INPUTS = 256
 
 
 def batched(items, n: int) -> Iterator[list]:
@@ -71,6 +78,15 @@ class LlmClient(ABC):
     @abstractmethod
     def embed(self, text: str) -> np.ndarray:
         """A pooled vector for the text; same dimension for every input."""
+
+    def embed_many(self, texts: list[str]) -> Iterator[np.ndarray]:
+        """One vector per text, in order, each yielded as it arrives.
+
+        This default embeds one text at a time; a provider whose API takes a
+        list sends them in batches.
+        """
+        for text in texts:
+            yield self.embed(text)
 
 
 class OpenAiCompatClient(LlmClient):
@@ -140,15 +156,34 @@ class OpenAiCompatClient(LlmClient):
         return content if isinstance(content, str) else ""
 
     def embed(self, text: str) -> np.ndarray:
-        body = self._post("/embeddings", {"model": self.embedding_model_id, "input": text})
-        try:
-            vector = np.asarray(body["data"][0]["embedding"], dtype=np.float64)
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise TransportError("malformed embedding payload") from exc
-        if self._dimension is None:
-            self._dimension = vector.size
-        elif vector.size != self._dimension:
-            raise TransportError(
-                f"provider changed embedding dimension: {vector.size} != {self._dimension}"
-            )
+        (vector,) = self.embed_many([text])
         return vector
+
+    def embed_many(self, texts: list[str]) -> Iterator[np.ndarray]:
+        """One /embeddings request per EMBED_BATCH_INPUTS texts, each with a list input.
+
+        The response's items are put in input order by their `index`; a
+        missing index, a count that differs from the inputs' or a change of
+        dimension raises TransportError.
+        """
+        for batch in batched(texts, EMBED_BATCH_INPUTS):
+            body = self._post("/embeddings", {"model": self.embedding_model_id, "input": batch})
+            try:
+                items = sorted(body["data"], key=lambda item: item["index"])
+                indices = [item["index"] for item in items]
+                vectors = [np.asarray(item["embedding"], dtype=np.float64) for item in items]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise TransportError("malformed embedding payload") from exc
+            if indices != list(range(len(batch))):
+                raise TransportError(
+                    f"provider answered {len(batch)} inputs with {len(items)} embeddings, "
+                    "or with indices other than 0 to n - 1"
+                )
+            for vector in vectors:
+                if self._dimension is None:
+                    self._dimension = vector.size
+                elif vector.size != self._dimension:
+                    raise TransportError(
+                        f"provider changed embedding dimension: {vector.size} != {self._dimension}"
+                    )
+                yield vector

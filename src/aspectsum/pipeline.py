@@ -13,8 +13,10 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import os
 import tempfile
 from array import array
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import asdict
 from pathlib import Path
@@ -33,7 +35,13 @@ from .curriculum import (
 from .errors import DuplicateId, MissingPrerequisite, SchemaError
 from .evaluation import EvalReport, evaluate_corpus
 from .mock import EchoTrainerAdapter
-from .probe import EmbeddingCache, ResponseCache, probe_rationales, render_probe_prompt
+from .probe import (
+    EmbeddingCache,
+    PrefetchedResponses,
+    ResponseCache,
+    probe_rationales,
+    render_probe_prompt,
+)
 from .rationale import Document, candidate_set_to_json, rationale_from_json
 from .selection import select_each, select_golden  # noqa: F401  (perfbench wraps select_golden)
 from .textutil import stable_digest, token_count
@@ -77,6 +85,24 @@ _STAGES = {
 }
 
 
+def _sha256(ws: Workspace, path: Path) -> str:
+    """file_sha256(path), hashed once per Workspace while the file keeps its size,
+    modification time and inode.
+
+    An edit that keeps all three within one tick of the file system's clock
+    goes unseen (cf. https://git-scm.com/docs/racy-git); a new Workspace,
+    as in a new process, hashes every file afresh. file_sha256 is looked up
+    at each call, so a tracer that wraps it sees each file actually read.
+    """
+    stat = os.stat(path)
+    stamp = (stat.st_size, stat.st_mtime_ns, stat.st_ino)
+    key = os.path.abspath(path)
+    known = ws.file_hashes.get(key)
+    if known is None or known[0] != stamp:
+        known = ws.file_hashes[key] = (stamp, file_sha256(path))
+    return known[1]
+
+
 def _paths(ws: Workspace, names) -> list[Path]:
     paths = []
     for n in names:
@@ -97,7 +123,7 @@ def _status(ws: Workspace, cfg: PipelineConfig, stage: str, extra=()):
     if not all(p.exists() for p in reads):
         return None, outputs, False
     config = cfg.digest(protocol.config)
-    digest = stable_digest(stage, config, *(file_sha256(p) for p in reads), *extra)[:16]
+    digest = stable_digest(stage, config, *(_sha256(ws, p) for p in reads), *extra)[:16]
     recorded = ws.last_entry(stage).get("digest")
     return digest, outputs, recorded == digest and all(p.exists() for p in outputs)
 
@@ -144,7 +170,7 @@ def stage_ingest(ws: Workspace, cfg: PipelineConfig, input_path: Path) -> dict:
     if not input_path.is_file():
         raise SchemaError(f"no input file at {input_path}")
     return _run_stage(
-        ws, cfg, "ingest", lambda _: _ingest(ws, cfg, input_path), (file_sha256(input_path),)
+        ws, cfg, "ingest", lambda _: _ingest(ws, cfg, input_path), (_sha256(ws, input_path),)
     )
 
 
@@ -204,33 +230,44 @@ def stage_probe(ws: Workspace, cfg: PipelineConfig, client: LlmClient) -> dict:
 
 def _probe(ws: Workspace, cfg: PipelineConfig, client: LlmClient) -> dict:
     probe_cfg = cfg.probe_config()
+    namespace = client.cache_namespace
     # Records that render one prompt share its cached responses. Each prompt
     # is probed once, under its first id, so the bytes do not depend on
-    # which worker reaches the cache first; only its sha256 is kept.
+    # which worker finishes first; only its sha256 is kept.
     seen: set[bytes] = set()
+    # Per document handed to the workers and not yet written, in order: its
+    # responses, or None for a prompt probed under an earlier id.
+    unwritten: deque[PrefetchedResponses | None] = deque()
 
-    def first_seen(documents):
+    def handed_out(documents):  # on this thread, before a worker takes the document
+        n = probe_cfg.n_samples
         for doc in documents:
-            digest = hashlib.sha256(render_probe_prompt(doc).encode("utf-8")).digest()
+            prompt = render_probe_prompt(doc)
+            digest = hashlib.sha256(prompt.encode("utf-8")).digest()
             first = digest not in seen
             seen.add(digest)
-            yield doc, first
+            unwritten.append(PrefetchedResponses(cache, namespace, prompt, n) if first else None)
+            yield doc, unwritten[-1]
 
-    def work(item: tuple[Document, bool]):
-        doc, first = item
-        if not first:
+    def work(item: tuple[Document, PrefetchedResponses | None]):
+        # On a worker thread: completions, parsing and retries, and no cache.
+        doc, responses = item
+        if responses is None:
             return doc, None, []
         discards = []
-        candidate_set = probe_rationales(client, doc, probe_cfg, cache=cache, discards=discards)
-        cache.commit()  # a killed run re-asks only for the documents in flight
+        candidate_set = probe_rationales(client, doc, probe_cfg, cache=responses, discards=discards)
         return doc, candidate_set, discards
 
     counts = {"documents": 0, "candidates": 0, "discarded": 0}
 
     def candidate_lines(results, spool):
         for doc, candidate_set, discards in results:
-            if candidate_set is None:  # an earlier record's probe cached this prompt's responses
+            responses = unwritten.popleft()
+            if responses is None:  # an earlier record's probe stored this prompt's responses
                 candidate_set = probe_rationales(client, doc, probe_cfg, cache=cache)
+            else:
+                responses.write_to(cache)
+                cache.commit()  # a killed run re-asks only for the documents not yet written
             spool.writelines(jsonl_lines(map(asdict, discards)))
             counts["documents"] += 1
             counts["candidates"] += len(candidate_set.candidates)
@@ -239,13 +276,17 @@ def _probe(ws: Workspace, cfg: PipelineConfig, client: LlmClient) -> dict:
 
     # The discards, each with its whole response, wait in an unnamed
     # temporary file until candidates.jsonl is complete. The workers stop
-    # before the cache closes, also when that write fails part way.
+    # before the cache closes, also when that write fails part way, and the
+    # responses of the documents they finished are stored first.
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as spool:
-        with (
-            ResponseCache(ws.cache_dir) as cache,
-            contextlib.closing(map_ordered(work, first_seen(ws.corpus()), cfg.jobs)) as results,
-        ):
-            ws.write_jsonl(ws.candidates_path, candidate_lines(results, spool))
+        with ResponseCache(ws.cache_dir) as cache:
+            try:
+                results = map_ordered(work, handed_out(ws.corpus()), cfg.jobs)
+                with contextlib.closing(results):
+                    ws.write_jsonl(ws.candidates_path, candidate_lines(results, spool))
+            finally:
+                for responses in filter(None, unwritten):
+                    responses.write_to(cache)
         spool.seek(0)
         ws.write_text(ws.discards_path, spool)
     return counts
@@ -279,7 +320,7 @@ def _select(ws: Workspace, cfg: PipelineConfig, provider: LlmClient) -> dict:
 
     def selection_lines():
         nonlocal documents
-        for result in select_each(pairs, model, provider, selection_cfg, cache, cfg.jobs):
+        for result in select_each(pairs, model, provider, selection_cfg, cache):
             documents += 1
             yield result.to_json(selection_cfg)
 
@@ -370,7 +411,7 @@ def stage_eval(
     external, extra = None, ()
     if external_scores is not None:
         external = read_json_object(external_scores, "external scores file")
-        extra = (file_sha256(external_scores),)
+        extra = (_sha256(ws, external_scores),)
     return _run_stage(ws, cfg, "eval", lambda _: _eval(ws, external), extra)
 
 

@@ -90,9 +90,10 @@ class _Store:
     An entry's key is the sha256 of the NUL-joined kind, provider namespace
     and key parts; its value is zlib-compressed bytes. Stores are not
     durable until commit() or close(), and a commit is atomic, so a killed
-    run loses only uncommitted entries and never leaves a torn one. One
-    connection serves every thread under one lock. The workspace lock keeps
-    other processes out.
+    run loses only uncommitted entries and never leaves a torn one. The
+    stages use it only from their own thread, in input order, so its bytes
+    do not depend on `--jobs`; one lock still guards the one connection
+    for any caller. The workspace lock keeps other processes out.
     """
 
     kind = ""
@@ -187,6 +188,32 @@ class ResponseCache(_Store):
         self._put(self._key(namespace, prompt, str(slot)), response.encode("utf-8"))
 
 
+class PrefetchedResponses:
+    """One prompt's slots for a probe on a worker thread, which stands in for the cache.
+
+    The cached responses are looked up when this is made, on the thread
+    that owns the cache; lookup() returns them, and store() only keeps a
+    fresh response. write_to(cache) then stores the kept ones, in slot
+    order, on the cache's thread. The namespace and prompt are the ones
+    given here, and the arguments of lookup() and store() name the same.
+    """
+
+    def __init__(self, cache: ResponseCache, namespace: str, prompt: str, n_samples: int):
+        self._cached = [cache.lookup(namespace, prompt, slot) for slot in range(n_samples)]
+        self._fresh: list[tuple[str, str, int, str]] = []
+
+    def lookup(self, namespace: str, prompt: str, slot: int) -> str | None:
+        return self._cached[slot]
+
+    def store(self, namespace: str, prompt: str, slot: int, response: str) -> None:
+        self._fresh.append((namespace, prompt, slot, response))
+
+    def write_to(self, cache: ResponseCache) -> None:
+        for entry in self._fresh:
+            cache.store(*entry)
+        self._fresh.clear()
+
+
 class EmbeddingCache(_Store):
     """Embedding vectors, as float64 bytes, keyed by (provider namespace, text)."""
 
@@ -217,7 +244,7 @@ def probe_rationales(
     client: LlmClient,
     document: Document,
     config: ProbeConfig,
-    cache: ResponseCache | None = None,
+    cache: ResponseCache | PrefetchedResponses | None = None,
     discards: list[DiscardRecord] | None = None,
 ) -> CandidateSet:
     """Collect exactly config.n_samples parseable (rationale, summary) pairs.

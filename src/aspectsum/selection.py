@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clients import LlmClient, batched, map_ordered
+from .clients import LlmClient, batched
 from .errors import AllCandidatesFailed, DimensionMismatch, EmptyText, ZeroVector
 from .probe import EmbeddingCache
 from .rationale import (
@@ -54,19 +54,33 @@ class SelectionConfig:
             raise ValueError("fold_in_iterations must be >= 1")
 
 
+def text_embeddings(
+    provider: LlmClient, texts: list[str], cache: EmbeddingCache | None = None
+) -> list[np.ndarray]:
+    """Pooled embeddings of texts, in order, cached alongside LLM responses.
+
+    Each text is looked up on its own; the misses go to one
+    provider.embed_many call, and each vector is stored as it arrives, so a
+    provider error keeps the vectors fetched before it.
+    """
+    if not all(texts):
+        raise EmptyText("cannot embed empty text")
+    namespace = provider.cache_namespace
+    vectors = [cache.lookup(namespace, text) if cache is not None else None for text in texts]
+    misses = [i for i, vector in enumerate(vectors) if vector is None]
+    fetched = provider.embed_many([texts[i] for i in misses])
+    for i, vector in zip(misses, fetched, strict=True):
+        vectors[i] = np.asarray(vector, dtype=np.float64)
+        if cache is not None:
+            cache.store(namespace, texts[i], vectors[i])
+    return vectors
+
+
 def text_embedding(
     provider: LlmClient, text: str, cache: EmbeddingCache | None = None
 ) -> np.ndarray:
-    """Pooled embedding of a text, cached alongside LLM responses."""
-    if not text:
-        raise EmptyText("cannot embed empty text")
-    if cache is not None:
-        hit = cache.lookup(provider.cache_namespace, text)
-        if hit is not None:
-            return hit
-    vector = np.asarray(provider.embed(text), dtype=np.float64)
-    if cache is not None:
-        cache.store(provider.cache_namespace, text, vector)
+    """Pooled embedding of one text: the one-text case of text_embeddings."""
+    (vector,) = text_embeddings(provider, [text], cache)
     return vector
 
 
@@ -164,8 +178,8 @@ def argmax_combined(table) -> int:
 # about 32 x 31 x 12 KB = 12 MB of vectors, whatever the corpus size. Peak
 # RSS of the fanout-cold benchmark by pass size, one run each on a 2-vCPU VM:
 # 128: 43.4 MiB, 64: 41.4, 32: 40.9, 16: 40.8, 8: 40.5. Below 32 the saving
-# is under 0.5 MiB, while every pass ends with its embedding threads idle
-# until the slowest finishes (under --jobs > 1) and with a cache commit.
+# is under 0.5 MiB, while every pass costs one more embed_many call (with an
+# HTTP provider, one more request) and one more cache commit.
 _CHUNK_DOCUMENTS = 32
 
 
@@ -175,24 +189,24 @@ def select_each(
     provider: LlmClient,
     config: SelectionConfig,
     cache: EmbeddingCache | None = None,
-    jobs: int = 1,
 ) -> Iterator[SelectionResult]:
     """Yield each document's golden candidate, in passes of _CHUNK_DOCUMENTS documents.
 
     A pass takes its pairs from `pairs` only once the previous pass's
     results have been taken. It folds in each of its distinct texts once,
-    in one batched call, and embeds each once, on up to `jobs` threads;
-    then it scores its documents and commits the cache. Every row is
-    computed on its own, so the results do not depend on the chunking. A
-    provider error (such as TransportError) stops the stage, as it stops
-    probe; the vectors fetched so far stay in the cache, so the next run
-    asks only for the rest. A candidate whose vectors are degenerate
-    (all-zero, or of another dimension) is excluded with a recorded reason,
-    the same on every run; a document with none left raises
-    AllCandidatesFailed.
+    in one batched call, and embeds each once: it looks each up in the
+    cache and hands the misses to one provider.embed_many call, on the
+    calling thread. Then it scores its documents and commits the cache.
+    Every row is computed on its own, so the results do not depend on the
+    chunking. A provider error (such as TransportError) stops the stage, as
+    it stops probe; the vectors fetched so far stay in the cache, so the
+    next run asks only for the rest. A candidate whose vectors are
+    degenerate (all-zero, or of another dimension) is excluded with a
+    recorded reason, the same on every run; a document with none left
+    raises AllCandidatesFailed.
     """
     for chunk in batched(pairs, _CHUNK_DOCUMENTS):
-        results = _select_chunk(chunk, model, provider, config, cache, jobs)
+        results = _select_chunk(chunk, model, provider, config, cache)
         if cache is not None:
             cache.commit()
         yield from results
@@ -204,7 +218,6 @@ def _select_chunk(
     provider: LlmClient,
     config: SelectionConfig,
     cache: EmbeddingCache | None,
-    jobs: int,
 ) -> list[SelectionResult]:
     topic_texts, embed_texts = [], []
     for cs, d in pairs:
@@ -215,10 +228,8 @@ def _select_chunk(
     topic_texts, embed_texts = list(dict.fromkeys(topic_texts)), list(dict.fromkeys(embed_texts))
     topics = dict(zip(topic_texts, infer_topics_batch(model, topic_texts, config.fold_in_iterations)))
 
-    # A provider error stops the stage here. text_embedding is looked up at
-    # call time, so a tracer that wraps it in this module sees each call.
-    embedded = map_ordered(lambda text: text_embedding(provider, text, cache), embed_texts, jobs)
-    vectors = dict(zip(embed_texts, embedded))
+    # A provider error stops the stage here.
+    vectors = dict(zip(embed_texts, text_embeddings(provider, embed_texts, cache)))
 
     def score(cs: CandidateSet, d: Document) -> SelectionResult:
         p_doc = topics[d.text]

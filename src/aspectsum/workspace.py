@@ -90,6 +90,10 @@ def file_sha256(path: Path) -> str:
 class Workspace:
     def __init__(self, root: Path):
         self.root = Path(root)
+        # The files hashed for stage digests: absolute path -> ((st_size,
+        # st_mtime_ns, st_ino), sha256). write_text drops the entry of each
+        # file it replaces. Nothing of it is persisted.
+        self.file_hashes: dict[str, tuple[tuple[int, int, int], str]] = {}
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except (FileExistsError, NotADirectoryError):  # the path or a parent is a file
@@ -175,6 +179,7 @@ class Workspace:
                 fh.write(first)
                 fh.writelines(pieces)
             os.replace(part, path)
+            self.file_hashes.pop(os.path.abspath(path), None)
         except BaseException:
             part.unlink(missing_ok=True)
             if made_dir:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -107,9 +108,9 @@ def test_null_content_is_a_discarded_sample(monkeypatch, sample_document):
 def test_embed_dimension_contract(monkeypatch):
     client, session = client_with(
         [
-            FakeResponse(payload={"data": [{"embedding": [1.0, 2.0, 3.0]}]}),
-            FakeResponse(payload={"data": [{"embedding": [4.0, 5.0, 6.0]}]}),
-            FakeResponse(payload={"data": [{"embedding": [1.0]}]}),
+            FakeResponse(payload={"data": [{"index": 0, "embedding": [1.0, 2.0, 3.0]}]}),
+            FakeResponse(payload={"data": [{"index": 0, "embedding": [4.0, 5.0, 6.0]}]}),
+            FakeResponse(payload={"data": [{"index": 0, "embedding": [1.0]}]}),
         ],
         monkeypatch,
     )
@@ -120,6 +121,55 @@ def test_embed_dimension_contract(monkeypatch):
         client.embed("text three")
     assert session.requests[0]["url"] == "https://example.test/v1/embeddings"
     assert session.requests[0]["json"]["model"] == "embed-y"
+
+
+def embeddings(vectors: dict[int, list[float]]) -> FakeResponse:
+    """An /embeddings response whose items come in the dict's order."""
+    items = [{"index": i, "embedding": vector} for i, vector in vectors.items()]
+    return FakeResponse(payload={"data": items})
+
+
+def test_embed_many_sends_one_request_per_batch_and_orders_by_index(monkeypatch):
+    from aspectsum.clients import EMBED_BATCH_INPUTS as cap
+
+    texts = [f"text {i}" for i in range(2 * cap + 3)]
+    batches = [texts[:cap], texts[cap : 2 * cap], texts[2 * cap :]]
+    responses = []
+    for start, batch in zip((0, cap, 2 * cap), batches):
+        # The provider lists the items backwards; their index says where each goes.
+        responses.append(embeddings({i: [start + i, 1.0] for i in reversed(range(len(batch)))}))
+    client, session = client_with(responses, monkeypatch)
+    vectors = list(client.embed_many(texts))
+    assert [v[0] for v in vectors] == list(range(len(texts)))
+    assert len(session.requests) == math.ceil(len(texts) / cap) == 3
+    assert [r["json"]["input"] for r in session.requests] == batches
+    assert {r["url"] for r in session.requests} == {"https://example.test/v1/embeddings"}
+
+
+def test_embed_is_one_request_with_a_one_text_list(monkeypatch):
+    client, session = client_with([embeddings({0: [0.5, 2.0]})], monkeypatch)
+    assert list(client.embed("only text")) == [0.5, 2.0]
+    assert [r["json"]["input"] for r in session.requests] == [["only text"]]
+
+
+@pytest.mark.parametrize(
+    "payload, match",
+    [
+        ({"data": [{"index": 0, "embedding": [1.0]}]}, "2 inputs with 1 embeddings"),
+        ({"data": [{"index": 0, "embedding": [1.0]}, {"embedding": [2.0]}]}, "malformed"),
+        (
+            {"data": [{"index": 0, "embedding": [1.0]}, {"index": 0, "embedding": [2.0]}]},
+            "indices",
+        ),
+        ({"data": [{"index": 0, "embedding": [1.0]}, {"index": 1, "embedding": [2.0, 3.0]}]},
+         "dimension"),
+    ],
+    ids=["count", "missing-index", "repeated-index", "dimension"],
+)
+def test_embed_many_rejects_a_response_that_does_not_match_its_inputs(monkeypatch, payload, match):
+    client, _ = client_with([FakeResponse(payload=payload)], monkeypatch)
+    with pytest.raises(TransportError, match=match):
+        list(client.embed_many(["one", "two"]))
 
 
 def test_transport_exception_wrapped(monkeypatch):

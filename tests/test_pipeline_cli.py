@@ -541,6 +541,60 @@ def test_status_reads_current_on_its_own_after_run_all(tmp_path, corpus_file):
     assert _status(ws, cfg, "ingest", (file_sha256(corpus_file),))[2]
 
 
+def counting_hashes(monkeypatch) -> dict[Path, int]:
+    """How often the pipeline reads each file through file_sha256, by path."""
+    from aspectsum import pipeline
+
+    counts: dict[Path, int] = {}
+    real = pipeline.file_sha256
+
+    def counted(path):
+        counts[Path(path)] = counts.get(Path(path), 0) + 1
+        return real(path)
+
+    monkeypatch.setattr(pipeline, "file_sha256", counted)
+    return counts
+
+
+def test_run_all_hashes_each_file_once(tmp_path, corpus_file, monkeypatch):
+    from aspectsum.pipeline import run_all
+
+    counts = counting_hashes(monkeypatch)
+    ws = Workspace(tmp_path / "ws")
+    cfg = small_config()
+    run_all(ws, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
+    hashed = [corpus_file, ws.corpus_path, ws.candidates_path, ws.selections_path]
+    assert counts == dict.fromkeys(hashed, 1)
+    # Run again with this Workspace, every stage is current and no file is read again.
+    run_all(ws, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
+    assert counts == dict.fromkeys(hashed, 1)
+
+
+@pytest.mark.parametrize("rewrite", ["in-place-longer", "same-size-renamed"])
+def test_an_input_rewritten_between_stage_calls_reruns_the_stage(
+    tmp_path, corpus_file, monkeypatch, rewrite
+):
+    counts = counting_hashes(monkeypatch)
+    ws = Workspace(tmp_path / "ws")
+    cfg = small_config()
+    stage_ingest(ws, cfg, corpus_file)
+    stage_probe(ws, cfg, MockLlmClient(seed=cfg.seed))
+    assert stage_probe(ws, cfg, MockLlmClient(seed=cfg.seed))["skipped"]
+    assert counts[ws.corpus_path] == 1
+
+    text = ws.corpus_path.read_text(encoding="utf-8")
+    if rewrite == "in-place-longer":
+        ws.corpus_path.write_text(text.replace("storm", "storms", 1), encoding="utf-8")
+    else:
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text(text.replace("storm", "flood", 1), encoding="utf-8")
+        os.replace(edited, ws.corpus_path)
+    client = MockLlmClient(seed=cfg.seed)
+    assert not stage_probe(ws, cfg, client)["skipped"]
+    assert counts[ws.corpus_path] == 2
+    assert client.completion_calls == cfg.n_samples  # the edited document alone
+
+
 def test_select_bytes_do_not_depend_on_jobs_or_blocks(tmp_path, monkeypatch):
     corpus = write_jsonl(tmp_path / "corpus.jsonl", synthetic_records(12))
 
@@ -965,7 +1019,9 @@ def _long_word_records(n: int) -> list[dict]:
 def stage_peaks(tmp_path_factory) -> dict:
     """{n: {stage: traced Python peak}} for n = 48 and 4 x 48 documents, and
     "record" -> the mean bytes of an input line. select is measured when it
-    runs again with its LDA model current, since training holds the corpus."""
+    runs again with its LDA model current, since training holds the corpus.
+    Each stage is measured as in a process of its own, with a Workspace of
+    its own, which hashes the stage's inputs afresh."""
     from aspectsum import selection
 
     peaks = {}
@@ -979,14 +1035,18 @@ def stage_peaks(tmp_path_factory) -> dict:
             ws = Workspace(root / "ws")
             cfg = small_config(lda_iterations=2, fold_in_iterations=2)
             client = MockLlmClient(seed=cfg.seed)
+
+            def own() -> Workspace:  # as the stage's own command would make it
+                return Workspace(ws.root)
+
             peaks[n] = {
-                "ingest": traced_peak(lambda: stage_ingest(ws, cfg, corpus))[1],
-                "probe": traced_peak(lambda: stage_probe(ws, cfg, client))[1],
+                "ingest": traced_peak(lambda: stage_ingest(own(), cfg, corpus))[1],
+                "probe": traced_peak(lambda: stage_probe(own(), cfg, client))[1],
             }
             stage_select(ws, cfg, client)
             ws.selections_path.unlink()
-            peaks[n]["select"] = traced_peak(lambda: stage_select(ws, cfg, client))[1]
-            peaks[n]["eval"] = traced_peak(lambda: stage_eval(ws, cfg))[1]
+            peaks[n]["select"] = traced_peak(lambda: stage_select(own(), cfg, client))[1]
+            peaks[n]["eval"] = traced_peak(lambda: stage_eval(own(), cfg))[1]
     return peaks
 
 
@@ -1655,10 +1715,7 @@ def test_cli_jobs_parallel_matches_serial(tmp_path, corpus_file):
     assert cli(*run_all_args(ws1, corpus_file)) == 0
     assert cli(*run_all_args(ws2, corpus_file), "--jobs", "4") == 0
     assert cli(*run_all_args(ws3, corpus_file)) == 0
-    # Every artifact is byte-identical. The cache holds the same entries, but
-    # its B-tree pages follow the insert order, which worker threads set.
-    outside = {k: v for k, v in tree_hashes(ws1).items() if not k.startswith("cache/")}
-    assert {k: v for k, v in tree_hashes(ws2).items() if not k.startswith("cache/")} == outside
-    assert len(outside) == len(tree_hashes(ws1)) - 1
-    assert cache_rows(ws2 / "cache") == cache_rows(ws1 / "cache")
-    assert tree_hashes(ws3) == tree_hashes(ws1)  # serial runs: the cache file too
+    # Every file is byte-identical, the cache included: only the stage's own
+    # thread stores, in input order, whatever the worker threads finish first.
+    assert tree_hashes(ws2) == tree_hashes(ws1)
+    assert tree_hashes(ws3) == tree_hashes(ws1)
