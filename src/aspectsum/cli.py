@@ -95,7 +95,7 @@ def _report(name: str, result: dict) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)} - {"profile"}
     overrides = {key: value for key, value in vars(args).items() if key in fields}
     try:
         cfg = build_config(profile=args.profile, config_file=args.config, overrides=overrides)

@@ -101,7 +101,8 @@ def build_config(
     """Merge profile defaults, a JSON config file, and explicit overrides.
 
     Named profiles carry their dataset's probe count and topic count; the
-    custom profile requires both to be given explicitly.
+    custom profile requires both to be given explicitly. Only the profile
+    argument (the CLI's --profile) sets the profile.
     """
     values: dict = {}
     if profile in PROFILE_DEFAULTS:
@@ -125,6 +126,10 @@ def build_config(
                 raise ValueError(f"unknown config key {key!r}")
             values[key] = value
 
+    if "profile" in values:
+        raise ValueError(
+            "config key 'profile' comes only from --profile, not a config file or overrides"
+        )
     values["profile"] = profile
     if "n_samples" not in values or "lda_k" not in values:
         raise ValueError("custom profile requires explicit n_samples and lda_k")

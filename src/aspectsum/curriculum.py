@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import functools
 import hashlib
-import itertools
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -68,14 +67,7 @@ class Stage(enum.Enum):
     JOINT = "joint"
 
 
-CANONICAL_STAGE_ORDER = (
-    Stage.SINGULAR_ASPECT,
-    Stage.SINGULAR_TRIPLE,
-    Stage.SINGULAR_SUMMARY,
-    Stage.CONCURRENT_EARLY,
-    Stage.CONCURRENT_LATE,
-    Stage.JOINT,
-)
+CANONICAL_STAGE_ORDER = tuple(Stage)
 
 
 @dataclass(frozen=True)
@@ -160,7 +152,7 @@ Pair = tuple[Document, Rationale]
 def _check_pair(d: Document, r: Rationale | None) -> Rationale:
     if r is None:
         raise MissingRationale(f"document {d.id} has no golden rationale")
-    # Ingestion rejects reserved tokens, but library callers can bypass it;
+    # Ingest and probe reject reserved tokens, but library callers can bypass them;
     # a collision here would make segment boundaries ambiguous.
     for label, text in (
         ("document text", d.text),
@@ -230,28 +222,18 @@ def check_loss_weights(lambda_rationale: float, lambda_summary: float) -> None:
 
 def _stage_manifests(
     pairs: list[Pair],
-    adapter: TrainerAdapter | None = None,
-    lambda_rationale: float = 0.8,
-    lambda_summary: float = 1.2,
+    adapter: TrainerAdapter,
+    lambda_rationale: float,
+    lambda_summary: float,
 ):
     """The six stage manifests in CANONICAL_STAGE_ORDER, each built when asked for:
     the loss weights are checked before the first, so a bad one fails before
     anything trains, and concurrent_late decodes with the adapter trained so far."""
     check_loss_weights(lambda_rationale, lambda_summary)
-    checked = _checked(pairs)
-    # Per document, its three examples conditioned on the golden rationale.
-    forced = [
-        _document_examples(
-            d, r, serialize_aspects(r.aspects), serialize_triples(r.triples), PROVENANCE_GOLDEN
-        )
-        for d, r in checked
-    ]
-    for task, stage in enumerate(CANONICAL_STAGE_ORDER[:3]):
-        yield StageManifest(stage, tuple(examples[task] for examples in forced))
-    yield StageManifest(Stage.CONCURRENT_EARLY, tuple(ex for per_doc in forced for ex in per_doc))
-    del forced  # no later stage reads them
-    yield _concurrent_late_manifest(checked, adapter)
-    yield _joint_manifest(checked, lambda_rationale, lambda_summary)
+    yield from build_singular_manifests(pairs)
+    yield build_concurrent_early_manifest(pairs)
+    yield build_concurrent_late_manifest(pairs, adapter)
+    yield build_joint_manifest(pairs, lambda_rationale, lambda_summary)
 
 
 def build_singular_manifests(
@@ -259,13 +241,24 @@ def build_singular_manifests(
 ) -> tuple[StageManifest, StageManifest, StageManifest]:
     """One manifest per singular task: aspects from D, triples from (D, A*),
     summary from (D, A*, T*)."""
-    return tuple(itertools.islice(_stage_manifests(pairs), 3))
+    # Per document, its three examples conditioned on the golden rationale.
+    forced = [
+        _document_examples(
+            d, r, serialize_aspects(r.aspects), serialize_triples(r.triples), PROVENANCE_GOLDEN
+        )
+        for d, r in _checked(pairs)
+    ]
+    return tuple(
+        StageManifest(stage, tuple(examples[task] for examples in forced))
+        for task, stage in enumerate(CANONICAL_STAGE_ORDER[:3])
+    )
 
 
 def build_concurrent_early_manifest(pairs: list[Pair]) -> StageManifest:
     """All three tasks per document, every conditioning segment teacher-forced
-    from the golden rationale."""
-    return next(itertools.islice(_stage_manifests(pairs), 3, None))
+    from the golden rationale: the singular examples, document by document."""
+    by_document = zip(*(m.examples for m in build_singular_manifests(pairs)))
+    return StageManifest(Stage.CONCURRENT_EARLY, tuple(ex for exs in by_document for ex in exs))
 
 
 def build_concurrent_late_manifest(pairs: list[Pair], adapter: TrainerAdapter) -> StageManifest:
@@ -276,15 +269,9 @@ def build_concurrent_late_manifest(pairs: list[Pair], adapter: TrainerAdapter) -
     those outputs become conditioning segments verbatim, while targets stay
     golden. Documents whose decode fails are skipped with an audit entry.
     """
-    return _concurrent_late_manifest(_checked(pairs), adapter)
-
-
-def _concurrent_late_manifest(
-    checked: list[Pair], adapter: TrainerAdapter
-) -> StageManifest:
     examples = []
     skipped = []
-    for d, r in checked:
+    for d, r in _checked(pairs):
         try:
             decoded_aspects = adapter.greedy_decode(TaskKind.ASP_EXT, _aspext_input(d))
             decoded_triples = adapter.greedy_decode(
@@ -310,14 +297,8 @@ def build_joint_manifest(
 ) -> StageManifest:
     """One rationale-summary example per document; a single encode-decode pair."""
     check_loss_weights(lambda_rationale, lambda_summary)
-    return _joint_manifest(_checked(pairs), lambda_rationale, lambda_summary)
-
-
-def _joint_manifest(
-    checked: list[Pair], lambda_rationale: float, lambda_summary: float
-) -> StageManifest:
     examples = []
-    for d, r in checked:
+    for d, r in _checked(pairs):
         target = f"{serialize_rationale(r)} {SUMMARY_TOKEN} {d.ground_truth_summary}"
         examples.append(TrainingExample(TaskKind.RAT_GEN, _ratgen_input(d), target, d.id))
     return StageManifest(

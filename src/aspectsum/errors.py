@@ -29,7 +29,7 @@ class InsufficientValidSamples(AspectsumError):
 
 
 class EmptyVocabulary(AspectsumError):
-    """Vocabulary filtering removed every term, or no in-vocabulary tokens remain."""
+    """Vocabulary filtering removed every term."""
 
 
 class InvalidHyperparameter(AspectsumError, ValueError):

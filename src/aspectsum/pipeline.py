@@ -11,7 +11,6 @@ fail-fast semantics: the first failing stage raises and earlier artifacts stay i
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 import tempfile
@@ -231,23 +230,20 @@ def stage_probe(ws: Workspace, cfg: PipelineConfig, client: LlmClient) -> dict:
 def _probe(ws: Workspace, cfg: PipelineConfig, client: LlmClient) -> dict:
     probe_cfg = cfg.probe_config()
     namespace = client.cache_namespace
-    # Records that render one prompt share its cached responses. Each prompt
-    # is probed once, under its first id, so the bytes do not depend on
-    # which worker finishes first; only its sha256 is kept.
-    seen: set[bytes] = set()
     # Per document handed to the workers and not yet written, in order: its
-    # responses, or None for a prompt probed under an earlier id.
+    # responses, or None when a document in flight has its prompt. So each
+    # prompt is probed once, under its first id, whichever worker finishes
+    # first; a prompt written earlier finds every slot in the cache.
     unwritten: deque[PrefetchedResponses | None] = deque()
 
     def handed_out(documents):  # on this thread, before a worker takes the document
         n = probe_cfg.n_samples
         for doc in documents:
             prompt = render_probe_prompt(doc)
-            digest = hashlib.sha256(prompt.encode("utf-8")).digest()
-            first = digest not in seen
-            seen.add(digest)
-            unwritten.append(PrefetchedResponses(cache, namespace, prompt, n) if first else None)
-            yield doc, unwritten[-1]
+            in_flight = any(r is not None and r.prompt == prompt for r in unwritten)
+            responses = None if in_flight else PrefetchedResponses(cache, namespace, prompt, n)
+            unwritten.append(responses)
+            yield doc, responses
 
     def work(item: tuple[Document, PrefetchedResponses | None]):
         # On a worker thread: completions, parsing and retries, and no cache.
@@ -358,12 +354,17 @@ def _selected(ws: Workspace) -> Iterator[tuple[dict, Document]]:
 
 
 def _recorded_stages(ws: Workspace, key: str) -> list[dict]:
-    """The stage entries of the curriculum report, if it was written under this key."""
+    """The stage entries of the curriculum report, if it was written under this key;
+    none, so that every stage trains, if it is missing or damaged."""
     try:
         report = json.loads(ws.curriculum_report_path.read_text(encoding="utf-8"))
-    except (FileNotFoundError, ValueError):
+        stages = report["stages"] if report["key"] == key else []
+    except (FileNotFoundError, ValueError, TypeError, KeyError):
         return []
-    return report["stages"] if report.get("key") == key else []
+    fields = {"stage", "digest", "metrics"}
+    if isinstance(stages, list) and all(isinstance(e, dict) and fields <= e.keys() for e in stages):
+        return stages
+    return []
 
 
 def stage_curriculum(

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .clients import LlmClient
+from .curriculum import find_reserved_token
 from .errors import EmptyField, InsufficientValidSamples, MalformedRationale, SchemaError
 from .rationale import (
     Candidate,
@@ -28,6 +29,7 @@ from .rationale import (
     Document,
     Rationale,
     parse_probe_response,
+    serialize_rationale,
 )
 
 _PLACEHOLDER_RE = re.compile(r"\{(document|ground_truth_summary)\}")
@@ -199,6 +201,7 @@ class PrefetchedResponses:
     """
 
     def __init__(self, cache: ResponseCache, namespace: str, prompt: str, n_samples: int):
+        self.prompt = prompt
         self._cached = [cache.lookup(namespace, prompt, slot) for slot in range(n_samples)]
         self._fresh: list[tuple[str, str, int, str]] = []
 
@@ -231,7 +234,7 @@ class EmbeddingCache(_Store):
 
 @dataclass(frozen=True)
 class DiscardRecord:
-    """One unparseable probe response, kept for the audit trail."""
+    """One discarded probe response, kept for the audit trail."""
 
     document_id: str
     sample_index: int
@@ -252,8 +255,9 @@ def probe_rationales(
     Each sample slot runs one loop of attempts. Attempt -1 is the cached
     response, if any, which uses no retry and is never stored again; attempts
     0 to config.max_retries are fresh completions, and the first that parses
-    is stored. A response that does not parse is recorded as discarded with
-    its attempt number, never silently repaired. The document stops at its
+    is stored. A response that does not parse, or whose rationale holds a
+    reserved curriculum token, is recorded as discarded with its attempt
+    number, never silently repaired. The document stops at its
     first slot that never parses. Transport failures propagate immediately.
     """
     prompt = render_probe_prompt(document)
@@ -265,7 +269,11 @@ def probe_rationales(
         for attempt in range(-1 if cached is not None else 0, 1 + config.max_retries):
             response = cached if attempt < 0 else client.complete(prompt)
             try:
-                accepted.append(parse_probe_response(response))
+                rationale, summary = parse_probe_response(response)
+                token = find_reserved_token(serialize_rationale(rationale))
+                if token is not None:  # the curriculum could not tell its segments apart
+                    raise MalformedRationale(f"rationale contains reserved token {token}")
+                accepted.append((rationale, summary))
             except MalformedRationale as exc:
                 if discards is not None:
                     discards.append(DiscardRecord(document.id, slot, attempt, str(exc), response))

@@ -199,6 +199,8 @@ class LdaModel:
     topic_word_counts: np.ndarray  # k x V, nonnegative ints
 
     def __post_init__(self):
+        # A saved model records no iteration count.
+        _validate_hyperparameters(self.k, self.alpha, self.beta, iterations=1)
         if self.topic_word_counts.shape != (self.k, len(self.vocabulary)):
             raise ValueError("topic_word_counts shape does not match (k, V)")
         if np.any(self.topic_word_counts < 0):
@@ -281,7 +283,6 @@ def train_lda(
     beta: float = 0.01,
     iterations: int = 500,
     seed: int = 0,
-    vocabulary: Vocabulary | None = None,
     vocab_config: VocabularyConfig | None = None,
 ) -> LdaModel:
     """Batch variational training for `iterations` passes; deterministic for a seed.
@@ -292,10 +293,8 @@ def train_lda(
     if alpha is None:
         alpha = 50.0 / k
     _validate_hyperparameters(k, alpha, beta, iterations)
-    vocab = vocabulary or build_vocabulary(corpus, vocab_config)
+    vocab = build_vocabulary(corpus, vocab_config)
     encoded = [vocab.encode(_doc_text(doc)) for doc in corpus]
-    if not any(encoded):
-        raise EmptyVocabulary("corpus has no in-vocabulary tokens")
 
     v_size = len(vocab)
     blocks = [block for _, block in _blocks(encoded, k, alpha)]

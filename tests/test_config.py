@@ -39,6 +39,15 @@ def test_config_file_merge_and_overrides(tmp_path):
     assert cfg.jobs == 1  # None overrides are ignored
 
 
+def test_profile_comes_only_from_its_argument(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"profile": "cnndm", "n_samples": 3, "lda_k": 4}), encoding="utf-8")
+    with pytest.raises(ValueError, match="'profile' comes only from --profile"):
+        build_config(profile="custom", config_file=path)
+    with pytest.raises(ValueError, match="'profile' comes only from --profile"):
+        build_config(profile="cnndm", overrides={"profile": "xsum"})
+
+
 def test_config_file_unknown_key(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n_sample": 5}), encoding="utf-8")

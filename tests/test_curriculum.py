@@ -298,6 +298,29 @@ def test_run_curriculum_full_plan():
         assert entry["metrics"]["examples"] == entry["example_count"]
 
 
+def test_run_curriculum_manifests_are_the_public_builders_output():
+    pairs = make_pairs(4)
+    manifests = []
+    run_curriculum(
+        pairs,
+        FailingAdapter(pairs, fail_for="article 2 "),
+        on_manifest=manifests.append,
+        lambda_rationale=0.5,
+        lambda_summary=1.5,
+    )
+    built = [
+        *build_singular_manifests(pairs),
+        build_concurrent_early_manifest(pairs),
+        build_concurrent_late_manifest(pairs, FailingAdapter(pairs, fail_for="article 2 ")),
+        build_joint_manifest(pairs, lambda_rationale=0.5, lambda_summary=1.5),
+    ]
+    assert [m.stage for m in built] == list(CANONICAL_STAGE_ORDER)
+    assert [(m.digest(), m.skipped, m.meta()) for m in manifests] == [
+        (m.digest(), m.skipped, m.meta()) for m in built
+    ]
+    assert [s.document_id for s in manifests[4].skipped] == ["doc-2"]
+
+
 @pytest.mark.parametrize("weight", ["lambda_rationale", "lambda_summary"])
 def test_run_curriculum_checks_loss_weights_before_anything_trains(weight):
     pairs = make_pairs(2)

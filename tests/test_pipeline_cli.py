@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
 import gc
 import hashlib
@@ -397,6 +398,35 @@ def test_curriculum_resumes_from_its_report(tmp_path, corpus_file, monkeypatch):
     (ws.manifests_dir / "06_joint.jsonl").unlink()
     stage_curriculum(ws, cfg)
     assert len(adapters) == built + 2 and adapters[-1].trained_stages == every_stage
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda report: [],
+        lambda report: {"key": report["key"]},
+        lambda report: dict(report, stages="x"),
+        lambda report: dict(report, stages=[1, 2]),
+        lambda report: dict(report, stages=[
+            {k: v for k, v in entry.items() if k != "metrics"} for entry in report["stages"]
+        ]),
+    ],
+    ids=["list", "no-stages", "stages-str", "stages-ints", "no-metrics"],
+)
+def test_damaged_curriculum_report_trains_every_stage(tmp_path, corpus_file, monkeypatch, damage):
+    from aspectsum.pipeline import run_all
+
+    ws = Workspace(tmp_path / "ws")
+    cfg = small_config()
+    run_all(ws, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
+    report = ws.curriculum_report_path.read_bytes()
+    damaged = damage(json.loads(report))
+    ws.curriculum_report_path.write_text(json.dumps(damaged), encoding="utf-8")
+    (ws.manifests_dir / "06_joint.jsonl").unlink()
+    adapters = _recording_adapters(monkeypatch)
+    assert not stage_curriculum(ws, cfg)["skipped"]
+    assert adapters[-1].trained_stages == [s.value for s in CANONICAL_STAGE_ORDER]
+    assert ws.curriculum_report_path.read_bytes() == report
 
 
 def test_select_recovers_from_truncated_embedding_entry(tmp_path, corpus_file):
@@ -896,11 +926,25 @@ def test_cli_selection_record_missing_a_field_names_file_and_line(
     assert capsys.readouterr().err == f"error: {path}, line 3: missing field {field!r}\n"
 
 
-@pytest.mark.parametrize("damage", ['{"k": 3}', '{"k": 3'], ids=["field-missing", "cut-short"])
+@pytest.mark.parametrize(
+    "damage",
+    [
+        '{"k": 3}',
+        '{"k": 3',
+        {"alpha": "x"},
+        {"alpha": None},
+        {"alpha": -0.5},
+        {"beta": -1},
+        {"beta": 0},
+    ],
+    ids=["field-missing", "cut-short", "alpha-str", "alpha-null", "alpha-neg", "beta-neg", "beta-0"],
+)
 def test_cli_damaged_lda_model_names_its_file(tmp_path, corpus_file, capsys, damage):
     ws_root = tmp_path / "ws"
     assert cli(*run_all_args(ws_root, corpus_file)) == 0
     model = ws_root / "lda" / "model.json"
+    if isinstance(damage, dict):  # fields of the wrong type or range
+        damage = json.dumps({**json.loads(model.read_text(encoding="utf-8")), **damage})
     model.write_text(damage, encoding="utf-8")
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"lambda_cs": 2.0}), encoding="utf-8")
@@ -1411,6 +1455,8 @@ def test_workspace_of_the_state_file_format_reruns_without_calls(
 def test_probe_jobs_keep_bytes_when_records_share_text(tmp_path):
     texts = synthetic_records(2)
     records = [dict(texts[i // 4], id=f"dup-{i}") for i in range(8)]
+    # Its prompt repeats after dup-0's line has been written.
+    records.append(dict(texts[0], id="dup-8"))
     corpus = write_jsonl(tmp_path / "dups.jsonl", records)
 
     def probe(name: str, jobs: int):
@@ -1421,11 +1467,42 @@ def test_probe_jobs_keep_bytes_when_records_share_text(tmp_path):
         stage_probe(ws, cfg, client)
         # Each of the two prompts is probed once.
         assert client.completion_calls == 8
-        return ws.candidates_path.read_bytes(), ws.discards_path.read_bytes()
+        cache = (ws.cache_dir / "cache.sqlite").read_bytes()
+        return ws.candidates_path.read_bytes(), ws.discards_path.read_bytes(), cache
 
     serial = probe("serial", 1)
     for i in range(5):
         assert probe(f"parallel{i}", 2) == serial
+
+
+def test_reserved_token_in_a_probed_rationale_is_a_discard(tmp_path, corpus_file):
+    from aspectsum.pipeline import run_all
+
+    class ReservedTokenFirst(MockLlmClient):
+        """Puts <article> into an aspect of the first two responses to each prompt."""
+
+        def __init__(self, seed):
+            super().__init__(seed=seed)
+            self.calls = collections.Counter()
+
+        def complete(self, prompt):
+            response = super().complete(prompt)
+            self.calls[prompt] += 1
+            if self.calls[prompt] > 2:
+                return response
+            return response.replace("Aspects: ", "Aspects: <article> ", 1)
+
+    ws = Workspace(tmp_path / "ws")
+    cfg = small_config()  # two samples and two retries
+    result = run_all(ws, cfg, corpus_file, ReservedTokenFirst(seed=cfg.seed))
+    assert result["curriculum"]["stages"] == [s.value for s in CANONICAL_STAGE_ORDER]
+    assert all(path.exists() for s in CANONICAL_STAGE_ORDER for path in ws.manifest_paths(s))
+    discards = list(ws.read_jsonl(ws.discards_path))
+    # Each document's first slot is discarded twice and takes its third attempt.
+    assert result["probe"]["discarded"] == len(discards) == 2 * 6
+    assert [(d["sample_index"], d["attempt"]) for d in discards[:2]] == [(0, 0), (0, 1)]
+    assert {d["reason"] for d in discards} == {"rationale contains reserved token <article>"}
+    assert "<article>" not in ws.candidates_path.read_text(encoding="utf-8")
 
 
 def test_seed_changes_probe_outputs(tmp_path, corpus_file):
@@ -1552,6 +1629,7 @@ CONFIG_FLAGS = [
     ("--lda-iterations", "lda_iterations", 17),
     ("--fold-in-iterations", "fold_in_iterations", 13),
     ("--max-retries", "max_retries", 5),
+    ("--profile", "profile", "xsum"),
 ]
 
 
@@ -1587,13 +1665,14 @@ def test_cli_flag_reaches_the_config(tmp_path, monkeypatch, flag, field, value):
         ({"max_summary_tokens": 0}, []),
         ({}, ["--jobs", "0"]),
         ({"jobs": -4}, []),
+        ({"profile": "cnndm"}, []),
     ],
     ids=[
         "lda-k-1", "phi-alpha-nan", "stopwords-klingon", "min-df-0", "n-samples-0",
         "lda-alpha-nan", "lda-beta-nan", "lda-alpha-inf", "max-retries-str", "min-df-bool",
         "fold-in-iterations-0", "lambda-summary-nan", "lambda-rationale-negative",
         "lambda-summary-0", "max-doc-tokens-0", "max-summary-tokens-0", "jobs-0",
-        "jobs-negative",
+        "jobs-negative", "profile-key",
     ],
 )
 def test_cli_bad_config_fails_before_any_stage(tmp_path, corpus_file, capsys, config, flags):

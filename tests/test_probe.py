@@ -327,6 +327,30 @@ def test_cached_and_fresh_discards_are_one_attempt_sequence(tmp_path, sample_doc
     assert cache.lookup(ScriptedClient.cache_namespace, prompt, 0) == GOOD
 
 
+@pytest.mark.parametrize(
+    "reserved,token",
+    [
+        ("Aspects: a; b <article>\nTriples: [x | y | z]\nSummary: s", "<article>"),
+        ("Aspects: a; b\nTriples: [x | <SumGen> | z]\nSummary: s", "<SumGen>"),
+    ],
+    ids=["aspect", "triple"],
+)
+def test_reserved_token_in_a_rationale_is_a_discard(tmp_path, sample_document, reserved, token):
+    cache = ResponseCache(tmp_path)
+    prompt = render_probe_prompt(sample_document)
+    cache.store(ScriptedClient.cache_namespace, prompt, 0, reserved)
+    client = ScriptedClient([reserved, GOOD])
+    discards = []
+    cfg = ProbeConfig(n_samples=1, max_retries=1)
+    cs = probe_rationales(client, sample_document, cfg, cache=cache, discards=discards)
+    # The cached response is attempt -1, and the slot retries.
+    assert [(d.sample_index, d.attempt) for d in discards] == [(0, -1), (0, 0)]
+    assert {d.reason for d in discards} == {f"rationale contains reserved token {token}"}
+    assert cs.candidates[0].summary == "fine summary"
+    assert cache.lookup(ScriptedClient.cache_namespace, prompt, 0) == GOOD
+    cache.close()
+
+
 def test_mock_embed_contract():
     client = MockLlmClient(seed=0, dimension=32)
     a = client.embed("storm flood rain")

@@ -77,12 +77,6 @@ def test_invalid_hyperparameters():
         VocabularyConfig("klingon", 1)
 
 
-def test_train_requires_in_vocabulary_tokens():
-    vocab = Vocabulary(("zzz",), VocabularyConfig("none", 1))
-    with pytest.raises(EmptyVocabulary):
-        train_lda(["alpha beta"], k=2, iterations=1, vocabulary=vocab)
-
-
 def test_train_seeded_determinism():
     docs, _ = planted_corpus(n_docs=30)
     m1 = train_lda(docs, k=3, iterations=30, seed=11)
