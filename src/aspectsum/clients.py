@@ -10,6 +10,7 @@ cache: the stage's thread does every lookup and store.
 from __future__ import annotations
 
 import os
+import time
 from abc import ABC, abstractmethod
 from collections import deque
 from collections.abc import Iterator
@@ -29,6 +30,14 @@ DEFAULT_API_KEY_ENV = "ASPECTSUM_API_KEY"
 # tokens summed over one request; 256 inputs stay under the token limit
 # unless they average over 1,171 tokens.
 EMBED_BATCH_INPUTS = 256
+# A request that fails for a reason that may pass (HTTP 429 or 5xx, a lost
+# connection, a timeout) is sent up to REQUEST_ATTEMPTS times. Before attempt
+# n + 1 it waits the response's Retry-After seconds (RFC 9110, section
+# 10.2.3), or else RETRY_BASE_DELAY_S * 2**(n - 1); never more than
+# RETRY_MAX_DELAY_S.
+REQUEST_ATTEMPTS = 5
+RETRY_BASE_DELAY_S = 1.0
+RETRY_MAX_DELAY_S = 60.0
 
 
 def batched(items, n: int) -> Iterator[list]:
@@ -93,10 +102,12 @@ class OpenAiCompatClient(LlmClient):
     """Thin client for an OpenAI-style HTTP API.
 
     The credential comes from the environment (``api_key_env``); endpoint URL
-    and model ids are configuration. No retry policy beyond what the caller
-    implements: transport failures surface as TransportError. ``requests`` is
-    imported only when a client is built, so offline runs never load the
-    network stack (urllib3, ssl, http.client).
+    and model ids are configuration. A transient failure is retried with
+    bounded exponential backoff (REQUEST_ATTEMPTS); a failure that outlasts
+    the retries, or any other one, surfaces as TransportError. ``sleep`` is
+    how the client waits between attempts. ``requests`` is imported only
+    when a client is built, so offline runs never load the network stack
+    (urllib3, ssl, http.client).
     """
 
     def __init__(
@@ -107,6 +118,7 @@ class OpenAiCompatClient(LlmClient):
         api_key_env: str = DEFAULT_API_KEY_ENV,
         timeout: float = 120.0,
         session: requests.Session | None = None,
+        sleep=time.sleep,
     ):
         self.endpoint_url = endpoint_url.rstrip("/")
         self.model_id = model_id
@@ -116,7 +128,9 @@ class OpenAiCompatClient(LlmClient):
         import requests
 
         self._request_error = requests.RequestException
+        self._transient_error = (requests.ConnectionError, requests.Timeout)
         self._session = session or requests.Session()
+        self._sleep = sleep
         self._dimension: int | None = None
         self.cache_namespace = f"{self.endpoint_url}:{model_id}:{embedding_model_id}"
 
@@ -127,17 +141,33 @@ class OpenAiCompatClient(LlmClient):
         return {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
 
     def _post(self, path: str, payload: dict) -> dict:
-        try:
-            resp = self._session.post(
-                f"{self.endpoint_url}{path}",
-                json=payload,
-                headers=self._headers(),
-                timeout=self.timeout,
-            )
-        except self._request_error as exc:
-            raise TransportError(f"request to {path} failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise TransportError(f"{path} returned HTTP {resp.status_code}: {resp.text[:200]}")
+        for attempt in range(1, REQUEST_ATTEMPTS + 1):
+            retry_after = ""
+            try:
+                resp = self._session.post(
+                    f"{self.endpoint_url}{path}",
+                    json=payload,
+                    headers=self._headers(),
+                    timeout=self.timeout,
+                )
+            except self._request_error as exc:
+                error = TransportError(f"request to {path} failed: {exc}")
+                error.__cause__ = exc
+                transient = isinstance(exc, self._transient_error)
+            else:
+                if resp.status_code == 200:
+                    break
+                error = TransportError(
+                    f"{path} returned HTTP {resp.status_code}: {resp.text[:200]}"
+                )
+                transient = resp.status_code == 429 or 500 <= resp.status_code <= 599
+                retry_after = resp.headers.get("Retry-After", "").strip()
+            if not transient or attempt == REQUEST_ATTEMPTS:
+                raise error
+            delay = RETRY_BASE_DELAY_S * 2 ** (attempt - 1)
+            if retry_after.isdigit():  # seconds; an HTTP date is not honoured
+                delay = int(retry_after)
+            self._sleep(min(delay, RETRY_MAX_DELAY_S))
         try:
             return resp.json()
         except ValueError as exc:

@@ -3,7 +3,9 @@
 Every training input starts with its task prefix token and carries segment
 markers in the fixed order article -> aspects -> triples. Manifests are the
 interface external seq2seq trainers consume: JSON Lines of examples plus a
-sidecar of stage metadata and loss weights. No gradients live here.
+sidecar of stage metadata and loss weights. A manifest line carries its input
+with the article cut out; with_article puts back the text of the corpus
+document the line names. No gradients live here.
 """
 
 from __future__ import annotations
@@ -113,8 +115,10 @@ class StageManifest:
     @functools.cached_property
     def _jsonl(self) -> str:
         # Built once: the write, the sidecar digest and the report digest share it.
+        # The article is written once, in the corpus, not in each of a document's examples.
         records = (
-            {"stage": self.stage.value, "task": ex.task.value, "input": ex.input,
+            {"stage": self.stage.value, "task": ex.task.value,
+             "input_without_article": without_article(ex.input),
              "target": ex.target, "loss_weight": ex.loss_weight,
              "document_id": ex.document_id, "provenance": ex.provenance}
             for ex in self.examples
@@ -332,6 +336,18 @@ def article_segment(input: str) -> str:
         return input[start:]
     # Builders join segments with exactly one space, so drop only that one.
     return input[start : min(ends) - 1]
+
+
+def without_article(input: str) -> str:
+    """The input with ` <document text>` cut out after its ARTICLE_TOKEN."""
+    start = input.index(ARTICLE_TOKEN) + len(ARTICLE_TOKEN)
+    return input[:start] + input[start + 1 + len(article_segment(input)) :]
+
+
+def with_article(input_without_article: str, text: str) -> str:
+    """The full input of a manifest line: the document text put back, after a
+    space, right after the first ARTICLE_TOKEN."""
+    return input_without_article.replace(ARTICLE_TOKEN, f"{ARTICLE_TOKEN} {text}", 1)
 
 
 def run_curriculum(

@@ -52,6 +52,7 @@ from .workspace import (
     dump_json_pretty_chunks,
     file_sha256,
     jsonl_lines,
+    next_with_id,
     read_json_object,
 )
 
@@ -239,28 +240,30 @@ def _probe(ws: Workspace, cfg: PipelineConfig, client: LlmClient) -> dict:
     def handed_out(documents):  # on this thread, before a worker takes the document
         n = probe_cfg.n_samples
         for doc in documents:
-            prompt = render_probe_prompt(doc)
+            prompt = render_probe_prompt(doc)  # the document's one render
             in_flight = any(r is not None and r.prompt == prompt for r in unwritten)
             responses = None if in_flight else PrefetchedResponses(cache, namespace, prompt, n)
             unwritten.append(responses)
-            yield doc, responses
+            yield doc, prompt, responses
 
-    def work(item: tuple[Document, PrefetchedResponses | None]):
+    def work(item: tuple[Document, str, PrefetchedResponses | None]):
         # On a worker thread: completions, parsing and retries, and no cache.
-        doc, responses = item
+        doc, prompt, responses = item
         if responses is None:
-            return doc, None, []
+            return doc, prompt, None, []
         discards = []
-        candidate_set = probe_rationales(client, doc, probe_cfg, cache=responses, discards=discards)
-        return doc, candidate_set, discards
+        candidate_set = probe_rationales(
+            client, doc, probe_cfg, cache=responses, discards=discards, prompt=prompt
+        )
+        return doc, prompt, candidate_set, discards
 
     counts = {"documents": 0, "candidates": 0, "discarded": 0}
 
     def candidate_lines(results, spool):
-        for doc, candidate_set, discards in results:
+        for doc, prompt, candidate_set, discards in results:
             responses = unwritten.popleft()
             if responses is None:  # an earlier record's probe stored this prompt's responses
-                candidate_set = probe_rationales(client, doc, probe_cfg, cache=cache)
+                candidate_set = probe_rationales(client, doc, probe_cfg, cache=cache, prompt=prompt)
             else:
                 responses.write_to(cache)
                 cache.commit()  # a killed run re-asks only for the documents not yet written
@@ -325,27 +328,13 @@ def _select(ws: Workspace, cfg: PipelineConfig, provider: LlmClient) -> dict:
     return {"documents": documents}
 
 
-def _next_with_id(items: Iterator, wanted: str, item_id, missing: str):
-    """The next of items whose item_id is wanted, skipping the ones before it.
-
-    Artifacts follow corpus order (probe writes candidate sets in it, and
-    select keeps it), so one pass over each file pairs them. An item not
-    found further on, such as one a hand edit moved, raises
-    MissingPrerequisite(missing).
-    """
-    for item in items:
-        if item_id(item) == wanted:
-            return item
-    raise MissingPrerequisite(missing)
-
-
 def _with_documents(ws: Workspace, records, document_id) -> Iterator[tuple]:
     """(record, its corpus Document) for each record, in one pass over the corpus."""
     documents = ws.corpus()
     for record in records:
         wanted = document_id(record)
         missing = f"corpus document {wanted}, in corpus order"
-        yield record, _next_with_id(documents, wanted, lambda doc: doc.id, missing)
+        yield record, next_with_id(documents, wanted, lambda doc: doc.id, missing)
 
 
 def _selected(ws: Workspace) -> Iterator[tuple[dict, Document]]:
@@ -426,7 +415,7 @@ def _eval(ws: Workspace, external: dict | None) -> dict:
         for record, doc in _selected(ws):
             doc_id, golden_index = doc.id, record["golden_index"]
             missing = f"candidate set of document {doc_id}"
-            _, candidates = _next_with_id(candidate_sets, doc_id, lambda cs: cs[0], missing)
+            _, candidates = next_with_id(candidate_sets, doc_id, lambda cs: cs[0], missing)
             if not 0 <= golden_index < len(candidates):
                 raise MissingPrerequisite(f"candidate {golden_index} of document {doc_id}")
             yield candidates[golden_index], doc.ground_truth_summary

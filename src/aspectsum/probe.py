@@ -249,6 +249,7 @@ def probe_rationales(
     config: ProbeConfig,
     cache: ResponseCache | PrefetchedResponses | None = None,
     discards: list[DiscardRecord] | None = None,
+    prompt: str | None = None,
 ) -> CandidateSet:
     """Collect exactly config.n_samples parseable (rationale, summary) pairs.
 
@@ -259,8 +260,10 @@ def probe_rationales(
     reserved curriculum token, is recorded as discarded with its attempt
     number, never silently repaired. The document stops at its
     first slot that never parses. Transport failures propagate immediately.
+    prompt, if given, is render_probe_prompt(document), already rendered.
     """
-    prompt = render_probe_prompt(document)
+    if prompt is None:
+        prompt = render_probe_prompt(document)
     namespace = client.cache_namespace
 
     accepted: list[tuple[Rationale, str]] = []

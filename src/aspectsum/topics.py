@@ -240,17 +240,35 @@ class LdaModel:
 
     @classmethod
     def load(cls, path: Path) -> "LdaModel":
+        """The model lda/model.json holds; a field of the wrong type or range
+        raises KeyError, TypeError or ValueError."""
         obj = json.loads(path.read_text(encoding="utf-8"))
         vocab = obj["vocabulary"]
+        for owner, key, kinds in (
+            (obj, "k", int), (obj, "seed", int), (obj, "alpha", (int, float)),
+            (obj, "beta", (int, float)), (vocab, "stopwords", str), (vocab, "min_df", int),
+            (vocab, "terms", list),
+        ):
+            if isinstance(owner[key], bool) or not isinstance(owner[key], kinds):
+                raise TypeError(f"{key} has the wrong type")
+        terms = vocab["terms"]
+        if not all(isinstance(term, str) for term in terms):
+            raise TypeError("a vocabulary term is not a string")
+        if len(set(terms)) != len(terms):
+            raise ValueError("a vocabulary term repeats")
+        # Checked on the array: a model holds k x V counts, millions at corpus scale.
+        counts = np.asarray(obj["topic_word_counts"])
+        if counts.dtype.kind not in "iu":
+            raise TypeError("topic_word_counts are not all integers")
         return cls(
             k=obj["k"],
             alpha=obj["alpha"],
             beta=obj["beta"],
             seed=obj["seed"],
             vocabulary=Vocabulary(
-                tuple(vocab["terms"]), VocabularyConfig(vocab["stopwords"], vocab["min_df"])
+                tuple(terms), VocabularyConfig(vocab["stopwords"], vocab["min_df"])
             ),
-            topic_word_counts=np.asarray(obj["topic_word_counts"], dtype=np.int64),
+            topic_word_counts=counts.astype(np.int64, copy=False),
         )
 
 

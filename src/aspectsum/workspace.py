@@ -16,7 +16,7 @@ import os
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
-from .errors import AspectsumError, SchemaError, WorkspaceLocked
+from .errors import AspectsumError, MissingPrerequisite, SchemaError, WorkspaceLocked
 from .rationale import CandidateSet, Document, candidate_set_from_json, rationale_from_json
 
 
@@ -77,6 +77,20 @@ def read_json_object(path: Path, what: str) -> dict:
     if not isinstance(obj, dict):
         raise SchemaError(f"{what} {path} does not hold a JSON object")
     return obj
+
+
+def next_with_id(items: Iterator, wanted: str, item_id, missing: str):
+    """The next of items whose item_id is wanted, skipping the ones before it.
+
+    Artifacts follow corpus order (probe writes candidate sets in it, and
+    select and curriculum keep it), so one pass over each file pairs them.
+    An item not found further on, such as one a hand edit moved, raises
+    MissingPrerequisite(missing).
+    """
+    for item in items:
+        if item_id(item) == wanted:
+            return item
+    raise MissingPrerequisite(missing)
 
 
 def file_sha256(path: Path) -> str:
@@ -279,6 +293,34 @@ class Workspace:
             return obj
 
         return self.read_jsonl(self.selections_path, selection)
+
+    def manifest_examples(self, stage) -> Iterator[dict]:
+        """The lines of a curriculum Stage's manifest, each with its full `input`.
+
+        A line's `input_without_article` is joined with the text of the
+        corpus document its `document_id` names (curriculum.with_article).
+        Manifests follow corpus order, so the corpus is read once, in step
+        with the file; the pairing holds while the curriculum stage is
+        current. A line that already has `input`, as manifests had before
+        their lines cut the article out, passes unchanged.
+        """
+        from .curriculum import with_article  # curriculum imports this module
+
+        def line(obj: dict) -> dict:
+            return obj if "input" in obj else checked(
+                obj, document_id=str, input_without_article=str
+            )
+
+        documents = self.corpus()
+        doc = None
+        for obj in self.read_jsonl(self.manifest_paths(stage)[0], line):
+            if "input" not in obj:
+                wanted = obj["document_id"]
+                if doc is None or doc.id != wanted:
+                    missing = f"corpus document {wanted}, in corpus order"
+                    doc = next_with_id(documents, wanted, lambda d: d.id, missing)
+                obj["input"] = with_article(obj.pop("input_without_article"), doc.text)
+            yield obj
 
     def load_corpus(self) -> list[Document]:
         return list(self.corpus())

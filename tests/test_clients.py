@@ -5,16 +5,22 @@ import math
 
 import pytest
 
-from aspectsum.clients import OpenAiCompatClient
+from aspectsum.clients import (
+    REQUEST_ATTEMPTS,
+    RETRY_BASE_DELAY_S,
+    RETRY_MAX_DELAY_S,
+    OpenAiCompatClient,
+)
 from aspectsum.errors import TransportError
 from aspectsum.probe import ProbeConfig, probe_rationales
 
 
 class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
+    def __init__(self, status_code=200, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = text or json.dumps(payload)
+        self.headers = headers or {}
 
     def json(self):
         if self._payload is None:
@@ -32,13 +38,18 @@ class FakeSession:
         return self.responses.pop(0)
 
 
-def client_with(responses, monkeypatch):
+def client_with(responses, monkeypatch, sleep=None):
     monkeypatch.setenv("ASPECTSUM_API_KEY", "test-key")
     session = FakeSession(responses)
     client = OpenAiCompatClient(
-        "https://example.test/v1", "model-x", "embed-y", session=session
+        "https://example.test/v1", "model-x", "embed-y", session=session,
+        sleep=sleep if sleep is not None else no_sleep,
     )
     return client, session
+
+
+def no_sleep(seconds):
+    raise AssertionError(f"slept {seconds} s before a retry the test did not expect")
 
 
 def test_cache_namespace_names_the_chat_model():
@@ -72,13 +83,13 @@ def test_missing_credential(monkeypatch):
 def test_http_error_and_bad_payload(monkeypatch):
     client, _ = client_with(
         [
-            FakeResponse(status_code=500, payload={"error": "x"}),
+            FakeResponse(status_code=400, payload={"error": "x"}),
             FakeResponse(payload={"unexpected": True}),
             FakeResponse(payload=None, text="not json"),
         ],
         monkeypatch,
     )
-    with pytest.raises(TransportError, match="HTTP 500"):
+    with pytest.raises(TransportError, match="HTTP 400"):
         client.complete("x")
     with pytest.raises(TransportError, match="malformed completion"):
         client.complete("x")
@@ -180,9 +191,88 @@ def test_transport_exception_wrapped(monkeypatch):
             raise requests.ConnectionError("refused")
 
     monkeypatch.setenv("ASPECTSUM_API_KEY", "k")
-    client = OpenAiCompatClient("https://down.test", "m", "e", session=RaisingSession())
+    sleeps = []
+    client = OpenAiCompatClient(
+        "https://down.test", "m", "e", session=RaisingSession(), sleep=sleeps.append
+    )
     with pytest.raises(TransportError, match="failed"):
         client.complete("x")
+    assert len(sleeps) == REQUEST_ATTEMPTS - 1  # a refused connection is retried
+
+
+def completion(content="ok"):
+    return FakeResponse(payload={"choices": [{"message": {"content": content}}]})
+
+
+def test_429_waits_its_retry_after_then_succeeds(monkeypatch):
+    sleeps = []
+    client, session = client_with(
+        [FakeResponse(429, {"error": "slow down"}, headers={"Retry-After": "2"}), completion()],
+        monkeypatch,
+        sleep=sleeps.append,
+    )
+    assert client.complete("x") == "ok"
+    assert len(session.requests) == 2
+    assert session.requests[0] == session.requests[1]
+    assert sleeps == [2]
+
+
+def test_retry_after_is_capped_and_a_date_falls_back_to_backoff(monkeypatch):
+    sleeps = []
+    date = "Wed, 21 Oct 2015 07:28:00 GMT"
+    client, session = client_with(
+        [
+            FakeResponse(429, {}, headers={"Retry-After": "3600"}),
+            FakeResponse(503, {}, headers={"Retry-After": date}),
+            completion(),
+        ],
+        monkeypatch,
+        sleep=sleeps.append,
+    )
+    assert client.complete("x") == "ok"
+    assert sleeps == [RETRY_MAX_DELAY_S, 2 * RETRY_BASE_DELAY_S]
+
+
+def test_a_persistent_503_stops_at_the_attempt_bound(monkeypatch):
+    sleeps = []
+    client, session = client_with(
+        [FakeResponse(503, {"error": "down"})] * (REQUEST_ATTEMPTS + 1),
+        monkeypatch,
+        sleep=sleeps.append,
+    )
+    with pytest.raises(TransportError, match="HTTP 503"):
+        list(client.embed_many(["a"]))
+    assert len(session.requests) == REQUEST_ATTEMPTS
+    assert sleeps == [
+        min(RETRY_BASE_DELAY_S * 2**n, RETRY_MAX_DELAY_S) for n in range(REQUEST_ATTEMPTS - 1)
+    ]
+
+
+@pytest.mark.parametrize("status", [400, 401, 404, 422])
+def test_a_client_error_is_sent_once(monkeypatch, status):
+    client, session = client_with([FakeResponse(status, {"error": "bad"}), completion()],
+                                  monkeypatch)
+    with pytest.raises(TransportError, match=f"HTTP {status}"):
+        client.complete("x")
+    assert len(session.requests) == 1
+
+
+def test_a_timeout_is_retried(monkeypatch):
+    import requests
+
+    class TimingOutOnce(FakeSession):
+        def post(self, url, json=None, headers=None, timeout=None):
+            if not self.requests:
+                self.requests.append({"url": url})
+                raise requests.Timeout("read timed out")
+            return super().post(url, json=json, headers=headers, timeout=timeout)
+
+    monkeypatch.setenv("ASPECTSUM_API_KEY", "k")
+    sleeps = []
+    session = TimingOutOnce([completion()])
+    client = OpenAiCompatClient("https://x.test", "m", "e", session=session, sleep=sleeps.append)
+    assert client.complete("x") == "ok"
+    assert len(session.requests) == 2 and sleeps == [RETRY_BASE_DELAY_S]
 
 
 def test_map_ordered_keeps_order_with_a_bounded_window():

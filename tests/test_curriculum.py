@@ -22,6 +22,8 @@ from aspectsum.curriculum import (
     find_reserved_token,
     run_curriculum,
     split_joint_target,
+    with_article,
+    without_article,
 )
 from aspectsum.errors import DecodeFailure, MissingRationale, ReservedTokenCollision
 from aspectsum.mock import EchoTrainerAdapter
@@ -271,6 +273,18 @@ def test_article_segment_round_trip():
         assert article_segment(ex.input) == d.text
 
 
+def test_with_article_puts_back_what_without_article_cuts():
+    d = Document("d", " multi word article\nwith a newline and ü ", "s")
+    r = Rationale((Aspect("a"),), (Triple("x", "y", "z"),))
+    inputs = [ex.input for ex in build_concurrent_early_manifest([(d, r)]).examples]
+    inputs.append(build_joint_manifest([(d, r)]).examples[0].input)
+    for input in inputs:
+        compact = without_article(input)
+        assert d.text not in compact and ARTICLE_TOKEN in compact
+        assert with_article(compact, d.text) == input
+    assert without_article(inputs[1]) == "<TriExt> <article> <aspects> a"
+
+
 def test_manifest_jsonl_and_digest():
     pairs = make_pairs(2)
     manifest = build_joint_manifest(pairs)
@@ -278,9 +292,11 @@ def test_manifest_jsonl_and_digest():
     assert len(lines) == 2
     row = json.loads(lines[0])
     assert set(row) == {
-        "stage", "task", "input", "target", "loss_weight", "document_id", "provenance",
+        "stage", "task", "input_without_article", "target", "loss_weight", "document_id",
+        "provenance",
     }
     assert row["stage"] == "joint"
+    assert row["input_without_article"] == "<RatGen> <article>"
     assert manifest.digest() == build_joint_manifest(pairs).digest()
 
 

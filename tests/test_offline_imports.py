@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import aspectsum
-from aspectsum.clients import OpenAiCompatClient
+from aspectsum.clients import REQUEST_ATTEMPTS, OpenAiCompatClient
 from aspectsum.errors import TransportError
 from conftest import synthetic_records, write_jsonl
 
@@ -83,9 +83,12 @@ def test_client_without_a_session_makes_and_uses_a_requests_session(monkeypatch)
 
     monkeypatch.setattr(requests, "Session", FakeSession)
     monkeypatch.setenv("ASPECTSUM_API_KEY", "k")
-    client = OpenAiCompatClient("https://example.test/v1", "m", "e")
+    sleeps = []
+    client = OpenAiCompatClient("https://example.test/v1", "m", "e", sleep=sleeps.append)
     assert len(made) == 1
     assert client.complete("x") == "hello"
     with pytest.raises(TransportError, match="failed"):
         client.complete("y")
-    assert made[0].urls == ["https://example.test/v1/chat/completions"] * 2
+    # The refused connection is retried until the attempt bound.
+    assert made[0].urls == ["https://example.test/v1/chat/completions"] * (1 + REQUEST_ATTEMPTS)
+    assert len(sleeps) == REQUEST_ATTEMPTS - 1

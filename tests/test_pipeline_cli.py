@@ -21,7 +21,7 @@ from aspectsum import cli as cli_module
 from aspectsum import topics
 from aspectsum.cli import main
 from aspectsum.config import PipelineConfig, build_config
-from aspectsum.curriculum import CANONICAL_STAGE_ORDER
+from aspectsum.curriculum import CANONICAL_STAGE_ORDER, Stage
 from aspectsum.errors import (
     DuplicateId,
     MissingPrerequisite,
@@ -352,6 +352,74 @@ def test_deleted_manifest_is_rebuilt_without_retraining(tmp_path, corpus_file, m
         assert after == before, name
         assert stage_curriculum(ws, cfg)["skipped"]
     assert len(adapters) == len(names)
+
+
+def _with_input(manifest) -> list[str]:
+    """The manifest's lines with each whole input under "input", as manifests
+    were written before their lines cut the article out."""
+    return [
+        dump_json({
+            "stage": manifest.stage.value, "task": ex.task.value, "input": ex.input,
+            "target": ex.target, "loss_weight": ex.loss_weight,
+            "document_id": ex.document_id, "provenance": ex.provenance,
+        }) + "\n"
+        for ex in manifest.examples
+    ]
+
+
+def _run_all_keeping_manifests(tmp_path, corpus_file, monkeypatch):
+    """(workspace, the six StageManifests its curriculum trained on)."""
+    from aspectsum import pipeline
+    from aspectsum.mock import EchoTrainerAdapter
+
+    manifests = []
+
+    class Keeping(EchoTrainerAdapter):
+        def train(self, manifest):
+            manifests.append(manifest)
+            return super().train(manifest)
+
+    monkeypatch.setattr(pipeline, "EchoTrainerAdapter", Keeping)
+    ws = Workspace(tmp_path / "ws")
+    cfg = small_config()
+    pipeline.run_all(ws, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
+    assert [m.stage for m in manifests] == list(CANONICAL_STAGE_ORDER)
+    return ws, manifests
+
+
+def test_manifests_carry_no_article_and_the_reader_restores_each_line(
+    tmp_path, corpus_file, monkeypatch
+):
+    ws, manifests = _run_all_keeping_manifests(tmp_path, corpus_file, monkeypatch)
+    texts = {doc.id: doc.text for doc in ws.corpus()}
+    for manifest in manifests:
+        lines = ws.manifest_paths(manifest.stage)[0].read_text(encoding="utf-8").split("\n")
+        assert lines.pop() == ""
+        assert len(lines) == len(manifest.examples) > 0
+        for line in lines:
+            obj = json.loads(line)
+            assert "input" not in obj and "input_without_article" in obj
+            assert dump_json(texts[obj["document_id"]])[1:-1] not in line
+        restored = [dump_json(obj) + "\n" for obj in ws.manifest_examples(manifest.stage)]
+        assert restored == _with_input(manifest), manifest.stage
+
+
+def test_manifest_reader_passes_lines_with_input_unchanged(tmp_path, corpus_file, monkeypatch):
+    ws, manifests = _run_all_keeping_manifests(tmp_path, corpus_file, monkeypatch)
+    for manifest in manifests:
+        old = _with_input(manifest)
+        ws.manifest_paths(manifest.stage)[0].write_text("".join(old), encoding="utf-8")
+        assert [dump_json(obj) + "\n" for obj in ws.manifest_examples(manifest.stage)] == old
+
+
+def test_manifest_reader_names_a_line_out_of_corpus_order(tmp_path, corpus_file, monkeypatch):
+    ws, _ = _run_all_keeping_manifests(tmp_path, corpus_file, monkeypatch)
+    path = ws.manifest_paths(Stage.JOINT)[0]
+    first, second, *rest = path.read_text(encoding="utf-8").split("\n")
+    path.write_text("\n".join([second, first, *rest]), encoding="utf-8")
+    missing = json.loads(first)["document_id"]
+    with pytest.raises(MissingPrerequisite, match=f"corpus document {missing}, in corpus order"):
+        list(ws.manifest_examples(Stage.JOINT))
 
 
 def test_curriculum_resumes_from_its_report(tmp_path, corpus_file, monkeypatch):
@@ -926,6 +994,20 @@ def test_cli_selection_record_missing_a_field_names_file_and_line(
     assert capsys.readouterr().err == f"error: {path}, line 3: missing field {field!r}\n"
 
 
+def _terms(change):
+    """A damage to lda/model.json: its vocabulary terms changed."""
+    def damage(model: dict) -> dict:
+        vocabulary = model["vocabulary"]
+        return {**model, "vocabulary": {**vocabulary, "terms": change(vocabulary["terms"])}}
+
+    return damage
+
+
+def _counts(change):
+    """A damage to lda/model.json: its topic-word count rows changed."""
+    return lambda m: {**m, "topic_word_counts": change(m["topic_word_counts"])}
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -936,15 +1018,27 @@ def test_cli_selection_record_missing_a_field_names_file_and_line(
         {"alpha": -0.5},
         {"beta": -1},
         {"beta": 0},
+        _terms(lambda terms: list(range(len(terms)))),
+        _terms(lambda terms: terms[:1] * len(terms)),
+        _counts(lambda rows: [[c + 0.7 for c in row] for row in rows]),
+        _counts(lambda rows: [[str(c) for c in row] for row in rows]),
+        _counts(lambda rows: [[None] * len(row) for row in rows]),
+        _counts(lambda rows: [rows[0][:-1], *rows[1:]]),
     ],
-    ids=["field-missing", "cut-short", "alpha-str", "alpha-null", "alpha-neg", "beta-neg", "beta-0"],
+    ids=[
+        "field-missing", "cut-short", "alpha-str", "alpha-null", "alpha-neg", "beta-neg", "beta-0",
+        "terms-int", "terms-repeat", "counts-float", "counts-str", "counts-null", "counts-short-row",
+    ],
 )
 def test_cli_damaged_lda_model_names_its_file(tmp_path, corpus_file, capsys, damage):
     ws_root = tmp_path / "ws"
     assert cli(*run_all_args(ws_root, corpus_file)) == 0
     model = ws_root / "lda" / "model.json"
+    saved = json.loads(model.read_text(encoding="utf-8"))
     if isinstance(damage, dict):  # fields of the wrong type or range
-        damage = json.dumps({**json.loads(model.read_text(encoding="utf-8")), **damage})
+        damage = json.dumps({**saved, **damage})
+    elif callable(damage):  # a vocabulary term or a count of the wrong type
+        damage = json.dumps(damage(saved))
     model.write_text(damage, encoding="utf-8")
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"lambda_cs": 2.0}), encoding="utf-8")
@@ -1473,6 +1567,32 @@ def test_probe_jobs_keep_bytes_when_records_share_text(tmp_path):
     serial = probe("serial", 1)
     for i in range(5):
         assert probe(f"parallel{i}", 2) == serial
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_probe_renders_each_prompt_once(tmp_path, monkeypatch, jobs):
+    from aspectsum import pipeline, probe
+
+    records = synthetic_records(5)
+    # With jobs 2 the copy is handed out while record 1 is still in flight.
+    records.insert(2, dict(records[1], id="copy-of-1"))
+    corpus = write_jsonl(tmp_path / "in.jsonl", records)
+    rendered = []
+    render = probe.render_probe_prompt
+
+    def counting(doc):
+        rendered.append(doc.id)
+        return render(doc)
+
+    monkeypatch.setattr(pipeline, "render_probe_prompt", counting)
+    monkeypatch.setattr(probe, "render_probe_prompt", counting)
+    ws = Workspace(tmp_path / "ws")
+    cfg = small_config(jobs=jobs)
+    stage_ingest(ws, cfg, corpus)
+    stage_probe(ws, cfg, MockLlmClient(seed=cfg.seed))
+    assert sorted(rendered) == sorted(r["id"] for r in records)
+    sets = {cs.document_id: cs.candidates for cs in ws.candidate_sets()}
+    assert sets["copy-of-1"] == sets[records[1]["id"]]
 
 
 def test_reserved_token_in_a_probed_rationale_is_a_discard(tmp_path, corpus_file):

@@ -31,3 +31,19 @@ def test_scale_script_records_every_stage(tmp_path):
     assert run["stages"]["probe"]["report"]["candidates"] == 50 * 15  # the cnndm profile
     assert run["stages"]["eval"]["report"]["documents"] == 50
     assert run["workspace_bytes"]["selection"] > 0
+
+
+def test_scale_main_records_each_stage_and_the_manifest_bytes(tmp_path):
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("scale", SCRIPT)
+    scale = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scale)
+    out = tmp_path / "scale.json"
+    argv = ["--docs", "3", "--vocabulary", "40", "--doc-words", "20", "--summary-words", "4"]
+    assert scale.main([*argv, "--out", str(out)]) == 0
+    (run,) = json.loads(out.read_text(encoding="utf-8"))["runs"]
+    assert list(run["stages"]) == list(scale.STAGES)
+    for name, stage in run["stages"].items():
+        assert stage["wall_s"] > 0 and stage["cpu_s"] > 0 and stage["max_rss_mib"] > 0, name
+    assert run["workspace_bytes"]["manifests"] > 0
