@@ -6,8 +6,10 @@ For each corpus size, the script writes a synthetic corpus, then runs each
 stage as its own ``aspectsum <stage> --mock-llm --profile cnndm`` process on
 one fresh workspace. It records the stage's wall time, CPU time and maximum
 resident set size, read with ``os.wait4`` so that each figure is that one
-process's own, and the bytes of each workspace entry at the end. The result
-is one JSON file.
+process's own, and at the end the bytes of each workspace entry and the
+sha256 of each workspace file outside ``cache/``, so that two checkouts run
+on the same corpus can be compared byte for byte. The result is one JSON
+file.
 
 Documents draw ``--doc-words`` words from ``--vocabulary`` word types with
 Zipf (1/rank) weights; a summary draws ``--summary-words`` words from its
@@ -21,6 +23,7 @@ which keeps LDA from dominating.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import json
 import os
@@ -94,6 +97,24 @@ def tree_bytes(path: Path) -> int:
     return sum(p.stat().st_size for p in path.rglob("*") if p.is_file())
 
 
+def file_digests(ws: Path) -> dict[str, str]:
+    """The sha256 of each workspace file outside cache/, by its path in the workspace.
+
+    Each file is read 1 MiB at a time: a stage process starts from a fork of
+    this one, and the maximum RSS it reports is never below what this
+    process held when it forked.
+    """
+    digests = {}
+    for path in sorted(ws.rglob("*")):
+        if path.is_file() and path.relative_to(ws).parts[0] != "cache":
+            digest = hashlib.sha256()
+            with open(path, "rb") as fh:
+                for block in iter(lambda: fh.read(1 << 20), b""):
+                    digest.update(block)
+            digests[path.relative_to(ws).as_posix()] = digest.hexdigest()
+    return digests
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--docs", type=int, nargs="+", required=True, help="corpus sizes")
@@ -141,6 +162,7 @@ def main(argv=None) -> int:
                     "corpus_bytes": corpus.stat().st_size,
                     "stages": stages,
                     "workspace_bytes": {p.name: tree_bytes(p) for p in sorted(ws.iterdir())},
+                    "workspace_sha256": file_digests(ws),
                 })
     args.out.write_text(json.dumps({"settings": settings, "runs": runs}, indent=1) + "\n",
                         encoding="utf-8")

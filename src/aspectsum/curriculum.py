@@ -3,9 +3,9 @@
 Every training input starts with its task prefix token and carries segment
 markers in the fixed order article -> aspects -> triples. Manifests are the
 interface external seq2seq trainers consume: JSON Lines of examples plus a
-sidecar of stage metadata and loss weights. A manifest line carries its input
-with the article cut out; with_article puts back the text of the corpus
-document the line names. No gradients live here.
+sidecar of stage metadata and loss weights. A builder makes each input
+without its article, the form a manifest line carries, and with_article joins
+it with the text of the document the example names. No gradients live here.
 """
 
 from __future__ import annotations
@@ -75,25 +75,33 @@ CANONICAL_STAGE_ORDER = tuple(Stage)
 @dataclass(frozen=True)
 class TrainingExample:
     task: TaskKind
-    input: str
+    input_without_article: str
     target: str
-    document_id: str
+    document: Document
     loss_weight: float = 1.0
     provenance: str = PROVENANCE_GOLDEN
 
     def __post_init__(self):
-        if not self.input.startswith(self.task.prefix):
+        compact = self.input_without_article
+        if not compact.startswith(self.task.prefix):
             raise ValueError(f"input must begin with {self.task.prefix}")
         if self.loss_weight <= 0:
             raise ValueError("loss_weight must be positive")
-        positions = [
-            self.input.find(tok) for tok in (ARTICLE_TOKEN, ASPECTS_TOKEN, TRIPLES_TOKEN)
-        ]
+        positions = [compact.find(tok) for tok in (ARTICLE_TOKEN, ASPECTS_TOKEN, TRIPLES_TOKEN)]
         present = [p for p in positions if p >= 0]
         if positions[0] < 0:
             raise ValueError(f"input must contain {ARTICLE_TOKEN}")
         if present != sorted(present):
             raise ValueError("segment markers out of canonical order")
+
+    @property
+    def input(self) -> str:
+        """The full input, joined each time it is read: no example holds its article."""
+        return with_article(self.input_without_article, self.document.text)
+
+    @property
+    def document_id(self) -> str:
+        return self.document.id
 
 
 @dataclass(frozen=True)
@@ -118,7 +126,7 @@ class StageManifest:
         # The article is written once, in the corpus, not in each of a document's examples.
         records = (
             {"stage": self.stage.value, "task": ex.task.value,
-             "input_without_article": without_article(ex.input),
+             "input_without_article": ex.input_without_article,
              "target": ex.target, "loss_weight": ex.loss_weight,
              "document_id": ex.document_id, "provenance": ex.provenance}
             for ex in self.examples
@@ -171,16 +179,13 @@ def _check_pair(d: Document, r: Rationale | None) -> Rationale:
     return r
 
 
-def _aspext_input(d: Document) -> str:
-    return f"{TaskKind.ASP_EXT.prefix} {ARTICLE_TOKEN} {d.text}"
+# The inputs as a manifest line holds them: with_article(input, d.text) is the full input.
+_ASPEXT_INPUT = f"{TaskKind.ASP_EXT.prefix} {ARTICLE_TOKEN}"
+_RATGEN_INPUT = f"{TaskKind.RAT_GEN.prefix} {ARTICLE_TOKEN}"
 
 
-def _triext_input(d: Document, aspects_segment: str) -> str:
-    return f"{TaskKind.TRI_EXT.prefix} {ARTICLE_TOKEN} {d.text} {ASPECTS_TOKEN} {aspects_segment}"
-
-
-def _ratgen_input(d: Document) -> str:
-    return f"{TaskKind.RAT_GEN.prefix} {ARTICLE_TOKEN} {d.text}"
+def _triext_input(aspects_segment: str) -> str:
+    return f"{TaskKind.TRI_EXT.prefix} {ARTICLE_TOKEN} {ASPECTS_TOKEN} {aspects_segment}"
 
 
 def _document_examples(
@@ -196,20 +201,19 @@ def _document_examples(
     picks the conditioning segments and the provenance they carry.
     """
     sumgen_input = (
-        f"{TaskKind.SUM_GEN.prefix} {ARTICLE_TOKEN} {d.text} "
+        f"{TaskKind.SUM_GEN.prefix} {ARTICLE_TOKEN} "
         f"{ASPECTS_TOKEN} {aspects_segment} {TRIPLES_TOKEN} {triples_segment}"
     )
     return (
         TrainingExample(
-            TaskKind.ASP_EXT, _aspext_input(d), serialize_aspects(r.aspects), d.id,
+            TaskKind.ASP_EXT, _ASPEXT_INPUT, serialize_aspects(r.aspects), d, provenance=provenance
+        ),
+        TrainingExample(
+            TaskKind.TRI_EXT, _triext_input(aspects_segment), serialize_triples(r.triples), d,
             provenance=provenance,
         ),
         TrainingExample(
-            TaskKind.TRI_EXT, _triext_input(d, aspects_segment), serialize_triples(r.triples), d.id,
-            provenance=provenance,
-        ),
-        TrainingExample(
-            TaskKind.SUM_GEN, sumgen_input, d.ground_truth_summary, d.id, provenance=provenance
+            TaskKind.SUM_GEN, sumgen_input, d.ground_truth_summary, d, provenance=provenance
         ),
     )
 
@@ -277,9 +281,11 @@ def build_concurrent_late_manifest(pairs: list[Pair], adapter: TrainerAdapter) -
     skipped = []
     for d, r in _checked(pairs):
         try:
-            decoded_aspects = adapter.greedy_decode(TaskKind.ASP_EXT, _aspext_input(d))
+            decoded_aspects = adapter.greedy_decode(
+                TaskKind.ASP_EXT, with_article(_ASPEXT_INPUT, d.text)
+            )
             decoded_triples = adapter.greedy_decode(
-                TaskKind.TRI_EXT, _triext_input(d, decoded_aspects)
+                TaskKind.TRI_EXT, with_article(_triext_input(decoded_aspects), d.text)
             )
             for decoded in (decoded_aspects, decoded_triples):
                 token = find_reserved_token(decoded)
@@ -304,7 +310,7 @@ def build_joint_manifest(
     examples = []
     for d, r in _checked(pairs):
         target = f"{serialize_rationale(r)} {SUMMARY_TOKEN} {d.ground_truth_summary}"
-        examples.append(TrainingExample(TaskKind.RAT_GEN, _ratgen_input(d), target, d.id))
+        examples.append(TrainingExample(TaskKind.RAT_GEN, _RATGEN_INPUT, target, d))
     return StageManifest(
         Stage.JOINT,
         tuple(examples),
@@ -338,16 +344,13 @@ def article_segment(input: str) -> str:
     return input[start : min(ends) - 1]
 
 
-def without_article(input: str) -> str:
-    """The input with ` <document text>` cut out after its ARTICLE_TOKEN."""
-    start = input.index(ARTICLE_TOKEN) + len(ARTICLE_TOKEN)
-    return input[:start] + input[start + 1 + len(article_segment(input)) :]
-
-
 def with_article(input_without_article: str, text: str) -> str:
-    """The full input of a manifest line: the document text put back, after a
-    space, right after the first ARTICLE_TOKEN."""
-    return input_without_article.replace(ARTICLE_TOKEN, f"{ARTICLE_TOKEN} {text}", 1)
+    """The full input: the document text, after a space, right after the first
+    ARTICLE_TOKEN. An input without that token raises ValueError."""
+    head, token, tail = input_without_article.partition(ARTICLE_TOKEN)
+    if not token:
+        raise ValueError(f"input has no {ARTICLE_TOKEN}")
+    return f"{head}{token} {text}{tail}"
 
 
 def run_curriculum(

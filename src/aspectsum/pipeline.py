@@ -78,8 +78,8 @@ _STAGES = {
         ("lda_k", "lda_alpha", "lda_beta", "lda_iterations", "seed", "stopwords", "min_df"),
     ),
     "select": _Protocol(("corpus", "candidates"), "probe", ("selections", "lda_model")),
-    "curriculum": _Protocol(
-        ("selections",), "select", ("curriculum_report", *CANONICAL_STAGE_ORDER)
+    "curriculum": _Protocol(  # the sidecars record the corpus that the manifests name
+        ("selections", "corpus"), "select", ("curriculum_report", *CANONICAL_STAGE_ORDER)
     ),
     "eval": _Protocol(("selections", "candidates"), "select", ("eval_json", "eval_table")),
 }
@@ -368,11 +368,13 @@ def stage_curriculum(
 
     def work(digest: str) -> dict:
         pairs = [(doc, rationale_from_json(r["golden_rationale"])) for r, doc in _selected(ws)]
+        corpus_sha256 = _sha256(ws, ws.corpus_path)  # what manifest_examples checks
 
         def on_manifest(manifest: StageManifest) -> None:
             jsonl, meta = ws.manifest_paths(manifest.stage)
             ws.write_text(jsonl, manifest.to_jsonl())
-            ws.write_text(meta, dump_json_pretty(manifest.meta()))
+            sidecar = dict(manifest.meta(), corpus_sha256=corpus_sha256)
+            ws.write_text(meta, dump_json_pretty(sidecar))
 
         def on_stage(entries: list[dict]) -> None:
             report = {"key": digest, "stages": entries}

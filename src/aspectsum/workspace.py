@@ -300,26 +300,34 @@ class Workspace:
         A line's `input_without_article` is joined with the text of the
         corpus document its `document_id` names (curriculum.with_article).
         Manifests follow corpus order, so the corpus is read once, in step
-        with the file; the pairing holds while the curriculum stage is
-        current. A line that already has `input`, as manifests had before
-        their lines cut the article out, passes unchanged.
+        with the file. The join holds only for the corpus the manifest was
+        built from: a sidecar whose `corpus_sha256` is not that of the corpus
+        on disk, or that has none, raises MissingPrerequisite; a sidecar that
+        is missing or not a JSON object raises SchemaError.
         """
-        from .curriculum import with_article  # curriculum imports this module
+        from .curriculum import ARTICLE_TOKEN, with_article  # curriculum imports this module
+
+        jsonl, meta = self.manifest_paths(stage)
+        built_from = read_json_object(meta, "manifest sidecar").get("corpus_sha256")
+        if built_from != file_sha256(self.corpus_path):
+            raise MissingPrerequisite(
+                f"{stage.value} manifest built from the current corpus; re-run curriculum"
+            )
 
         def line(obj: dict) -> dict:
-            return obj if "input" in obj else checked(
-                obj, document_id=str, input_without_article=str
-            )
+            checked(obj, document_id=str, input_without_article=str)
+            if ARTICLE_TOKEN not in obj["input_without_article"]:
+                raise SchemaError(f"input_without_article has no {ARTICLE_TOKEN}")
+            return obj
 
         documents = self.corpus()
         doc = None
-        for obj in self.read_jsonl(self.manifest_paths(stage)[0], line):
-            if "input" not in obj:
-                wanted = obj["document_id"]
-                if doc is None or doc.id != wanted:
-                    missing = f"corpus document {wanted}, in corpus order"
-                    doc = next_with_id(documents, wanted, lambda d: d.id, missing)
-                obj["input"] = with_article(obj.pop("input_without_article"), doc.text)
+        for obj in self.read_jsonl(jsonl, line):
+            wanted = obj["document_id"]
+            if doc is None or doc.id != wanted:
+                missing = f"corpus document {wanted}, in corpus order"
+                doc = next_with_id(documents, wanted, lambda d: d.id, missing)
+            obj["input"] = with_article(obj.pop("input_without_article"), doc.text)
             yield obj
 
     def load_corpus(self) -> list[Document]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -23,7 +24,6 @@ from aspectsum.curriculum import (
     run_curriculum,
     split_joint_target,
     with_article,
-    without_article,
 )
 from aspectsum.errors import DecodeFailure, MissingRationale, ReservedTokenCollision
 from aspectsum.mock import EchoTrainerAdapter
@@ -250,19 +250,23 @@ def test_reserved_token_in_document_rejected():
 
 
 def test_training_example_validation():
+    d = Document("d", "article text", "s")
+    ex = TrainingExample(TaskKind.TRI_EXT, "<TriExt> <article> <aspects> a", "t", d)
+    assert ex.input == "<TriExt> <article> article text <aspects> a"
+    assert ex.document_id == "d"
     with pytest.raises(ValueError):
-        TrainingExample(TaskKind.ASP_EXT, "<TriExt> <article> x", "t", "d")
+        TrainingExample(TaskKind.ASP_EXT, "<TriExt> <article>", "t", d)
     with pytest.raises(ValueError):
-        TrainingExample(TaskKind.ASP_EXT, "<AspExt> no article marker", "t", "d")
+        TrainingExample(TaskKind.ASP_EXT, "<AspExt> no article marker", "t", d)
     with pytest.raises(ValueError):
         TrainingExample(
             TaskKind.SUM_GEN,
-            f"<SumGen> {TRIPLES_TOKEN} t {ARTICLE_TOKEN} x {ASPECTS_TOKEN} a",
+            f"<SumGen> {TRIPLES_TOKEN} t {ARTICLE_TOKEN} {ASPECTS_TOKEN} a",
             "t",
-            "d",
+            d,
         )
     with pytest.raises(ValueError):
-        TrainingExample(TaskKind.ASP_EXT, "<AspExt> <article> x", "t", "d", loss_weight=0.0)
+        TrainingExample(TaskKind.ASP_EXT, "<AspExt> <article>", "t", d, loss_weight=0.0)
 
 
 def test_article_segment_round_trip():
@@ -273,16 +277,24 @@ def test_article_segment_round_trip():
         assert article_segment(ex.input) == d.text
 
 
-def test_with_article_puts_back_what_without_article_cuts():
+def test_examples_hold_their_input_without_the_article():
     d = Document("d", " multi word article\nwith a newline and ü ", "s")
     r = Rationale((Aspect("a"),), (Triple("x", "y", "z"),))
-    inputs = [ex.input for ex in build_concurrent_early_manifest([(d, r)]).examples]
-    inputs.append(build_joint_manifest([(d, r)]).examples[0].input)
-    for input in inputs:
-        compact = without_article(input)
-        assert d.text not in compact and ARTICLE_TOKEN in compact
-        assert with_article(compact, d.text) == input
-    assert without_article(inputs[1]) == "<TriExt> <article> <aspects> a"
+    examples = [*build_concurrent_early_manifest([(d, r)]).examples]
+    examples.append(build_joint_manifest([(d, r)]).examples[0])
+    assert [ex.input_without_article for ex in examples] == [
+        "<AspExt> <article>",
+        "<TriExt> <article> <aspects> a",
+        "<SumGen> <article> <aspects> a <triples> [x | y | z]",
+        "<RatGen> <article>",
+    ]
+    for ex in examples:
+        assert ex.document is d
+        assert ex.input == with_article(ex.input_without_article, d.text)
+        assert article_segment(ex.input) == d.text
+    assert examples[1].input == f"<TriExt> <article> {d.text} <aspects> a"
+    with pytest.raises(ValueError, match="<article>"):
+        with_article("<AspExt> no article marker", d.text)
 
 
 def test_manifest_jsonl_and_digest():
@@ -312,6 +324,33 @@ def test_run_curriculum_full_plan():
         assert entry["digest"] == manifest.digest()
         assert entry["example_count"] > 0
         assert entry["metrics"]["examples"] == entry["example_count"]
+
+
+def test_run_curriculum_holds_no_article_copy_per_example():
+    pairs = []
+    for i in range(40):
+        words = " ".join(f"w{i}x{j}" for j in range(3000))
+        d = Document(f"doc-{i}", words[:24_000], f"summary {i}")
+        r = Rationale((Aspect(f"storm {i}"),), (Triple("storm", "flooded", f"river {i}"),))
+        pairs.append((d, r))
+    article_bytes = sum(len(d.text) for d, _ in pairs)
+    adapter, manifests = EchoTrainerAdapter(pairs), []
+
+    def on_manifest(manifest):
+        manifests.append(manifest)
+        manifest.to_jsonl()  # as the curriculum stage writes it
+
+    tracemalloc.start()
+    try:
+        run_curriculum(pairs, adapter, on_manifest=on_manifest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(m.examples) for m in manifests) == 40 * 10
+    assert adapter.decode_calls == 80
+    # Ten examples a document, all six manifests kept: a copy of the article
+    # in each example would take ten times the articles' bytes.
+    assert peak < article_bytes, (peak, article_bytes)
 
 
 def test_run_curriculum_manifests_are_the_public_builders_output():

@@ -354,9 +354,9 @@ def test_deleted_manifest_is_rebuilt_without_retraining(tmp_path, corpus_file, m
     assert len(adapters) == len(names)
 
 
-def _with_input(manifest) -> list[str]:
-    """The manifest's lines with each whole input under "input", as manifests
-    were written before their lines cut the article out."""
+def _full_lines(manifest) -> list[str]:
+    """The manifest's lines with each full input under "input", as
+    Workspace.manifest_examples yields them."""
     return [
         dump_json({
             "stage": manifest.stage.value, "task": ex.task.value, "input": ex.input,
@@ -401,15 +401,90 @@ def test_manifests_carry_no_article_and_the_reader_restores_each_line(
             assert "input" not in obj and "input_without_article" in obj
             assert dump_json(texts[obj["document_id"]])[1:-1] not in line
         restored = [dump_json(obj) + "\n" for obj in ws.manifest_examples(manifest.stage)]
-        assert restored == _with_input(manifest), manifest.stage
+        assert restored == _full_lines(manifest), manifest.stage
 
 
-def test_manifest_reader_passes_lines_with_input_unchanged(tmp_path, corpus_file, monkeypatch):
-    ws, manifests = _run_all_keeping_manifests(tmp_path, corpus_file, monkeypatch)
-    for manifest in manifests:
-        old = _with_input(manifest)
-        ws.manifest_paths(manifest.stage)[0].write_text("".join(old), encoding="utf-8")
-        assert [dump_json(obj) + "\n" for obj in ws.manifest_examples(manifest.stage)] == old
+def test_manifest_reader_refuses_a_line_without_its_article_token(
+    tmp_path, corpus_file, monkeypatch
+):
+    ws, _ = _run_all_keeping_manifests(tmp_path, corpus_file, monkeypatch)
+    path = ws.manifest_paths(Stage.JOINT)[0]
+    first, second, *rest = path.read_text(encoding="utf-8").split("\n")
+    second = second.replace("<RatGen> <article>", "<RatGen>")
+    path.write_text("\n".join([first, second, *rest]), encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"{path}, line 2: .*has no <article>"):
+        list(ws.manifest_examples(Stage.JOINT))
+
+
+def test_manifest_reader_refuses_a_manifest_of_an_earlier_corpus(tmp_path, corpus_file):
+    from aspectsum.pipeline import run_all
+
+    ws = Workspace(tmp_path / "ws")
+    cfg = small_config()
+    run_all(ws, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
+    records = synthetic_records(6)
+    records[0]["document"] = "an entirely different article about the harbour"
+    stage_ingest(ws, cfg, write_jsonl(tmp_path / "revised.jsonl", records))
+    for stage in CANONICAL_STAGE_ORDER:
+        with pytest.raises(MissingPrerequisite, match="re-run curriculum"):
+            next(ws.manifest_examples(stage))
+
+
+def test_curriculum_reruns_when_only_the_corpus_changed(tmp_path, corpus_file, monkeypatch):
+    from aspectsum.pipeline import run_all
+
+    ws = Workspace(tmp_path / "ws")
+    cfg = small_config()
+    client = MockLlmClient(seed=cfg.seed)
+    run_all(ws, cfg, corpus_file, client)
+    selections = ws.selections_path.read_bytes()
+    records = synthetic_records(6)
+    records[0]["summary"] += " revised"
+    stage_ingest(ws, cfg, write_jsonl(tmp_path / "revised.jsonl", records))
+    stage_probe(ws, cfg, client)
+    stage_select(ws, cfg, client)
+    # Selections of the same bytes, as when a corpus edit changes no golden
+    # choice and no score: the targets and sidecars still come from the corpus.
+    ws.selections_path.write_bytes(selections)
+    adapters = _recording_adapters(monkeypatch)
+    assert not stage_curriculum(ws, cfg)["skipped"]
+    assert len(adapters) == 1
+    joint = next(ws.manifest_examples(Stage.JOINT))
+    assert joint["document_id"] == "doc-000"
+    assert joint["target"].endswith(records[0]["summary"])
+
+
+def test_older_manifests_are_rewritten_once_without_a_provider(
+    tmp_path, corpus_file, monkeypatch
+):
+    from aspectsum.pipeline import run_all
+
+    ws = Workspace(tmp_path / "ws")
+    cfg = small_config()
+    run_all(ws, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
+    fresh = tree_hashes(ws.root)
+    # A workspace written before the sidecars held corpus_sha256: the
+    # curriculum digest hashed the selections alone, and keyed the report.
+    old_digest = stable_digest("curriculum", cfg.digest(), file_sha256(ws.selections_path))[:16]
+    for stage in CANONICAL_STAGE_ORDER:
+        meta = ws.manifest_paths(stage)[1]
+        sidecar = json.loads(meta.read_text(encoding="utf-8"))
+        del sidecar["corpus_sha256"]
+        meta.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    report = json.loads(ws.curriculum_report_path.read_text(encoding="utf-8"))
+    ws.curriculum_report_path.write_text(json.dumps(dict(report, key=old_digest)), encoding="utf-8")
+    ws.append_ledger("curriculum", old_digest, cfg.digest(), [])
+    with pytest.raises(MissingPrerequisite, match="joint manifest .*; re-run curriculum"):
+        list(ws.manifest_examples(Stage.JOINT))
+
+    adapters = _recording_adapters(monkeypatch)
+    assert not stage_curriculum(ws, cfg)["skipped"]
+    assert adapters[0].trained_stages == [s.value for s in CANONICAL_STAGE_ORDER]
+    after = tree_hashes(ws.root)
+    assert after.pop("ledger.jsonl") != fresh.pop("ledger.jsonl")
+    assert after == fresh
+    assert stage_curriculum(ws, cfg)["skipped"]
+    assert all(list(ws.manifest_examples(stage)) for stage in CANONICAL_STAGE_ORDER)
 
 
 def test_manifest_reader_names_a_line_out_of_corpus_order(tmp_path, corpus_file, monkeypatch):

@@ -47,3 +47,9 @@ def test_scale_main_records_each_stage_and_the_manifest_bytes(tmp_path):
     for name, stage in run["stages"].items():
         assert stage["wall_s"] > 0 and stage["cpu_s"] > 0 and stage["max_rss_mib"] > 0, name
     assert run["workspace_bytes"]["manifests"] > 0
+    digests = run["workspace_sha256"]
+    manifests = [name for name in digests if name.startswith("manifests/")]
+    assert len(manifests) == 12  # six examples files and six sidecars
+    assert {"corpus/documents.jsonl", "ledger.jsonl", "curriculum/report.json"} <= set(digests)
+    assert not [name for name in digests if name.startswith("cache/")]
+    assert all(len(digest) == 64 for digest in digests.values())
