@@ -6,10 +6,10 @@ For each corpus size, the script writes a synthetic corpus, then runs each
 stage as its own ``aspectsum <stage> --mock-llm --profile cnndm`` process on
 one fresh workspace. It records the stage's wall time, CPU time and maximum
 resident set size, read with ``os.wait4`` so that each figure is that one
-process's own, and at the end the bytes of each workspace entry and the
-sha256 of each workspace file outside ``cache/``, so that two checkouts run
-on the same corpus can be compared byte for byte. The result is one JSON
-file.
+process's own, and at the end the bytes of each workspace entry, the rows
+of each table of ``cache/cache.sqlite``, and the sha256 of each workspace
+file outside ``cache/``, so that two checkouts run on the same corpus can be
+compared byte for byte. The result is one JSON file.
 
 Documents draw ``--doc-words`` words from ``--vocabulary`` word types with
 Zipf (1/rank) weights; a summary draws ``--summary-words`` words from its
@@ -23,11 +23,13 @@ which keeps LDA from dominating.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import itertools
 import json
 import os
 import random
+import sqlite3
 import string
 import subprocess
 import sys
@@ -97,6 +99,13 @@ def tree_bytes(path: Path) -> int:
     return sum(p.stat().st_size for p in path.rglob("*") if p.is_file())
 
 
+def cache_rows(ws: Path) -> dict[str, int]:
+    """The rows of each table of the workspace's cache file, by table name."""
+    with contextlib.closing(sqlite3.connect(ws / "cache" / "cache.sqlite")) as db:
+        tables = db.execute("SELECT name FROM sqlite_master WHERE type = 'table' ORDER BY name")
+        return {t: db.execute(f"SELECT COUNT(*) FROM {t}").fetchone()[0] for (t,) in list(tables)}
+
+
 def file_digests(ws: Path) -> dict[str, str]:
     """The sha256 of each workspace file outside cache/, by its path in the workspace.
 
@@ -162,6 +171,7 @@ def main(argv=None) -> int:
                     "corpus_bytes": corpus.stat().st_size,
                     "stages": stages,
                     "workspace_bytes": {p.name: tree_bytes(p) for p in sorted(ws.iterdir())},
+                    "cache_rows": cache_rows(ws),
                     "workspace_sha256": file_digests(ws),
                 })
     args.out.write_text(json.dumps({"settings": settings, "runs": runs}, indent=1) + "\n",

@@ -1,15 +1,16 @@
 """LLM provider abstraction: completions plus text embeddings.
 
-One provider instance serves both the rationale probing (complete) and the
-summary scoring (embed_many). Under `--jobs N` probe calls complete from N
-worker threads at once, so it must be thread safe; embed and embed_many are
-called only from the stage's own thread. No worker thread touches the
-cache: the stage's thread does every lookup and store.
+One provider instance serves both the rationale probing (complete_many) and
+the summary scoring (embed_many). Under `--jobs N` probe calls complete_many
+from N worker threads at once, so it must be thread safe; embed and
+embed_many are called only from the stage's own thread. No worker thread
+touches the cache: the stage's thread does every lookup and store.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 from abc import ABC, abstractmethod
 from collections import deque
@@ -73,6 +74,11 @@ def map_ordered(fn, items, jobs: int) -> Iterator:
         pool.shutdown(cancel_futures=True)
 
 
+def _count(value) -> int:
+    """A token count from a response's `usage`; anything but a whole number counts 0."""
+    return value if isinstance(value, int) and not isinstance(value, bool) else 0
+
+
 class LlmClient(ABC):
     """Behavioral contract for completion + embedding providers."""
 
@@ -83,6 +89,14 @@ class LlmClient(ABC):
     @abstractmethod
     def complete(self, prompt: str) -> str:
         """One completion for one prompt. Raises TransportError on failure."""
+
+    def complete_many(self, prompt: str, n: int) -> list[str]:
+        """n completions for one prompt, in order.
+
+        This default asks complete() n times; a provider whose API returns
+        several choices for one prompt sends one request.
+        """
+        return [self.complete(prompt) for _ in range(n)]
 
     @abstractmethod
     def embed(self, text: str) -> np.ndarray:
@@ -108,6 +122,10 @@ class OpenAiCompatClient(LlmClient):
     how the client waits between attempts. ``requests`` is imported only
     when a client is built, so offline runs never load the network stack
     (urllib3, ssl, http.client).
+
+    The client counts what it sends: ``requests`` (every HTTP request, each
+    attempt one), ``retries`` (the attempts after a transient failure), and
+    the ``prompt_tokens`` and ``completion_tokens`` of the responses' `usage`.
     """
 
     def __init__(
@@ -132,6 +150,8 @@ class OpenAiCompatClient(LlmClient):
         self._session = session or requests.Session()
         self._sleep = sleep
         self._dimension: int | None = None
+        self._counts_lock = threading.Lock()  # probe's workers send at once
+        self.requests = self.retries = self.prompt_tokens = self.completion_tokens = 0
         self.cache_namespace = f"{self.endpoint_url}:{model_id}:{embedding_model_id}"
 
     def _headers(self) -> dict[str, str]:
@@ -143,6 +163,9 @@ class OpenAiCompatClient(LlmClient):
     def _post(self, path: str, payload: dict) -> dict:
         for attempt in range(1, REQUEST_ATTEMPTS + 1):
             retry_after = ""
+            with self._counts_lock:
+                self.requests += 1
+                self.retries += attempt > 1
             try:
                 resp = self._session.post(
                     f"{self.endpoint_url}{path}",
@@ -169,21 +192,48 @@ class OpenAiCompatClient(LlmClient):
                 delay = int(retry_after)
             self._sleep(min(delay, RETRY_MAX_DELAY_S))
         try:
-            return resp.json()
+            body = resp.json()
         except ValueError as exc:
             raise TransportError(f"{path} returned non-JSON body") from exc
+        usage = body.get("usage") if isinstance(body, dict) else None
+        if isinstance(usage, dict):
+            with self._counts_lock:
+                self.prompt_tokens += _count(usage.get("prompt_tokens"))
+                self.completion_tokens += _count(usage.get("completion_tokens"))
+        return body
 
     def complete(self, prompt: str) -> str:
-        body = self._post(
-            "/chat/completions",
-            {"model": self.model_id, "messages": [{"role": "user", "content": prompt}]},
-        )
-        try:
-            content = body["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise TransportError("malformed completion payload") from exc
-        # A refusal sends content null: a sample that does not parse, not a crash.
-        return content if isinstance(content, str) else ""
+        (content,) = self.complete_many(prompt, 1)
+        return content
+
+    def complete_many(self, prompt: str, n: int) -> list[str]:
+        """n completions from one /chat/completions request that asks for `n` choices.
+
+        The choices are put in order by their `index` (a choice without one
+        keeps its place). A provider that returns fewer than asked is asked
+        again for the rest; a response with no choices raises TransportError.
+        """
+        contents: list[str] = []
+        while len(contents) < n:
+            body = self._post(
+                "/chat/completions",
+                {
+                    "model": self.model_id,
+                    "messages": [{"role": "user", "content": prompt}],
+                    "n": n - len(contents),
+                },
+            )
+            try:
+                choices = list(enumerate(body["choices"]))
+                choices.sort(key=lambda item: item[1].get("index", item[0]))
+                fresh = [choice["message"]["content"] for _, choice in choices]
+            except (KeyError, TypeError, AttributeError) as exc:
+                raise TransportError("malformed completion payload") from exc
+            if not fresh:
+                raise TransportError("/chat/completions returned no choices")
+            # A refusal sends content null: a sample that does not parse, not a crash.
+            contents += [c if isinstance(c, str) else "" for c in fresh[: n - len(contents)]]
+        return contents
 
     def embed(self, text: str) -> np.ndarray:
         (vector,) = self.embed_many([text])

@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import json
 import re
 import sqlite3
 import threading
@@ -86,11 +87,30 @@ class ProbeConfig:
             raise ValueError("max_retries must be >= 0")
 
 
+# PRAGMA user_version of a cache file made by this code. A file whose
+# `entries` hold rows and that reads 0 was written when each response had a
+# row of its own there.
+CACHE_FORMAT = 1
+_SCHEMA = (
+    # Embedding vectors; and, in a file made before CACHE_FORMAT 1, responses.
+    "CREATE TABLE IF NOT EXISTS entries (key BLOB PRIMARY KEY, value BLOB NOT NULL) WITHOUT ROWID",
+    # A prompt's responses, a row each. A rowid table keeps a value of up to
+    # about 4 KB on its b-tree page; a WITHOUT ROWID table keeps about 1 KB
+    # and moves the rest to an overflow page of its own, mostly empty.
+    "CREATE TABLE IF NOT EXISTS responses (key BLOB PRIMARY KEY, value BLOB NOT NULL)",
+)
+
+
+def _cache_key(*parts: str) -> bytes:
+    return hashlib.sha256("\x00".join(parts).encode("utf-8")).digest()
+
+
 class _Store:
     """One kind of cache entry in the workspace's one SQLite file, `<root>/cache.sqlite`.
 
-    An entry's key is the sha256 of the NUL-joined kind, provider namespace
-    and key parts; its value is zlib-compressed bytes. Stores are not
+    An entry is a row of the kind's `table`. Its key is the sha256 of the
+    NUL-joined kind, provider namespace and key parts; its value is
+    zlib-compressed bytes. Stores are not
     durable until commit() or close(), and a commit is atomic, so a killed
     run loses only uncommitted entries and never leaves a torn one. The
     stages use it only from their own thread, in input order, so its bytes
@@ -99,27 +119,31 @@ class _Store:
     """
 
     kind = ""
+    table = "entries"
 
     def __init__(self, root: Path):
         self.path = Path(root) / "cache.sqlite"
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._db = sqlite3.connect(self.path, check_same_thread=False)
         try:
             # WAL with synchronous=NORMAL: a commit costs no fsync, and a
             # crash can lose the last commits but not corrupt the file.
             self._db.execute("PRAGMA journal_mode=WAL")
             self._db.execute("PRAGMA synchronous=NORMAL")
-            self._db.execute(
-                "CREATE TABLE IF NOT EXISTS entries "
-                "(key BLOB PRIMARY KEY, value BLOB NOT NULL) WITHOUT ROWID"
-            )
+            for statement in _SCHEMA:
+                self._db.execute(statement)
+            (version,) = self._db.execute("PRAGMA user_version").fetchone()
+            if version == 0 and not self._db.execute("SELECT 1 FROM entries LIMIT 1").fetchone():
+                self._db.execute(f"PRAGMA user_version = {CACHE_FORMAT}")
+                version = CACHE_FORMAT
         except sqlite3.DatabaseError as exc:
             self._db.close()
             raise SchemaError(f"no cache database at {self.path}: {exc}") from None
+        self._legacy = version == 0
 
     def _key(self, namespace: str, *parts: str) -> bytes:
-        return hashlib.sha256("\x00".join((self.kind, namespace, *parts)).encode("utf-8")).digest()
+        return _cache_key(self.kind, namespace, *parts)
 
     @contextlib.contextmanager
     def _connection(self):
@@ -136,10 +160,12 @@ class _Store:
                     "at the cost of asking the provider again for what it held"
                 ) from None
 
-    def _get(self, key: bytes) -> bytes | None:
+    def _get(self, key: bytes, table: str | None = None) -> bytes | None:
         """The stored bytes, or None when absent or damaged (store() overwrites them)."""
         with self._connection() as db:
-            row = db.execute("SELECT value FROM entries WHERE key = ?", (key,)).fetchone()
+            row = db.execute(
+                f"SELECT value FROM {table or self.table} WHERE key = ?", (key,)
+            ).fetchone()
         try:
             return zlib.decompress(row[0]) if row is not None else None
         except zlib.error:
@@ -148,16 +174,21 @@ class _Store:
     def _put(self, key: bytes, data: bytes) -> None:
         value = zlib.compress(data)
         with self._connection() as db:
-            db.execute("INSERT OR REPLACE INTO entries VALUES (?, ?)", (key, value))
+            db.execute(f"INSERT OR REPLACE INTO {self.table} VALUES (?, ?)", (key, value))
+
+    def _flush(self) -> None:
+        """Write what store() holds back until a commit; this kind holds nothing."""
 
     def commit(self) -> None:
         with self._connection() as db:
+            self._flush()
             db.commit()
 
     def close(self) -> None:
         """Commit what was stored and close; the last close folds the WAL into the file."""
         with self._connection() as db:
             try:
+                self._flush()
                 db.commit()
             finally:
                 db.close()
@@ -170,24 +201,82 @@ class _Store:
 
 
 class ResponseCache(_Store):
-    """Verbatim responses keyed by (provider namespace, rendered prompt, sample slot).
+    """Verbatim responses: one row of the `responses` table per (namespace, prompt).
 
-    A response is reused only for the prompt and provider that produced it,
-    so an edited document, summary or template misses. I/O failures
-    propagate as sqlite3.Error.
+    A row's value is a JSON array with one element per sample slot: the
+    slot's response, or null for a slot not yet filled. A response is
+    reused only for the prompt and provider that produced it, so an edited
+    document, summary or template misses. A row that does not decompress,
+    or is not such an array, is a miss for every slot; the slots stored
+    next replace it. store() fills a slot of the prompt's row in memory,
+    and commit() or close() writes each row so filled once. In a file made
+    before this layout (user_version 0), a slot the row does not hold is
+    read from the slot's own row of `entries`, whose key is the sha256 of
+    the NUL-joined `response`, namespace, prompt and slot. Those rows are
+    never written; a row written to such a file takes their responses into
+    its empty slots. I/O failures propagate as sqlite3.Error.
     """
 
-    kind = "response"
+    kind = "responses"
+    table = "responses"
 
-    def lookup(self, namespace: str, prompt: str, slot: int) -> str | None:
-        data = self._get(self._key(namespace, prompt, str(slot)))
+    def __init__(self, root: Path):
+        super().__init__(root)
+        # Rows whose slots were stored since the last commit, by key, in the
+        # order of their first store; and the last row read from the file, so
+        # a prompt's n lookups read it once.
+        self._pending: dict[bytes, tuple[str, str, list[str | None]]] = {}
+        self._read: tuple[bytes, list[str | None]] = (b"", [])
+
+    def _row(self, key: bytes) -> list[str | None]:
+        """The slots of a row, pending or in the file; [] when it is absent or damaged."""
+        if key in self._pending:
+            return self._pending[key][2]
+        if self._read[0] != key:
+            try:
+                row = json.loads(self._get(key) or b"[]")
+            except ValueError:  # also bytes that are not UTF-8
+                row = []
+            if not (isinstance(row, list) and all(r is None or isinstance(r, str) for r in row)):
+                row = []
+            self._read = (key, row)
+        return self._read[1]
+
+    def _legacy_lookup(self, namespace: str, prompt: str, slot: int) -> str | None:
+        data = self._get(_cache_key("response", namespace, prompt, str(slot)), "entries")
         try:
             return data.decode("utf-8") if data is not None else None
         except UnicodeDecodeError:
             return None
 
+    def lookup(self, namespace: str, prompt: str, slot: int) -> str | None:
+        with self._lock:
+            row = self._row(self._key(namespace, prompt))
+            response = row[slot] if slot < len(row) else None
+            if response is None and self._legacy:
+                response = self._legacy_lookup(namespace, prompt, slot)
+            return response
+
     def store(self, namespace: str, prompt: str, slot: int, response: str) -> None:
-        self._put(self._key(namespace, prompt, str(slot)), response.encode("utf-8"))
+        key = self._key(namespace, prompt)
+        with self._lock:
+            if key not in self._pending:
+                self._pending[key] = (namespace, prompt, list(self._row(key)))
+            row = self._pending[key][2]
+            row.extend([None] * (slot + 1 - len(row)))
+            row[slot] = response
+
+    def _flush(self) -> None:
+        for key, (namespace, prompt, row) in self._pending.items():
+            if self._legacy:
+                row = [
+                    self._legacy_lookup(namespace, prompt, slot) if r is None else r
+                    for slot, r in enumerate(row)
+                ]
+            data = json.dumps(row, ensure_ascii=False, separators=(",", ":"))
+            self._put(key, data.encode("utf-8"))
+        self._pending.clear()
+        self._read = (b"", [])
 
 
 class PrefetchedResponses:
@@ -195,9 +284,10 @@ class PrefetchedResponses:
 
     The cached responses are looked up when this is made, on the thread
     that owns the cache; lookup() returns them, and store() only keeps a
-    fresh response. write_to(cache) then stores the kept ones, in slot
-    order, on the cache's thread. The namespace and prompt are the ones
-    given here, and the arguments of lookup() and store() name the same.
+    fresh response. write_to(cache) then stores the kept ones, in the order
+    they were fetched, on the cache's thread. The namespace and prompt are
+    the ones given here, and the arguments of lookup() and store() name the
+    same.
     """
 
     def __init__(self, cache: ResponseCache, namespace: str, prompt: str, n_samples: int):
@@ -253,45 +343,61 @@ def probe_rationales(
 ) -> CandidateSet:
     """Collect exactly config.n_samples parseable (rationale, summary) pairs.
 
-    Each sample slot runs one loop of attempts. Attempt -1 is the cached
-    response, if any, which uses no retry and is never stored again; attempts
-    0 to config.max_retries are fresh completions, and the first that parses
-    is stored. A response that does not parse, or whose rationale holds a
-    reserved curriculum token, is recorded as discarded with its attempt
-    number, never silently repaired. The document stops at its
-    first slot that never parses. Transport failures propagate immediately.
-    prompt, if given, is render_probe_prompt(document), already rendered.
+    A slot's cached response, if any, is attempt -1; it uses no retry and
+    is never stored again. Then the slots without one that parses are
+    filled in rounds 0 to config.max_retries: each round asks
+    client.complete_many once, for every slot still open, in slot order,
+    and a fresh response that parses is stored. A response that does not
+    parse, or whose rationale holds a reserved curriculum token, is recorded
+    as discarded with its slot and its round as the attempt, never silently
+    repaired; so the discards come round by round, each round in slot order.
+    A slot still open after the last round stops the document, naming the
+    lowest such slot. Transport failures propagate immediately. prompt, if
+    given, is render_probe_prompt(document), already rendered.
     """
     if prompt is None:
         prompt = render_probe_prompt(document)
     namespace = client.cache_namespace
+    accepted: dict[int, tuple[Rationale, str]] = {}
 
-    accepted: list[tuple[Rationale, str]] = []
+    def accept(slot: int, attempt: int, response: str) -> bool:
+        try:
+            rationale, summary = parse_probe_response(response)
+            token = find_reserved_token(serialize_rationale(rationale))
+            if token is not None:  # the curriculum could not tell its segments apart
+                raise MalformedRationale(f"rationale contains reserved token {token}")
+        except MalformedRationale as exc:
+            if discards is not None:
+                discards.append(DiscardRecord(document.id, slot, attempt, str(exc), response))
+            return False
+        accepted[slot] = (rationale, summary)
+        return True
+
+    open_slots = []
     for slot in range(config.n_samples):
         cached = cache.lookup(namespace, prompt, slot) if cache else None
-        for attempt in range(-1 if cached is not None else 0, 1 + config.max_retries):
-            response = cached if attempt < 0 else client.complete(prompt)
-            try:
-                rationale, summary = parse_probe_response(response)
-                token = find_reserved_token(serialize_rationale(rationale))
-                if token is not None:  # the curriculum could not tell its segments apart
-                    raise MalformedRationale(f"rationale contains reserved token {token}")
-                accepted.append((rationale, summary))
-            except MalformedRationale as exc:
-                if discards is not None:
-                    discards.append(DiscardRecord(document.id, slot, attempt, str(exc), response))
-                continue
-            if attempt >= 0 and cache is not None:
-                cache.store(namespace, prompt, slot, response)
+        if cached is None or not accept(slot, -1, cached):
+            open_slots.append(slot)
+    for attempt in range(1 + config.max_retries):
+        if not open_slots:
             break
-        else:
-            raise InsufficientValidSamples(
-                f"document {document.id}: sample {slot} did not parse "
-                f"after {config.max_retries} retries"
-            )
+        responses = client.complete_many(prompt, len(open_slots))
+        still_open = []
+        for slot, response in zip(open_slots, responses, strict=True):
+            if not accept(slot, attempt, response):
+                still_open.append(slot)
+            elif cache is not None:
+                cache.store(namespace, prompt, slot, response)
+        open_slots = still_open
+    if open_slots:
+        raise InsufficientValidSamples(
+            f"document {document.id}: sample {open_slots[0]} did not parse "
+            f"after {config.max_retries} retries"
+        )
     return CandidateSet(
         document_id=document.id,
         candidates=tuple(
-            Candidate(index=i, rationale=r, summary=s) for i, (r, s) in enumerate(accepted)
+            Candidate(index=slot, rationale=r, summary=s)
+            for slot, (r, s) in sorted(accepted.items())
         ),
     )

@@ -302,14 +302,18 @@ class Workspace:
         Manifests follow corpus order, so the corpus is read once, in step
         with the file. The join holds only for the corpus the manifest was
         built from: a sidecar whose `corpus_sha256` is not that of the corpus
-        on disk, or that has none, raises MissingPrerequisite; a sidecar that
-        is missing or not a JSON object raises SchemaError.
+        on disk, or that has none, raises MissingPrerequisite, as does a missing
+        corpus; a sidecar that is missing or not a JSON object raises SchemaError.
         """
         from .curriculum import ARTICLE_TOKEN, with_article  # curriculum imports this module
 
         jsonl, meta = self.manifest_paths(stage)
         built_from = read_json_object(meta, "manifest sidecar").get("corpus_sha256")
-        if built_from != file_sha256(self.corpus_path):
+        try:
+            corpus_sha256 = file_sha256(self.corpus_path)
+        except FileNotFoundError:
+            raise MissingPrerequisite("corpus") from None
+        if built_from != corpus_sha256:
             raise MissingPrerequisite(
                 f"{stage.value} manifest built from the current corpus; re-run curriculum"
             )

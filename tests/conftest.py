@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import random
 import sqlite3
+import zlib
 from pathlib import Path
 
 import pytest
@@ -71,20 +73,50 @@ def write_jsonl(path: Path, records) -> Path:
     return path
 
 
-def cache_rows(cache_dir: Path) -> dict[bytes, bytes]:
-    """Every committed (key, value) row of the cache file in cache_dir, sorted by key."""
+def cache_rows(cache_dir: Path, table: str = "entries") -> dict[bytes, bytes]:
+    """Every committed (key, value) row of a table of the cache file in cache_dir, by key.
+
+    `entries` holds the embeddings (and the responses of a legacy file),
+    `responses` a row of responses per prompt.
+    """
     with contextlib.closing(sqlite3.connect(Path(cache_dir) / "cache.sqlite")) as db:
-        return dict(db.execute("SELECT key, value FROM entries ORDER BY key"))
+        return dict(db.execute(f"SELECT key, value FROM {table} ORDER BY key"))
 
 
-def write_cache_rows(cache_dir: Path, changes: dict[bytes, bytes | None]) -> None:
-    """Rewrite (a value) or delete (None) rows of the cache file, as damage would."""
+def write_cache_rows(
+    cache_dir: Path, changes: dict[bytes, bytes | None], table: str = "entries"
+) -> None:
+    """Rewrite (a value) or delete (None) rows of a table of the cache file, as damage would."""
     with contextlib.closing(sqlite3.connect(Path(cache_dir) / "cache.sqlite")) as db, db:
         for key, value in changes.items():
             if value is None:
-                db.execute("DELETE FROM entries WHERE key = ?", (key,))
+                db.execute(f"DELETE FROM {table} WHERE key = ?", (key,))
             else:
-                db.execute("UPDATE entries SET value = ? WHERE key = ?", (value, key))
+                db.execute(f"UPDATE {table} SET value = ? WHERE key = ?", (value, key))
+
+
+def legacy_key(namespace: str, prompt: str, slot: int) -> bytes:
+    """A response's key when each had a row of its own: its slot was a key part."""
+    return hashlib.sha256(f"response\x00{namespace}\x00{prompt}\x00{slot}".encode()).digest()
+
+
+def write_legacy_cache(cache_dir: Path, responses: dict[tuple[str, str, int], str]) -> None:
+    """A cache file as written when each response had its own row: user_version 0."""
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    with contextlib.closing(sqlite3.connect(cache_dir / "cache.sqlite")) as db, db:
+        db.execute(
+            "CREATE TABLE entries (key BLOB PRIMARY KEY, value BLOB NOT NULL) WITHOUT ROWID"
+        )
+        db.executemany(
+            "INSERT INTO entries VALUES (?, ?)",
+            [(legacy_key(*k), zlib.compress(r.encode())) for k, r in responses.items()],
+        )
+
+
+def user_version(cache_dir: Path) -> int:
+    """The cache file's PRAGMA user_version: 1 once responses share a row, 0 before."""
+    with contextlib.closing(sqlite3.connect(cache_dir / "cache.sqlite")) as db:
+        return db.execute("PRAGMA user_version").fetchone()[0]
 
 
 @pytest.fixture

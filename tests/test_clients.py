@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import threading
+import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -12,7 +16,9 @@ from aspectsum.clients import (
     OpenAiCompatClient,
 )
 from aspectsum.errors import TransportError
-from aspectsum.probe import ProbeConfig, probe_rationales
+from aspectsum.probe import ProbeConfig, ResponseCache, probe_rationales
+from aspectsum.rationale import Document
+from conftest import cache_rows
 
 
 class FakeResponse:
@@ -114,6 +120,133 @@ def test_null_content_is_a_discarded_sample(monkeypatch, sample_document):
     assert len(cs.candidates) == 1
     assert [(d.sample_index, d.attempt, d.response) for d in discards] == [(0, 0, "")]
     assert len(session.requests) == 2
+
+
+def chat(contents, prompt_tokens=0, completion_tokens=0, order=None):
+    """A /chat/completions response: one choice per content, listed in `order` of their indices."""
+    choices = [{"index": i, "message": {"content": c}} for i, c in enumerate(contents)]
+    usage = {"prompt_tokens": prompt_tokens, "completion_tokens": completion_tokens}
+    return FakeResponse(payload={"choices": [choices[i] for i in order or range(len(choices))],
+                                 "usage": usage})
+
+
+def good(i) -> str:
+    return f"Aspects: aspect {i}\nTriples: [x{i} | y | z]\nSummary: summary {i}"
+
+
+def documents(n):
+    return [Document(f"doc-{i}", f"text of document {i}", f"summary {i}") for i in range(n)]
+
+
+def test_one_request_carries_a_documents_samples(monkeypatch):
+    answers = [chat([good(i) for i in range(4)], order=[3, 1, 0, 2]) for _ in range(3)]
+    client, session = client_with(answers, monkeypatch)
+    for doc in documents(3):
+        cs = probe_rationales(client, doc, ProbeConfig(n_samples=4))
+        # The provider listed the choices out of order; their index puts each in its slot.
+        assert [c.summary for c in cs.candidates] == [f"summary {i}" for i in range(4)]
+    assert [r["json"]["n"] for r in session.requests] == [4, 4, 4]
+    assert {r["url"] for r in session.requests} == {"https://example.test/v1/chat/completions"}
+    assert (client.requests, client.retries) == (3, 0)
+
+
+def test_a_provider_that_returns_fewer_choices_is_asked_for_the_rest(monkeypatch):
+    client, session = client_with(
+        [chat([good(0), good(1)]), chat([good(2), good(3)])], monkeypatch
+    )
+    (doc,) = documents(1)
+    cs = probe_rationales(client, doc, ProbeConfig(n_samples=4, max_retries=0))
+    assert [c.summary for c in cs.candidates] == [f"summary {i}" for i in range(4)]
+    assert [r["json"]["n"] for r in session.requests] == [4, 2]
+
+
+def test_a_response_with_no_choices_is_a_transport_error(monkeypatch):
+    client, _ = client_with([FakeResponse(payload={"choices": []})], monkeypatch)
+    with pytest.raises(TransportError, match="no choices"):
+        client.complete_many("prompt", 2)
+
+
+def test_a_null_choice_is_a_discard_and_its_slot_alone_is_asked_again(monkeypatch):
+    client, session = client_with(
+        [chat([good(0), None, good(2)]), chat([good(1)])], monkeypatch
+    )
+    (doc,) = documents(1)
+    discards = []
+    cs = probe_rationales(client, doc, ProbeConfig(n_samples=3), discards=discards)
+    assert [c.summary for c in cs.candidates] == [f"summary {i}" for i in range(3)]
+    assert [(d.sample_index, d.attempt, d.response) for d in discards] == [(1, 0, "")]
+    assert [r["json"]["n"] for r in session.requests] == [3, 1]
+
+
+def test_a_429_counts_one_retry(monkeypatch):
+    sleeps = []
+    client, session = client_with(
+        [FakeResponse(429, {"error": "slow down"}), chat([good(0), good(1)], 40, 30)],
+        monkeypatch,
+        sleep=sleeps.append,
+    )
+    assert client.complete_many("prompt", 2) == [good(0), good(1)]
+    assert (client.requests, client.retries, len(sleeps)) == (2, 1, 1)
+    assert (client.prompt_tokens, client.completion_tokens) == (40, 30)
+
+
+def test_token_counts_are_the_sums_of_the_usage_sent(monkeypatch):
+    # 15 samples over 4 documents with no discard: one request per document,
+    # each prompt counted once (one sample a request would send 60).
+    usage = [(120, 900), (95, 870), (130, 910), (101, 880)]
+    answers = [chat([good(i) for i in range(15)], p, c) for p, c in usage]
+    client, session = client_with(answers, monkeypatch)
+    for doc in documents(4):
+        probe_rationales(client, doc, ProbeConfig(n_samples=15))
+    assert client.requests == len(session.requests) == 4
+    assert client.prompt_tokens == sum(p for p, _ in usage)
+    assert client.completion_tokens == sum(c for _, c in usage)
+
+
+def test_counts_lose_no_update_under_concurrent_requests(monkeypatch):
+    class ConcurrentSession:
+        def __init__(self):
+            self.lock = threading.Lock()
+            self.sent = 0
+            self.refused: set[str] = set()
+
+        def post(self, url, json=None, headers=None, timeout=None):
+            prompt = json["messages"][0]["content"]
+            with self.lock:
+                self.sent += 1
+                refuse = int(prompt[1:]) % 2 == 0 and prompt not in self.refused
+                self.refused.add(prompt)
+            if refuse:  # the first request for every other prompt is answered 429
+                return FakeResponse(429, {"error": "slow down"}, headers={"Retry-After": "0"})
+            return chat(["ok"] * json["n"], prompt_tokens=7, completion_tokens=json["n"])
+
+    monkeypatch.setenv("ASPECTSUM_API_KEY", "k")
+    session = ConcurrentSession()
+    client = OpenAiCompatClient("https://x.test", "m", "e", session=session, sleep=lambda s: None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            futures = [pool.submit(client.complete_many, f"p{i}", 3) for i in range(1000)]
+            assert all(f.result(timeout=30) == ["ok"] * 3 for f in futures)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (client.requests, client.retries) == (session.sent, 500) == (1500, 500)
+    assert (client.prompt_tokens, client.completion_tokens) == (7 * 1000, 3 * 1000)
+
+
+def test_more_samples_ask_only_for_the_new_slots_and_rewrite_the_row(monkeypatch, tmp_path):
+    client, session = client_with(
+        [chat([good(0), good(1)]), chat([good(2), good(3)])], monkeypatch
+    )
+    (doc,) = documents(1)
+    for n_samples in (2, 4):
+        with ResponseCache(tmp_path) as cache:
+            cs = probe_rationales(client, doc, ProbeConfig(n_samples=n_samples), cache=cache)
+        assert [c.summary for c in cs.candidates] == [f"summary {i}" for i in range(n_samples)]
+    assert [r["json"]["n"] for r in session.requests] == [2, 2]
+    (value,) = cache_rows(tmp_path, "responses").values()
+    assert json.loads(zlib.decompress(value)) == [good(i) for i in range(4)]
 
 
 def test_embed_dimension_contract(monkeypatch):

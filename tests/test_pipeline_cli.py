@@ -39,7 +39,14 @@ from aspectsum.pipeline import (
 from aspectsum.textutil import stable_digest
 from aspectsum.topics import LdaModel, train_lda
 from aspectsum.workspace import Workspace, dump_json, file_sha256, jsonl_text
-from conftest import cache_rows, synthetic_records, write_cache_rows, write_jsonl
+from conftest import (
+    cache_rows,
+    synthetic_records,
+    user_version,
+    write_cache_rows,
+    write_jsonl,
+    write_legacy_cache,
+)
 
 CFG = dict(n_samples=2, lda_k=3, lda_iterations=40, fold_in_iterations=10, seed=5)
 
@@ -428,6 +435,19 @@ def test_manifest_reader_refuses_a_manifest_of_an_earlier_corpus(tmp_path, corpu
     for stage in CANONICAL_STAGE_ORDER:
         with pytest.raises(MissingPrerequisite, match="re-run curriculum"):
             next(ws.manifest_examples(stage))
+
+
+def test_manifest_reader_names_a_missing_corpus(tmp_path):
+    from aspectsum.pipeline import run_all
+
+    ws = Workspace(tmp_path / "ws")
+    cfg = small_config()
+    run_all(ws, cfg, write_jsonl(tmp_path / "in.jsonl", synthetic_records(4)),
+            MockLlmClient(seed=cfg.seed))
+    ws.corpus_path.unlink()
+    with pytest.raises(MissingPrerequisite) as raised:
+        next(ws.manifest_examples(Stage.JOINT))
+    assert raised.value.artifact == "corpus"
 
 
 def test_curriculum_reruns_when_only_the_corpus_changed(tmp_path, corpus_file, monkeypatch):
@@ -870,16 +890,44 @@ def test_probe_resume_refetches_only_missing(tmp_path, corpus_file):
     stage_ingest(ws, cfg, corpus_file)
     stage_probe(ws, cfg, MockLlmClient(seed=cfg.seed))
 
-    # Simulate an interrupted probe: output gone, cache kept except three entries.
+    # Simulate an interrupted probe: output gone, cache kept except three documents' rows.
     ws.candidates_path.unlink()
-    cached = cache_rows(ws.cache_dir)
-    assert len(cached) == 6 * 2
-    write_cache_rows(ws.cache_dir, dict.fromkeys(list(cached)[:3]))
+    cached = cache_rows(ws.cache_dir, "responses")
+    assert len(cached) == 6  # one row per prompt, holding its two samples
+    write_cache_rows(ws.cache_dir, dict.fromkeys(list(cached)[:3]), "responses")
 
     client = MockLlmClient(seed=cfg.seed)
     stage_probe(ws, cfg, client)
-    assert client.completion_calls == 3
-    assert cache_rows(ws.cache_dir) == cached
+    assert client.completion_calls == 3 * 2
+    assert cache_rows(ws.cache_dir, "responses") == cached
+
+
+def test_a_legacy_response_cache_is_read_without_a_provider(tmp_path, corpus_file):
+    from aspectsum.pipeline import run_all
+    from aspectsum.probe import ResponseCache, render_probe_prompt
+
+    cfg = small_config()
+    full = Workspace(tmp_path / "full")
+    run_all(full, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
+    namespace = MockLlmClient(seed=cfg.seed).cache_namespace
+    slots = [(namespace, render_probe_prompt(doc), slot)
+             for doc in full.corpus() for slot in range(cfg.n_samples)]
+    with ResponseCache(full.cache_dir) as cache:
+        responses = {key: cache.lookup(*key) for key in slots}
+    assert None not in responses.values()
+
+    # A cache written when each response had a row of its own.
+    ws = Workspace(tmp_path / "ws")
+    write_legacy_cache(ws.cache_dir, responses)
+    legacy = cache_rows(ws.cache_dir)
+    client = MockLlmClient(seed=cfg.seed)
+    run_all(ws, cfg, corpus_file, client)
+    assert client.completion_calls == 0
+    assert ws.candidates_path.read_bytes() == full.candidates_path.read_bytes()
+    rows = cache_rows(ws.cache_dir)
+    assert {key: rows[key] for key in legacy} == legacy  # read, never rewritten
+    assert not cache_rows(ws.cache_dir, "responses")  # and every slot was found there
+    assert user_version(ws.cache_dir) == 0
 
 
 _PROBE_KILLED_AT = """
@@ -939,7 +987,7 @@ def test_probe_killed_at_a_completion_refetches_only_uncommitted_entries(tmp_pat
     in_flight = calls.index(calls[k - 1])
     assert recorder.prompts == calls[in_flight:]
     assert ws.candidates_path.read_bytes() == full.candidates_path.read_bytes()
-    assert cache_rows(ws.cache_dir) == cache_rows(full.cache_dir)
+    assert cache_rows(ws.cache_dir, "responses") == cache_rows(full.cache_dir, "responses")
     assert [p.name for p in ws.cache_dir.iterdir()] == ["cache.sqlite"]
 
 
@@ -972,7 +1020,7 @@ def test_every_cache_connection_is_closed_after_a_run(tmp_path, corpus_file):
     with pytest.raises(TransportError):
         run_all(ws, cfg, corpus_file, EmbedDown(seed=cfg.seed))
     assert [p.name for p in ws.cache_dir.iterdir()] == only_the_database
-    assert len(cache_rows(ws.cache_dir)) == 6 * 2  # probe's entries are kept
+    assert len(cache_rows(ws.cache_dir, "responses")) == 6  # probe's, one per document, are kept
     run_all(ws, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
     assert [p.name for p in ws.cache_dir.iterdir()] == only_the_database
 
@@ -1362,7 +1410,7 @@ def test_probe_write_error_stops_its_workers_before_the_cache_closes(tmp_path, m
     # The two documents running when the write failed finish, and store
     # their responses, before the stage returns; the queued ones never start.
     assert (len(started), late, client.calls) == (4, [], calls)
-    assert len(cache_rows(ws.cache_dir)) == 4 * cfg.n_samples
+    assert len(cache_rows(ws.cache_dir, "responses")) == 4  # one row per document
     assert not ws.candidates_path.exists()
     assert not list(ws.root.rglob("*.part"))
 
@@ -1371,7 +1419,7 @@ def test_probe_memory_does_not_grow_with_its_discards(tmp_path):
     response_bytes = 25_000
 
     class UnparseableFirst(MockLlmClient):
-        """Answers each sample's first attempt with text that does not parse."""
+        """Answers every other completion with text that does not parse."""
 
         odd = False
 
@@ -1693,9 +1741,9 @@ def test_reserved_token_in_a_probed_rationale_is_a_discard(tmp_path, corpus_file
     assert result["curriculum"]["stages"] == [s.value for s in CANONICAL_STAGE_ORDER]
     assert all(path.exists() for s in CANONICAL_STAGE_ORDER for path in ws.manifest_paths(s))
     discards = list(ws.read_jsonl(ws.discards_path))
-    # Each document's first slot is discarded twice and takes its third attempt.
+    # Both slots of each document are discarded in round 0 and filled in round 1.
     assert result["probe"]["discarded"] == len(discards) == 2 * 6
-    assert [(d["sample_index"], d["attempt"]) for d in discards[:2]] == [(0, 0), (0, 1)]
+    assert [(d["sample_index"], d["attempt"]) for d in discards[:2]] == [(0, 0), (1, 0)]
     assert {d["reason"] for d in discards} == {"rationale contains reserved token <article>"}
     assert "<article>" not in ws.candidates_path.read_text(encoding="utf-8")
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +27,7 @@ from aspectsum.probe import (
     render_probe_prompt,
 )
 from aspectsum.rationale import Document, parse_rationale, serialize_rationale
-from conftest import cache_rows, write_cache_rows
+from conftest import cache_rows, user_version, write_cache_rows, write_legacy_cache
 
 
 class ScriptedClient(LlmClient):
@@ -124,7 +125,8 @@ def test_probe_garbage_client(sample_document):
     client = ScriptedClient([BAD] * 30)
     with pytest.raises(InsufficientValidSamples):
         probe_rationales(client, sample_document, ProbeConfig(n_samples=2, max_retries=2))
-    assert client.calls == 3  # 1 + max_retries, then the document stops
+    # Each of the 1 + max_retries rounds asks for both open slots, then the document stops.
+    assert client.calls == 2 * 3
 
 
 def test_probe_retry_then_success(sample_document):
@@ -154,23 +156,34 @@ def test_probe_transport_error_propagates(sample_document):
         probe_rationales(Failing([]), sample_document, ProbeConfig(n_samples=1))
 
 
+def row_slots(cache_dir) -> list[list]:
+    """The slots of each committed response row, by key: a zlib-compressed JSON array."""
+    return [json.loads(zlib.decompress(v)) for v in cache_rows(cache_dir, "responses").values()]
+
+
 def test_cache_round_trip(tmp_path):
     with ResponseCache(tmp_path) as cache:
         assert cache.lookup("ns", "prompt", 0) is None
-        cache.store("ns", "prompt", 0, "payload\nlines")
-        assert cache.lookup("ns", "prompt", 0) == "payload\nlines"
-        # namespace, prompt and slot each split the key
-        assert cache.lookup("other", "prompt", 0) is None
-        assert cache.lookup("ns", "prompt2", 0) is None
-        assert cache.lookup("ns", "prompt", 1) is None
-    # One file, with no journal left once closed. The key is the sha256 of the
-    # NUL-joined kind, namespace and key parts; the value is zlib-compressed.
+        cache.store("ns", "prompt", 2, "payload\nlines")
+        cache.store("ns", "prompt", 0, "first")
+        assert cache.lookup("ns", "prompt", 2) == "payload\nlines"
+        assert cache.lookup("ns", "prompt", 1) is None  # a gap below the last slot
+        assert cache.lookup("ns", "prompt", 3) is None
+        # namespace and prompt each split the key
+        assert cache.lookup("other", "prompt", 2) is None
+        assert cache.lookup("ns", "prompt2", 2) is None
+    # One file, with no journal left once closed, and one row of `responses`
+    # for the prompt. Its key is the sha256 of the NUL-joined kind, namespace
+    # and prompt; its value the zlib-compressed JSON array of the slots, null
+    # for a gap.
     assert [p.name for p in tmp_path.iterdir()] == ["cache.sqlite"]
-    key = hashlib.sha256("response\x00ns\x00prompt\x000".encode()).digest()
-    (row,) = cache_rows(tmp_path).items()
-    assert (row[0], zlib.decompress(row[1])) == (key, b"payload\nlines")
+    key = hashlib.sha256("responses\x00ns\x00prompt".encode()).digest()
+    assert not cache_rows(tmp_path, "entries")  # the embeddings' table
+    (row,) = cache_rows(tmp_path, "responses").items()
+    assert row[0] == key
+    assert zlib.decompress(row[1]) == b'["first",null,"payload\\nlines"]'
     with ResponseCache(tmp_path) as cache, EmbeddingCache(tmp_path) as vectors:
-        assert cache.lookup("ns", "prompt", 0) == "payload\nlines"  # persisted
+        assert cache.lookup("ns", "prompt", 2) == "payload\nlines"  # persisted
         assert vectors.lookup("ns", "prompt") is None  # the kind splits the key too
 
 
@@ -179,9 +192,10 @@ def test_cache_entries_are_durable_only_once_committed(tmp_path):
     cache.store("ns", "p", 0, "kept")
     cache.commit()
     cache.store("ns", "p", 1, "in flight")
-    assert len(cache_rows(tmp_path)) == 1  # another connection sees only the commit
+    assert cache.lookup("ns", "p", 1) == "in flight"  # its own connection sees the store
+    assert row_slots(tmp_path) == [["kept"]]  # another connection sees only the commit
     cache.close()  # close commits whatever was stored
-    assert len(cache_rows(tmp_path)) == 2
+    assert row_slots(tmp_path) == [["kept", "in flight"]]
 
 
 @pytest.mark.parametrize("damage", [b"", b"x", b"not zlib at all", "trunc"])
@@ -192,9 +206,10 @@ def test_damaged_cache_value_is_a_miss_and_store_overwrites_it(tmp_path, damage)
     with EmbeddingCache(tmp_path) as vectors:
         vectors.store("ns", "text", vector)
     # Each row cut to half its bytes, or replaced by bytes that are not zlib.
-    damaged = {k: v[: len(v) // 2] if damage == "trunc" else damage
-               for k, v in cache_rows(tmp_path).items()}
-    write_cache_rows(tmp_path, damaged)
+    for table in ("responses", "entries"):
+        damaged = {k: v[: len(v) // 2] if damage == "trunc" else damage
+                   for k, v in cache_rows(tmp_path, table).items()}
+        write_cache_rows(tmp_path, damaged, table)
     with ResponseCache(tmp_path) as cache:
         assert cache.lookup("ns", "p", 0) is None
         cache.store("ns", "p", 0, "whole response")
@@ -276,14 +291,71 @@ def test_probe_refetches_only_missing_cache_entries(tmp_path, sample_document):
     cfg = ProbeConfig(n_samples=4)
     with ResponseCache(tmp_path) as cache:
         probe_rationales(MockLlmClient(seed=3), sample_document, cfg, cache=cache)
-    entries = sorted(cache_rows(tmp_path))
-    assert len(entries) == 4
-    write_cache_rows(tmp_path, dict.fromkeys(entries[1::2]))
+    (key,) = cache_rows(tmp_path, "responses")
+    (full,) = row_slots(tmp_path)
+    assert len(full) == 4
+    gaps = [full[0], None, full[2], None]  # slots 1 and 3 lost
+    write_cache_rows(tmp_path, {key: zlib.compress(json.dumps(gaps).encode())}, "responses")
     client = MockLlmClient(seed=3)
     with ResponseCache(tmp_path) as cache:
         probe_rationales(client, sample_document, cfg, cache=cache)
     assert client.completion_calls == 2
-    assert sorted(cache_rows(tmp_path)) == entries
+    # The fresh client's first two samples fill the gaps, and the row is rewritten whole.
+    assert row_slots(tmp_path) == [[full[0], full[0], full[2], full[1]]]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        "cut",
+        zlib.compress(b'{"0": "a response"}'),
+        zlib.compress(b'"a response"'),
+        zlib.compress(b'["a response", 7]'),
+        zlib.compress(b'["a response", ["nested"]]'),
+        zlib.compress(b"\xff\xfe not UTF-8"),
+    ],
+    ids=["cut-zlib", "object", "string", "number-slot", "list-slot", "not-utf8"],
+)
+def test_damaged_response_row_is_a_miss_for_each_slot_and_is_overwritten(tmp_path, value):
+    with ResponseCache(tmp_path) as cache:
+        cache.store("ns", "p", 0, "zero")
+        cache.store("ns", "p", 1, "one")
+    ((key, whole),) = cache_rows(tmp_path, "responses").items()
+    damaged = whole[: len(whole) // 2] if value == "cut" else value
+    write_cache_rows(tmp_path, {key: damaged}, "responses")
+    with ResponseCache(tmp_path) as cache:
+        assert [cache.lookup("ns", "p", slot) for slot in range(3)] == [None] * 3
+        cache.store("ns", "p", 1, "fresh")
+        assert cache.lookup("ns", "p", 0) is None
+    assert row_slots(tmp_path) == [[None, "fresh"]]
+
+
+def test_a_fresh_file_reads_no_legacy_row(tmp_path):
+    selects = []
+    with ResponseCache(tmp_path) as cache:
+        cache._db.set_trace_callback(lambda sql: selects.append(sql.startswith("SELECT")))
+        assert [cache.lookup("ns", "p", slot) for slot in range(4)] == [None] * 4
+        cache._db.set_trace_callback(None)
+    assert sum(selects) == 1  # the prompt's row, read once for its four slots
+    assert user_version(tmp_path) == 1
+
+
+def test_a_legacy_file_is_read_but_its_rows_are_never_written(tmp_path):
+    old = {("ns", "p", 0): "zero", ("ns", "p", 1): "one", ("ns", "q", 0): "other"}
+    write_legacy_cache(tmp_path, old)
+    legacy_rows = cache_rows(tmp_path)
+    with ResponseCache(tmp_path) as cache:
+        assert [cache.lookup("ns", "p", slot) for slot in range(3)] == ["zero", "one", None]
+        cache.store("ns", "p", 2, "two")  # a third slot, as when n_samples grows
+    assert user_version(tmp_path) == 0
+    assert cache_rows(tmp_path) == legacy_rows
+    # The new row takes the old responses into the slots below the one stored.
+    ((key, value),) = cache_rows(tmp_path, "responses").items()
+    assert key == hashlib.sha256(b"responses\x00ns\x00p").digest()
+    assert json.loads(zlib.decompress(value)) == ["zero", "one", "two"]
+    with ResponseCache(tmp_path) as cache:
+        assert [cache.lookup("ns", "p", slot) for slot in range(3)] == ["zero", "one", "two"]
+        assert cache.lookup("ns", "q", 0) == "other"
 
 
 def test_unparseable_cache_entry_is_refetched(tmp_path, sample_document):

@@ -47,6 +47,10 @@ def test_scale_main_records_each_stage_and_the_manifest_bytes(tmp_path):
     for name, stage in run["stages"].items():
         assert stage["wall_s"] > 0 and stage["cpu_s"] > 0 and stage["max_rss_mib"] > 0, name
     assert run["workspace_bytes"]["manifests"] > 0
+    # One response row per document, and one embedding row per distinct text:
+    # a document's reference summary and its 15 candidates' rationales and summaries.
+    assert run["cache_rows"]["responses"] == 3
+    assert 3 < run["cache_rows"]["entries"] <= 3 * (1 + 2 * 15)
     digests = run["workspace_sha256"]
     manifests = [name for name in digests if name.startswith("manifests/")]
     assert len(manifests) == 12  # six examples files and six sidecars
