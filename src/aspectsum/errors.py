@@ -44,6 +44,11 @@ class ZeroVector(AspectsumError, ValueError):
     """Cosine similarity requested for an all-zero vector."""
 
 
+class NonFiniteVector(AspectsumError, ValueError):
+    """Cosine similarity requested for a vector holding NaN or infinity, or whose
+    norms overflow."""
+
+
 class AllCandidatesFailed(AspectsumError):
     """Every candidate in a set failed scoring; no golden rationale can be chosen."""
 

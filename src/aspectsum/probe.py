@@ -105,6 +105,14 @@ def _cache_key(*parts: str) -> bytes:
     return hashlib.sha256("\x00".join(parts).encode("utf-8")).digest()
 
 
+def _decompressed(value: bytes | None) -> bytes | None:
+    """A stored value's bytes, or None when it is absent or does not decompress."""
+    try:
+        return zlib.decompress(value) if value is not None else None
+    except zlib.error:
+        return None
+
+
 class _Store:
     """One kind of cache entry in the workspace's one SQLite file, `<root>/cache.sqlite`.
 
@@ -166,10 +174,7 @@ class _Store:
             row = db.execute(
                 f"SELECT value FROM {table or self.table} WHERE key = ?", (key,)
             ).fetchone()
-        try:
-            return zlib.decompress(row[0]) if row is not None else None
-        except zlib.error:
-            return None
+        return _decompressed(row[0] if row is not None else None)
 
     def _put(self, key: bytes, data: bytes) -> None:
         value = zlib.compress(data)
@@ -307,19 +312,65 @@ class PrefetchedResponses:
         self._fresh.clear()
 
 
+# Keys one read-ahead statement binds, and so the most rows held ahead of
+# their lookups: with 1,536-d provider vectors, about 0.7 MB of compressed
+# float64 values. Well under SQLite's host-parameter limit (999 before 3.32).
+_READ_AHEAD_KEYS = 64
+
+
 class EmbeddingCache(_Store):
-    """Embedding vectors, as float64 bytes, keyed by (provider namespace, text)."""
+    """Embedding vectors, as float64 bytes, keyed by (provider namespace, text).
+
+    read_ahead(namespace, texts) names the texts that lookup() will be asked
+    for next, in that order. A lookup of the next named text reads its row
+    and those of up to _READ_AHEAD_KEYS - 1 texts after it in one statement,
+    and each lookup of a text so read takes its row from memory. A lookup out
+    of that order reads its own row, as without read_ahead.
+    """
 
     kind = "embedding"
 
+    def __init__(self, root: Path):
+        super().__init__(root)
+        # (namespace, text) pairs named and not read yet, the next one last;
+        # and the rows read ahead and not looked up yet, None when absent.
+        self._ahead: list[tuple[str, str]] = []
+        self._rows: dict[tuple[str, str], bytes | None] = {}
+
+    def read_ahead(self, namespace: str, texts: list[str]) -> None:
+        with self._lock:
+            self._ahead = [(namespace, text) for text in reversed(texts)]
+            self._rows = {}
+
+    def _read_next(self) -> None:
+        names = self._ahead[-_READ_AHEAD_KEYS:][::-1]
+        del self._ahead[-_READ_AHEAD_KEYS:]
+        keys = {self._key(*name): name for name in names}
+        self._rows.update(dict.fromkeys(names))
+        marks = ",".join("?" * len(keys))
+        with self._connection() as db:
+            for key, value in db.execute(
+                f"SELECT key, value FROM entries WHERE key IN ({marks})", list(keys)
+            ):
+                self._rows[keys[key]] = value
+
     def lookup(self, namespace: str, text: str) -> np.ndarray | None:
-        data = self._get(self._key(namespace, text))
+        name = (namespace, text)
+        with self._lock:
+            if name not in self._rows and self._ahead and self._ahead[-1] == name:
+                self._read_next()
+            if name in self._rows:
+                data = _decompressed(self._rows.pop(name))
+            else:
+                data = self._get(self._key(namespace, text))
         if not data or len(data) % 8:
             return None  # a damaged entry is a miss; the caller re-embeds and stores
         return np.frombuffer(data, dtype="<f8").astype(np.float64)
 
     def store(self, namespace: str, text: str, vector: np.ndarray) -> None:
-        self._put(self._key(namespace, text), np.asarray(vector, dtype="<f8").tobytes())
+        with self._lock:
+            self._rows.pop((namespace, text), None)
+            self._put(self._key(namespace, text), np.asarray(vector, dtype="<f8").tobytes())
 
 
 @dataclass(frozen=True)

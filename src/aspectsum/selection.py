@@ -23,7 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clients import LlmClient, batched
-from .errors import AllCandidatesFailed, DimensionMismatch, EmptyText, ZeroVector
+from .errors import (
+    AllCandidatesFailed,
+    DimensionMismatch,
+    EmptyText,
+    NonFiniteVector,
+    ZeroVector,
+)
 from .probe import EmbeddingCache
 from .rationale import (
     CandidateSet,
@@ -35,7 +41,7 @@ from .rationale import (
     serialize_rationale,
 )
 # perfbench/tracing.py wraps infer_topics here by name; scoring uses the batched fold-in.
-from .topics import LdaModel, infer_topics, infer_topics_batch, kl_divergence  # noqa: F401
+from .topics import LdaModel, infer_topics, infer_topics_batch, kl_rows  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -54,26 +60,56 @@ class SelectionConfig:
             raise ValueError("fold_in_iterations must be >= 1")
 
 
-def text_embeddings(
-    provider: LlmClient, texts: list[str], cache: EmbeddingCache | None = None
-) -> list[np.ndarray]:
-    """Pooled embeddings of texts, in order, cached alongside LLM responses.
+def _embedding_rows(
+    provider: LlmClient, texts: list[str], cache: EmbeddingCache | None
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The embeddings of texts as a (len(texts) x d) matrix of the vectors with
+    the first 1-d vector's d values, and the others by position (their rows
+    stay zero). Each vector is written into its row as it arrives, so the
+    texts' vectors are held once.
 
-    Each text is looked up on its own; the misses go to one
-    provider.embed_many call, and each vector is stored as it arrives, so a
-    provider error keeps the vectors fetched before it.
+    Each text is looked up on its own, after one read_ahead of them all; the
+    misses go to one provider.embed_many call, and each vector is stored as it
+    arrives, so a provider error keeps the vectors fetched before it.
     """
     if not all(texts):
         raise EmptyText("cannot embed empty text")
     namespace = provider.cache_namespace
-    vectors = [cache.lookup(namespace, text) if cache is not None else None for text in texts]
-    misses = [i for i, vector in enumerate(vectors) if vector is None]
-    fetched = provider.embed_many([texts[i] for i in misses])
-    for i, vector in zip(misses, fetched, strict=True):
-        vectors[i] = np.asarray(vector, dtype=np.float64)
+    matrix = None
+    others: dict[int, np.ndarray] = {}
+
+    def place(i: int, vector: np.ndarray) -> None:
+        nonlocal matrix
+        if matrix is None and vector.ndim == 1:
+            matrix = np.zeros((len(texts), vector.size))
+        if matrix is not None and vector.shape == matrix.shape[1:]:
+            matrix[i] = vector
+        else:
+            others[i] = vector
+
+    misses = []
+    if cache is not None:
+        cache.read_ahead(namespace, texts)
+    for i, text in enumerate(texts):
+        vector = cache.lookup(namespace, text) if cache is not None else None
+        if vector is None:
+            misses.append(i)
+        else:
+            place(i, vector)
+    for i, vector in zip(misses, provider.embed_many([texts[i] for i in misses]), strict=True):
+        vector = np.asarray(vector, dtype=np.float64)
         if cache is not None:
-            cache.store(namespace, texts[i], vectors[i])
-    return vectors
+            cache.store(namespace, texts[i], vector)
+        place(i, vector)
+    return (matrix if matrix is not None else np.zeros((len(texts), 0))), others
+
+
+def text_embeddings(
+    provider: LlmClient, texts: list[str], cache: EmbeddingCache | None = None
+) -> list[np.ndarray]:
+    """Pooled embeddings of texts, in order, cached alongside LLM responses."""
+    matrix, others = _embedding_rows(provider, texts, cache)
+    return [others.get(i, row) for i, row in enumerate(matrix)]
 
 
 def text_embedding(
@@ -84,18 +120,56 @@ def text_embedding(
     return vector
 
 
+# Bound on the values of one temporary array of the cosine sums, 256 KiB:
+# a pass computes them over blocks of rows, so it holds its vectors once.
+_ROW_BLOCK_ELEMENTS = 1 << 15
+
+_ZERO = "cosine similarity is undefined for an all-zero vector"
+_NON_FINITE = "cosine similarity is undefined for a vector with a non-finite value or norm"
+
+
+def _shapes_differ(x_shape: tuple, y_shape: tuple) -> str:
+    return f"vector shapes {x_shape} and {y_shape} differ"
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of a 2-d array, summed along the row
+    without BLAS, so that its bits do not depend on the CPU's BLAS kernel."""
+    with np.errstate(over="ignore"):  # an overflowing norm is a NonFiniteVector
+        return np.sqrt(np.add.reduce(rows * rows, axis=1))
+
+
+def _row_denominators(x_norms: np.ndarray, y_norms: np.ndarray) -> np.ndarray:
+    """x_norms * y_norms; a zero or non-finite norm gives a product that the
+    caller rejects, so its float warnings are not raised."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return x_norms * y_norms
+
+
+def _row_cosines(x: np.ndarray, y: np.ndarray, denominators: np.ndarray) -> np.ndarray:
+    """The cosine of each row pair of x and y, given the products of their norms."""
+    return np.add.reduce(x * y, axis=1) / denominators
+
+
 def cosine_similarity(x: np.ndarray, y: np.ndarray) -> float:
+    """The cosine of two vectors: the one-row case of a select pass's cosines,
+    with its checks in the same order (shape, zero, non-finite)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
-        raise DimensionMismatch(f"vector shapes {x.shape} and {y.shape} differ")
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
-    if nx == 0.0 or ny == 0.0:
-        raise ZeroVector("cosine similarity is undefined for an all-zero vector")
-    return float(np.dot(x, y)) / (nx * ny)
+        raise DimensionMismatch(_shapes_differ(x.shape, y.shape))
+    x, y = x.reshape(1, -1), y.reshape(1, -1)
+    x_norm, y_norm = _row_norms(x), _row_norms(y)
+    if x_norm[0] == 0.0 or y_norm[0] == 0.0:
+        raise ZeroVector(_ZERO)
+    denominator = _row_denominators(x_norm, y_norm)
+    if not np.isfinite(denominator[0]):
+        raise NonFiniteVector(_NON_FINITE)
+    return float(_row_cosines(x, y, denominator)[0])
 
 
+# The three score formulas take floats, or a pass's float64 arrays, one value
+# per candidate; either way each value takes the same operations in the same order.
 def summary_score_from_sims(
     sim_to_ground_truth: float, sim_to_rationale: float, phi_alpha: float
 ) -> float:
@@ -201,9 +275,12 @@ def select_each(
     chunking. A provider error (such as TransportError) stops the stage, as
     it stops probe; the vectors fetched so far stay in the cache, so the
     next run asks only for the rest. A candidate whose vectors are
-    degenerate (all-zero, or of another dimension) is excluded with a
-    recorded reason, the same on every run; a document with none left
-    raises AllCandidatesFailed.
+    degenerate (of another dimension, all-zero, or with a non-finite value)
+    is excluded with a recorded reason, the same on every run; a document
+    with none left raises AllCandidatesFailed. A pass scores its candidates
+    as arrays: each sum runs along one row in a fixed order, so a score
+    equals that of the pairwise functions (cosine_similarity, kl_divergence
+    and the three score formulas) bit for bit.
     """
     for chunk in batched(pairs, _CHUNK_DOCUMENTS):
         results = _select_chunk(chunk, model, provider, config, cache)
@@ -219,52 +296,118 @@ def _select_chunk(
     config: SelectionConfig,
     cache: EmbeddingCache | None,
 ) -> list[SelectionResult]:
-    topic_texts, embed_texts = [], []
+    # Each distinct text's row, in order of first use; and per candidate, in
+    # pass order, the rows of its document, aspects and rationale texts (topic
+    # rows) and of its summary, ground truth and serialized rationale (vectors).
+    topic_rows: dict[str, int] = {}
+    vector_rows: dict[str, int] = {}
+    doc, asp, rat, summ, truth, ser = [], [], [], [], [], []
     for cs, d in pairs:
-        topic_texts.append(d.text)
+        doc_row = topic_rows.setdefault(d.text, len(topic_rows))
         for c in cs.candidates:
-            topic_texts += [aspects_text(c.rationale), rationale_text(c.rationale)]
-            embed_texts += [c.summary, d.ground_truth_summary, serialize_rationale(c.rationale)]
-    topic_texts, embed_texts = list(dict.fromkeys(topic_texts)), list(dict.fromkeys(embed_texts))
-    topics = dict(zip(topic_texts, infer_topics_batch(model, topic_texts, config.fold_in_iterations)))
-
+            doc.append(doc_row)
+            asp.append(topic_rows.setdefault(aspects_text(c.rationale), len(topic_rows)))
+            rat.append(topic_rows.setdefault(rationale_text(c.rationale), len(topic_rows)))
+            summ.append(vector_rows.setdefault(c.summary, len(vector_rows)))
+            truth.append(vector_rows.setdefault(d.ground_truth_summary, len(vector_rows)))
+            ser.append(vector_rows.setdefault(serialize_rationale(c.rationale), len(vector_rows)))
+    topics = infer_topics_batch(model, list(topic_rows), config.fold_in_iterations)
     # A provider error stops the stage here.
-    vectors = dict(zip(embed_texts, text_embeddings(provider, embed_texts, cache)))
+    matrix, others = _embedding_rows(provider, list(vector_rows), cache)
 
-    def score(cs: CandidateSet, d: Document) -> SelectionResult:
-        p_doc = topics[d.text]
+    doc, asp, rat, summ, truth, ser = (
+        np.array(ids, dtype=np.intp) for ids in (doc, asp, rat, summ, truth, ser)
+    )
+    sims, reasons = _pass_cosines(matrix, others, summ, truth, ser)
+    summary = summary_score_from_sims(sims[0], sims[1], config.phi_alpha)
+    coherence = coherence_score_from_kl(
+        kl_rows(topics[doc], topics[asp]), kl_rows(topics[doc], topics[rat]), config.phi_beta
+    )
+    combined = combine_scores(summary, coherence, config.lambda_cs)
+    # Taken in pass order: each document's zip below stops at its last candidate.
+    rows = zip(summary.tolist(), coherence.tolist(), combined.tolist(), reasons)
+
+    results = []
+    for cs, d in pairs:
         scored: list[ScoredCandidate] = []
         failures: list[CandidateFailure] = []
-        for c in cs.candidates:
-            try:
-                e_summary = vectors[c.summary]
-                e_ground_truth = vectors[d.ground_truth_summary]
-                e_rationale = vectors[serialize_rationale(c.rationale)]
-                s_score = summary_score_from_sims(
-                    cosine_similarity(e_summary, e_ground_truth),
-                    cosine_similarity(e_summary, e_rationale),
-                    config.phi_alpha,
-                )
-                c_score = coherence_score_from_kl(
-                    kl_divergence(p_doc, topics[aspects_text(c.rationale)]),
-                    kl_divergence(p_doc, topics[rationale_text(c.rationale)]),
-                    config.phi_beta,
-                )
-            except (ZeroVector, DimensionMismatch) as exc:  # from the vectors themselves
-                failures.append(CandidateFailure(c.index, str(exc)))
-                continue
-            combined = combine_scores(s_score, c_score, config.lambda_cs)
-            scored.append(ScoredCandidate(c.index, s_score, c_score, combined))
+        for c, (s_score, c_score, total, reason) in zip(cs.candidates, rows):
+            if reason is None:
+                scored.append(ScoredCandidate(c.index, s_score, c_score, total))
+            else:
+                failures.append(CandidateFailure(c.index, reason))
         if not scored:
             raise AllCandidatesFailed(
                 f"document {d.id}: all {len(cs.candidates)} candidates failed scoring"
             )
         golden = argmax_combined(scored)
-        return SelectionResult(
+        results.append(SelectionResult(
             cs.document_id, golden, cs.candidates[golden].rationale, tuple(scored), tuple(failures)
-        )
+        ))
+    return results
 
-    return [score(cs, d) for cs, d in pairs]
+
+def _pass_cosines(
+    matrix: np.ndarray,
+    others: dict[int, np.ndarray],
+    summary: np.ndarray,
+    truth: np.ndarray,
+    rationale: np.ndarray,
+) -> tuple[np.ndarray, list[str | None]]:
+    """sim(S_i, S_gt) and sim(S_i, R_i) of each candidate i, as a (2 x n) array,
+    and each candidate's failure reason or None, given its three vector rows.
+
+    A candidate fails as cosine_similarity would fail on its two pairs in
+    turn: on the shapes, then a zero norm, of (S_i, S_gt), then of (S_i, R_i),
+    and then on a non-finite norm product of either. Its sims stay 0.0.
+    """
+    d = matrix.shape[1]
+    norms = np.empty(len(matrix))
+    step = max(1, _ROW_BLOCK_ELEMENTS // max(d, 1))
+    for start in range(0, len(matrix), step):
+        norms[start:start + step] = _row_norms(matrix[start:start + step])
+    shapes = {(d,): 0}
+    shape_ids = np.zeros(len(matrix), dtype=np.int64)
+    for i, vector in others.items():
+        norms[i] = _row_norms(vector.reshape(1, -1))[0]
+        shape_ids[i] = shapes.setdefault(vector.shape, len(shapes))
+
+    def differ(other: np.ndarray):
+        def shape(row: int) -> tuple:
+            return others[row].shape if row in others else (d,)
+
+        return lambda i: _shapes_differ(shape(summary[i]), shape(other[i]))
+
+    zero = norms == 0.0
+    denominators = (
+        _row_denominators(norms[summary], norms[truth]),
+        _row_denominators(norms[summary], norms[rationale]),
+    )
+    checks = (
+        (shape_ids[summary] != shape_ids[truth], differ(truth)),
+        (zero[summary] | zero[truth], lambda i: _ZERO),
+        (shape_ids[summary] != shape_ids[rationale], differ(rationale)),
+        (zero[summary] | zero[rationale], lambda i: _ZERO),
+        (~np.isfinite(denominators[0]) | ~np.isfinite(denominators[1]), lambda i: _NON_FINITE),
+    )
+    reasons: list[str | None] = [None] * len(summary)
+    failed = np.zeros(len(summary), dtype=bool)
+    for mask, reason in checks:
+        for i in np.flatnonzero(mask & ~failed).tolist():
+            reasons[i] = reason(i)
+        failed |= mask
+
+    sims = np.zeros((2, len(summary)))
+    in_matrix = np.flatnonzero(~failed & (shape_ids[summary] == 0))
+    for start in range(0, len(in_matrix), step):
+        block = in_matrix[start:start + step]
+        vectors = matrix[summary[block]]
+        for sim, other, denominator in zip(sims, (truth, rationale), denominators):
+            sim[block] = _row_cosines(vectors, matrix[other[block]], denominator[block])
+    for i in np.flatnonzero(~failed & (shape_ids[summary] != 0)).tolist():
+        sims[0, i] = cosine_similarity(others[summary[i]], others[truth[i]])
+        sims[1, i] = cosine_similarity(others[summary[i]], others[rationale[i]])
+    return sims, reasons
 
 
 def select_golden(

@@ -111,18 +111,20 @@ class TopicDistribution:
     def __len__(self) -> int:
         return self.probs.size
 
-    @classmethod
-    def uniform(cls, k: int) -> "TopicDistribution":
-        return cls(np.full(k, 1.0 / k))
+
+def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """KL(p_i || q_i) = sum_j p_ij * ln(p_ij / q_ij), in nats, for each row i of
+    two (n x k) arrays of strictly positive rows; each sum runs along its row."""
+    value = np.sum(p * np.log(p / q), axis=1)
+    # Nonnegative analytically; guard against float rounding near p == q.
+    return np.where(value > 0.0, value, 0.0)
 
 
 def kl_divergence(p: TopicDistribution, q: TopicDistribution) -> float:
-    """KL(p || q) = sum_i p_i * ln(p_i / q_i), in nats."""
+    """KL(p || q): the one-row case of kl_rows."""
     if len(p) != len(q):
         raise DimensionMismatch(f"distributions have lengths {len(p)} and {len(q)}")
-    value = float(np.sum(p.probs * np.log(p.probs / q.probs)))
-    # Nonnegative analytically; guard against float rounding near p == q.
-    return value if value > 0.0 else 0.0
+    return float(kl_rows(p.probs[None, :], q.probs[None, :])[0])
 
 
 def digamma(x: np.ndarray) -> np.ndarray:
@@ -334,18 +336,18 @@ def train_lda(
 
 def infer_topics_batch(
     model: LdaModel, texts: list[str], fold_in_iterations: int = 50
-) -> list[TopicDistribution]:
-    """Fold-in of each text with the model frozen, equal to infer_topics(model, text)
-    bit for bit; a text with no in-vocabulary token gets the uniform distribution."""
+) -> np.ndarray:
+    """Fold-in of each text with the model frozen, as one (len(texts) x k) float64
+    array whose row i equals infer_topics(model, texts[i]).probs bit for bit; a
+    text with no in-vocabulary token gets the uniform row."""
     encoded = [model.vocabulary.encode(text) for text in texts]
-    result = [TopicDistribution.uniform(model.k)] * len(texts)
+    result = np.full((len(texts), model.k), 1.0 / model.k)
     for positions, block in _blocks(encoded, model.k, model.alpha):
         gamma = _e_step(block, model._word_weights, model.alpha, fold_in_iterations)
-        for i, row in zip(positions, gamma / gamma.sum(axis=1)[:, None]):
-            result[i] = TopicDistribution(row)
+        result[positions] = gamma / gamma.sum(axis=1)[:, None]
     return result
 
 
 def infer_topics(model: LdaModel, text: str, fold_in_iterations: int = 50) -> TopicDistribution:
-    """Fold-in of one text; see infer_topics_batch."""
-    return infer_topics_batch(model, [text], fold_in_iterations)[0]
+    """Fold-in of one text: the one row of infer_topics_batch."""
+    return TopicDistribution(infer_topics_batch(model, [text], fold_in_iterations)[0])

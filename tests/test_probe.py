@@ -229,6 +229,16 @@ def test_embedding_value_of_a_wrong_length_is_a_miss(tmp_path):
         assert vectors.lookup("ns", "text") is None
 
 
+def test_a_store_replaces_a_row_read_ahead(tmp_path):
+    with EmbeddingCache(tmp_path) as vectors:
+        vectors.store("ns", "a", np.ones(3))
+        vectors.read_ahead("ns", ["a", "b", "c"])
+        assert np.array_equal(vectors.lookup("ns", "a"), np.ones(3))  # reads all three rows
+        vectors.store("ns", "b", np.full(3, 2.0))
+        assert np.array_equal(vectors.lookup("ns", "b"), np.full(3, 2.0))
+        assert vectors.lookup("ns", "c") is None
+
+
 def test_a_file_that_is_not_a_database_names_itself(tmp_path):
     (tmp_path / "cache.sqlite").write_bytes(b"not a database " * 40)
     with pytest.raises(SchemaError, match=str(tmp_path / "cache.sqlite")):

@@ -1,8 +1,17 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import os
+import platform
 import random
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +22,7 @@ from aspectsum.errors import (
     AllCandidatesFailed,
     DimensionMismatch,
     EmptyText,
+    NonFiniteVector,
     TransportError,
     ZeroVector,
 )
@@ -40,8 +50,10 @@ from aspectsum.selection import (
     select_golden,
     summary_score_from_sims,
     text_embedding,
+    text_embeddings,
 )
 from aspectsum.topics import infer_topics, kl_divergence, train_lda
+from conftest import cache_rows, random_rationale, synthetic_records, write_cache_rows
 
 
 class VectorProvider(LlmClient):
@@ -77,6 +89,14 @@ def test_cosine_errors():
         cosine_similarity([0.0, 0.0], [1.0, 0.0])
     with pytest.raises(DimensionMismatch):
         cosine_similarity([1.0], [1.0, 0.0])
+    for bad in (math.nan, math.inf, -math.inf, 1e200):  # 1e200 squared overflows
+        with pytest.raises(NonFiniteVector):
+            cosine_similarity([1.0, bad], [1.0, 0.0])
+    # Shape, then zero, then non-finite: the order a select pass checks them in.
+    with pytest.raises(ZeroVector):
+        cosine_similarity([0.0, 0.0], [math.nan, 1.0])
+    with pytest.raises(DimensionMismatch):
+        cosine_similarity([math.nan], [0.0, 0.0])
 
 
 def test_summary_score_arithmetic():
@@ -418,3 +438,260 @@ def test_selection_config_validation():
         SelectionConfig(phi_alpha=float("nan"))
     cfg = SelectionConfig()
     assert (cfg.phi_alpha, cfg.phi_beta, cfg.lambda_cs) == (0.6, 1.3, 1.5)
+
+
+_NON_FINITE = "cosine similarity is undefined for a vector with a non-finite value or norm"
+
+
+def test_a_non_finite_embedding_is_a_failure_not_the_golden(tiny_model):
+    # Candidate 0's summary vector holds a NaN. Its combined score would be
+    # NaN, which no score compares greater than, so it used to be picked, and
+    # its line held the non-JSON token NaN.
+    d = Document("doc-n", "storm flood rain river", "storm flooded the river")
+    cs = _candidate_set("doc-n")
+    provider = VectorProvider(
+        {
+            cs.candidates[0].summary: [math.nan, 1.0],
+            cs.candidates[1].summary: [1.0, 0.0],
+            d.ground_truth_summary: _unit_at_cosine(0.3),
+            **{serialize_rationale(c.rationale): _unit_at_cosine(0.2) for c in cs.candidates},
+        }
+    )
+    cfg = SelectionConfig(fold_in_iterations=5)
+    result = select_golden(cs, d, tiny_model, provider, cfg)
+    assert result.failures == (selection.CandidateFailure(0, _NON_FINITE),)
+    assert [sc.index for sc in result.table] == [1] and result.golden_index == 1
+    json.dumps(result.to_json(cfg), allow_nan=False)
+
+
+class FractionalProvider(MockLlmClient):
+    """The mock's vectors made fractional, sqrt(v + 0.1) / 3, so that sums round;
+    texts named in `special` get the vector given there instead."""
+
+    def __init__(self, special=None, **kwargs):
+        super().__init__(**kwargs)
+        self.special = dict(special or {})
+
+    def embed(self, text):
+        if text in self.special:
+            return np.asarray(self.special[text], dtype=np.float64)
+        return np.sqrt(super().embed(text) + 0.1) / 3
+
+
+def _pairwise_row(c, d, model, provider, cfg):
+    """One candidate's ScoredCandidate, or its CandidateFailure, from the pairwise
+    functions: today's shape and zero checks pair by pair, then the non-finite one."""
+    summary = provider.embed(c.summary)
+    sims, non_finite = [], None
+    try:
+        for other in (d.ground_truth_summary, serialize_rationale(c.rationale)):
+            try:
+                sims.append(cosine_similarity(summary, provider.embed(other)))
+            except NonFiniteVector as exc:
+                non_finite = non_finite or str(exc)
+    except (DimensionMismatch, ZeroVector) as exc:
+        return selection.CandidateFailure(c.index, str(exc))
+    if non_finite:
+        return selection.CandidateFailure(c.index, non_finite)
+    n = cfg.fold_in_iterations
+    p_doc = infer_topics(model, d.text, n)
+    s_score = summary_score_from_sims(sims[0], sims[1], cfg.phi_alpha)
+    c_score = coherence_score_from_kl(
+        kl_divergence(p_doc, infer_topics(model, aspects_text(c.rationale), n)),
+        kl_divergence(p_doc, infer_topics(model, rationale_text(c.rationale), n)),
+        cfg.phi_beta,
+    )
+    return ScoredCandidate(c.index, s_score, c_score, combine_scores(s_score, c_score, cfg.lambda_cs))
+
+
+def _pass_pairs(n_docs: int, seed: int):
+    """Documents with 3 candidates each. Documents 1 and 3 share the ground truth
+    and the candidate rationales of the document before them, and documents 0
+    to 3 share their candidate summaries; from document 4 on, each text is the
+    document's own."""
+    rng = random.Random(seed)
+    records = synthetic_records(n_docs, seed=seed)
+    pairs = []
+    for i, r in enumerate(records):
+        shared = i in (1, 3)
+        truth = records[i - 1]["summary"] if shared else r["summary"]
+        rationales = (
+            [c.rationale for c in pairs[-1][0].candidates]
+            if shared
+            else [random_rationale(rng) for _ in range(3)]
+        )
+        candidates = tuple(
+            Candidate(j, rationale, f"shared summary {j}" if i < 4 else f"summary {i}.{j}")
+            for j, rationale in enumerate(rationales)
+        )
+        pairs.append((CandidateSet(r["id"], candidates), Document(r["id"], r["document"], truth)))
+    return [r["document"] for r in records], pairs
+
+
+@pytest.mark.parametrize("dimension", [3, 8, 9, 1536])
+@pytest.mark.parametrize("k", [2, 8, 32])
+def test_a_pass_equals_the_pairwise_functions_bit_for_bit(dimension, k, monkeypatch, tmp_path):
+    documents, pairs = _pass_pairs(12, seed=dimension * 100 + k)
+    model = train_lda(documents, k=k, iterations=5, seed=1)
+    cfg = SelectionConfig(fold_in_iterations=7)
+    odd = np.sqrt(np.arange(dimension + 1) + 0.1) / 3
+
+    def candidate(doc: int, j: int):
+        return pairs[doc][0].candidates[j]
+
+    special = {
+        candidate(4, 1).summary: odd,  # another dimension than S_gt's
+        serialize_rationale(candidate(5, 0).rationale): np.zeros(dimension),
+        candidate(6, 2).summary: np.full(dimension, math.nan),
+        serialize_rationale(candidate(7, 1).rationale): np.full(dimension, math.inf),
+        # Zero against S_gt comes before the mismatch against R_i; and a zero
+        # R_i before a non-finite S_i.
+        candidate(8, 0).summary: np.zeros(dimension),
+        serialize_rationale(candidate(8, 0).rationale): odd,
+        candidate(9, 1).summary: np.full(dimension, math.nan),
+        candidate(9, 2).summary: np.full(dimension, math.nan),
+        serialize_rationale(candidate(9, 2).rationale): np.zeros(dimension),
+    }
+    # Document 10's vectors all have the other dimension, so its candidates score.
+    d10 = pairs[10][1]
+    special[d10.ground_truth_summary] = odd * 2
+    for c in pairs[10][0].candidates:
+        special[c.summary] = odd[::-1].copy()
+        special[serialize_rationale(c.rationale)] = odd + c.index
+    special[candidate(9, 2).summary] = np.full(dimension, math.nan)
+    provider = FractionalProvider(special, seed=0, dimension=dimension)
+
+    expected = []
+    for cs, d in pairs:
+        rows = [_pairwise_row(c, d, model, provider, cfg) for c in cs.candidates]
+        expected.append((
+            tuple(r for r in rows if isinstance(r, ScoredCandidate)),
+            tuple(r for r in rows if isinstance(r, selection.CandidateFailure)),
+        ))
+    zero = "cosine similarity is undefined for an all-zero vector"
+    assert [f.index for _, failures in expected for f in failures] == [1, 0, 2, 1, 0, 1, 2]
+    assert [f.reason for f in expected[8][1] + expected[9][1]] == [zero, _NON_FINITE, zero]
+    assert len(expected[10][0]) == 3
+
+    for chunk, cache in ((32, None), (1, EmbeddingCache(tmp_path))):
+        monkeypatch.setattr(selection, "_CHUNK_DOCUMENTS", chunk)
+        with np.errstate(all="raise"):
+            results = list(select_each(pairs, model, provider, cfg, cache))
+        if cache is not None:
+            cache.close()
+        assert [(r.table, r.failures) for r in results] == expected
+
+
+_KERNEL_SCRIPT = """
+import hashlib, json
+import numpy as np
+from aspectsum.mock import MockLlmClient
+from aspectsum.rationale import Aspect, Candidate, CandidateSet, Document, Rationale, Triple
+from aspectsum.selection import SelectionConfig, cosine_similarity, select_each
+from aspectsum.topics import train_lda
+from aspectsum.workspace import jsonl_text
+
+
+class Fractional(MockLlmClient):
+    def embed(self, text):
+        return np.sqrt(super().embed(text) + 0.1) / 3
+
+
+words = ["storm", "flood", "rain", "river", "vote", "senate", "ballot", "poll"]
+texts = [" ".join(words[(i + j * j) % 8] for j in range(12)) for i in range(24)]
+provider = Fractional(seed=0, dimension=1536)
+pairs = [
+    (
+        CandidateSet(f"d{i}", tuple(
+            Candidate(j, Rationale((Aspect(texts[i + j]),), (Triple("a", texts[j], "b"),)),
+                      texts[i + j + 1])
+            for j in range(4)
+        )),
+        Document(f"d{i}", texts[i], texts[i + 2]),
+    )
+    for i in range(8)
+]
+model = train_lda(texts, k=3, iterations=5, seed=1)
+cfg = SelectionConfig(fold_in_iterations=5)
+vectors = [provider.embed(f"storm flood text {i} river") for i in range(100)]
+cosines = [cosine_similarity(x, y).hex() for x, y in zip(vectors, vectors[1:])]
+selections = jsonl_text(r.to_json(cfg) for r in select_each(pairs, model, provider, cfg))
+print(json.dumps([cosines, hashlib.sha256(selections.encode()).hexdigest()]))
+"""
+
+
+def _blas_kernel_skip_reason() -> str | None:
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return f"numpy's BLAS ({blas.get('name', 'unknown')}) is not a DYNAMIC_ARCH OpenBLAS"
+    if platform.machine() != "x86_64" or not Path("/proc/cpuinfo").exists():
+        return "OPENBLAS_CORETYPE Prescott and Sandybridge need an x86-64 Linux CPU"
+    if " avx " not in Path("/proc/cpuinfo").read_text(encoding="utf-8") + " ":
+        return "the CPU has no AVX, which OpenBLAS's Sandybridge kernels use"
+    return None
+
+
+def test_scores_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks its dot kernel by CPU type; these two sum in different
+    # orders, so np.dot of fractional vectors differs between them.
+    reason = _blas_kernel_skip_reason()
+    if reason:
+        pytest.skip(reason)
+    src = str(Path(selection.__file__).resolve().parents[1])
+    outputs = []
+    for core in ("Prescott", "Sandybridge"):
+        env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(_KERNEL_SCRIPT)],
+            env=env, capture_output=True, encoding="utf-8", check=True,
+        )
+        outputs.append(json.loads(run.stdout))
+    assert outputs[0] == outputs[1]
+
+
+class _RecordingConnection:
+    """A cache's SQLite connection that records the '?' marks of each statement."""
+
+    def __init__(self, db):
+        self.db = db
+        self.marks: list[int] = []
+
+    def execute(self, sql, parameters=()):
+        self.marks.append(sql.count("?"))
+        return self.db.execute(sql, parameters)
+
+    def __getattr__(self, name):
+        return getattr(self.db, name)
+
+
+def test_read_ahead_keeps_one_lookup_per_text_and_binds_at_most_64_keys(tmp_path, monkeypatch):
+    texts = [f"storm text {i}" for i in range(150)]
+    with EmbeddingCache(tmp_path) as cache:
+        stored = text_embeddings(MockLlmClient(seed=0), texts[:140], cache)
+    # Damage the row of a text that the second read-ahead statement carries.
+    namespace = MockLlmClient(seed=0).cache_namespace
+    damaged = hashlib.sha256(f"embedding\x00{namespace}\x00{texts[70]}".encode()).digest()
+    assert damaged in cache_rows(tmp_path)
+    write_cache_rows(tmp_path, {damaged: b"not zlib"})
+
+    looked_up = []
+    real_lookup = EmbeddingCache.lookup
+
+    def lookup(self, namespace, text):
+        looked_up.append(text)
+        return real_lookup(self, namespace, text)
+
+    monkeypatch.setattr(EmbeddingCache, "lookup", lookup)
+    provider = MockLlmClient(seed=0)
+    with EmbeddingCache(tmp_path) as cache:
+        cache._db = recording = _RecordingConnection(cache._db)
+        vectors = text_embeddings(provider, texts, cache)
+        cache._db = recording.db
+    assert looked_up == texts  # one lookup a text, in order, as without read-ahead
+    assert provider.embed_calls == 1 + 10  # the damaged row and the 10 never stored
+    assert max(recording.marks) == 64
+    assert sorted(m for m in recording.marks if m > 2) == [22, 64, 64]
+    for a, b in zip(vectors, stored + [MockLlmClient(seed=0).embed(t) for t in texts[140:]]):
+        assert np.array_equal(a, b)
+    # The store overwrote the damaged row.
+    assert np.array_equal(np.frombuffer(zlib.decompress(cache_rows(tmp_path)[damaged])), vectors[70])
