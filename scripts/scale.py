@@ -8,8 +8,9 @@ one fresh workspace. It records the stage's wall time, CPU time and maximum
 resident set size, read with ``os.wait4`` so that each figure is that one
 process's own, and at the end the bytes of each workspace entry, the rows
 of each table of ``cache/cache.sqlite``, and the sha256 of each workspace
-file outside ``cache/``, so that two checkouts run on the same corpus can be
-compared byte for byte. The result is one JSON file.
+file, ``cache/cache.sqlite`` included (its bytes do not depend on
+``--jobs``), so that two checkouts run on the same corpus can be compared
+byte for byte. The result is one JSON file.
 
 Documents draw ``--doc-words`` words from ``--vocabulary`` word types with
 Zipf (1/rank) weights; a summary draws ``--summary-words`` words from its
@@ -107,7 +108,7 @@ def cache_rows(ws: Path) -> dict[str, int]:
 
 
 def file_digests(ws: Path) -> dict[str, str]:
-    """The sha256 of each workspace file outside cache/, by its path in the workspace.
+    """The sha256 of each workspace file, by its path in the workspace.
 
     Each file is read 1 MiB at a time: a stage process starts from a fork of
     this one, and the maximum RSS it reports is never below what this
@@ -115,7 +116,7 @@ def file_digests(ws: Path) -> dict[str, str]:
     """
     digests = {}
     for path in sorted(ws.rglob("*")):
-        if path.is_file() and path.relative_to(ws).parts[0] != "cache":
+        if path.is_file():
             digest = hashlib.sha256()
             with open(path, "rb") as fh:
                 for block in iter(lambda: fh.read(1 << 20), b""):

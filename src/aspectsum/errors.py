@@ -41,7 +41,7 @@ class DimensionMismatch(AspectsumError, ValueError):
 
 
 class ZeroVector(AspectsumError, ValueError):
-    """Cosine similarity requested for an all-zero vector."""
+    """Cosine similarity requested for an all-zero vector, or one whose norm underflows to 0."""
 
 
 class NonFiniteVector(AspectsumError, ValueError):

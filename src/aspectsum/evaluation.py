@@ -151,9 +151,6 @@ class EvalReport:
             f"{self.mean_rouge2.f1:>8.4f}  {self.mean_rouge_l.f1:>8.4f}\n"
         )
 
-    def to_table(self) -> str:
-        return "".join(self.table_lines())
-
 
 class EmptyInput(AspectsumError):
     """evaluate_corpus received no pairs."""

@@ -36,7 +36,6 @@ from .evaluation import EvalReport, evaluate_corpus
 from .mock import EchoTrainerAdapter
 from .probe import (
     EmbeddingCache,
-    PrefetchedResponses,
     ResponseCache,
     probe_rationales,
     render_probe_prompt,
@@ -231,29 +230,39 @@ def stage_probe(ws: Workspace, cfg: PipelineConfig, client: LlmClient) -> dict:
 def _probe(ws: Workspace, cfg: PipelineConfig, client: LlmClient) -> dict:
     probe_cfg = cfg.probe_config()
     namespace = client.cache_namespace
+    n = probe_cfg.n_samples
     # Per document handed to the workers and not yet written, in order: its
-    # responses, or None when a document in flight has its prompt. So each
-    # prompt is probed once, under its first id, whichever worker finishes
-    # first; a prompt written earlier finds every slot in the cache.
-    unwritten: deque[PrefetchedResponses | None] = deque()
+    # prompt, the cached row read for it and the copy a worker fills; or
+    # None when a document in flight has its prompt. So each prompt is
+    # probed once, under its first id, whichever worker finishes first; a
+    # prompt written earlier finds every slot in the cache.
+    unwritten: deque[tuple[str, list, list] | None] = deque()
+
+    def read(prompt: str) -> tuple[str, list, list]:
+        cached = cache.lookup(namespace, prompt, n) or [None] * n
+        return prompt, cached, list(cached)
+
+    def write(entry: tuple[str, list, list]) -> None:
+        prompt, cached, row = entry
+        if row != cached:
+            cache.store(namespace, prompt, row)
 
     def handed_out(documents):  # on this thread, before a worker takes the document
-        n = probe_cfg.n_samples
         for doc in documents:
             prompt = render_probe_prompt(doc)  # the document's one render
-            in_flight = any(r is not None and r.prompt == prompt for r in unwritten)
-            responses = None if in_flight else PrefetchedResponses(cache, namespace, prompt, n)
-            unwritten.append(responses)
-            yield doc, prompt, responses
+            in_flight = any(entry is not None and entry[0] == prompt for entry in unwritten)
+            entry = None if in_flight else read(prompt)
+            unwritten.append(entry)
+            yield doc, prompt, None if entry is None else entry[2]
 
-    def work(item: tuple[Document, str, PrefetchedResponses | None]):
+    def work(item: tuple[Document, str, list | None]):
         # On a worker thread: completions, parsing and retries, and no cache.
-        doc, prompt, responses = item
-        if responses is None:
+        doc, prompt, row = item
+        if row is None:
             return doc, prompt, None, []
         discards = []
         candidate_set = probe_rationales(
-            client, doc, probe_cfg, cache=responses, discards=discards, prompt=prompt
+            client, doc, probe_cfg, row=row, discards=discards, prompt=prompt
         )
         return doc, prompt, candidate_set, discards
 
@@ -261,12 +270,14 @@ def _probe(ws: Workspace, cfg: PipelineConfig, client: LlmClient) -> dict:
 
     def candidate_lines(results, spool):
         for doc, prompt, candidate_set, discards in results:
-            responses = unwritten.popleft()
-            if responses is None:  # an earlier record's probe stored this prompt's responses
-                candidate_set = probe_rationales(client, doc, probe_cfg, cache=cache, prompt=prompt)
-            else:
-                responses.write_to(cache)
-                cache.commit()  # a killed run re-asks only for the documents not yet written
+            entry = unwritten.popleft()
+            if entry is None:  # an earlier record's probe stored this prompt's responses
+                entry = read(prompt)
+                candidate_set = probe_rationales(
+                    client, doc, probe_cfg, row=entry[2], prompt=prompt
+                )
+            write(entry)
+            cache.commit()  # a killed run re-asks only for the documents not yet written
             spool.writelines(jsonl_lines(map(asdict, discards)))
             counts["documents"] += 1
             counts["candidates"] += len(candidate_set.candidates)
@@ -276,7 +287,7 @@ def _probe(ws: Workspace, cfg: PipelineConfig, client: LlmClient) -> dict:
     # The discards, each with its whole response, wait in an unnamed
     # temporary file until candidates.jsonl is complete. The workers stop
     # before the cache closes, also when that write fails part way, and the
-    # responses of the documents they finished are stored first.
+    # rows of the documents they finished are stored first.
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as spool:
         with ResponseCache(ws.cache_dir) as cache:
             try:
@@ -284,8 +295,8 @@ def _probe(ws: Workspace, cfg: PipelineConfig, client: LlmClient) -> dict:
                 with contextlib.closing(results):
                     ws.write_jsonl(ws.candidates_path, candidate_lines(results, spool))
             finally:
-                for responses in filter(None, unwritten):
-                    responses.write_to(cache)
+                for entry in filter(None, unwritten):
+                    write(entry)
         spool.seek(0)
         ws.write_text(ws.discards_path, spool)
     return counts

@@ -181,19 +181,14 @@ class _Store:
         with self._connection() as db:
             db.execute(f"INSERT OR REPLACE INTO {self.table} VALUES (?, ?)", (key, value))
 
-    def _flush(self) -> None:
-        """Write what store() holds back until a commit; this kind holds nothing."""
-
     def commit(self) -> None:
         with self._connection() as db:
-            self._flush()
             db.commit()
 
     def close(self) -> None:
         """Commit what was stored and close; the last close folds the WAL into the file."""
         with self._connection() as db:
             try:
-                self._flush()
                 db.commit()
             finally:
                 db.close()
@@ -212,40 +207,16 @@ class ResponseCache(_Store):
     slot's response, or null for a slot not yet filled. A response is
     reused only for the prompt and provider that produced it, so an edited
     document, summary or template misses. A row that does not decompress,
-    or is not such an array, is a miss for every slot; the slots stored
-    next replace it. store() fills a slot of the prompt's row in memory,
-    and commit() or close() writes each row so filled once. In a file made
-    before this layout (user_version 0), a slot the row does not hold is
-    read from the slot's own row of `entries`, whose key is the sha256 of
-    the NUL-joined `response`, namespace, prompt and slot. Those rows are
-    never written; a row written to such a file takes their responses into
-    its empty slots. I/O failures propagate as sqlite3.Error.
+    or is not such an array, is a miss for every slot; the next store()
+    replaces it. In a file made before this layout (user_version 0), a slot
+    the row does not hold is read from the slot's own row of `entries`,
+    whose key is the sha256 of the NUL-joined `response`, namespace, prompt
+    and slot. Those rows are never written, but a row looked up and then
+    stored holds what they gave it. I/O failures propagate as sqlite3.Error.
     """
 
     kind = "responses"
     table = "responses"
-
-    def __init__(self, root: Path):
-        super().__init__(root)
-        # Rows whose slots were stored since the last commit, by key, in the
-        # order of their first store; and the last row read from the file, so
-        # a prompt's n lookups read it once.
-        self._pending: dict[bytes, tuple[str, str, list[str | None]]] = {}
-        self._read: tuple[bytes, list[str | None]] = (b"", [])
-
-    def _row(self, key: bytes) -> list[str | None]:
-        """The slots of a row, pending or in the file; [] when it is absent or damaged."""
-        if key in self._pending:
-            return self._pending[key][2]
-        if self._read[0] != key:
-            try:
-                row = json.loads(self._get(key) or b"[]")
-            except ValueError:  # also bytes that are not UTF-8
-                row = []
-            if not (isinstance(row, list) and all(r is None or isinstance(r, str) for r in row)):
-                row = []
-            self._read = (key, row)
-        return self._read[1]
 
     def _legacy_lookup(self, namespace: str, prompt: str, slot: int) -> str | None:
         data = self._get(_cache_key("response", namespace, prompt, str(slot)), "entries")
@@ -254,62 +225,29 @@ class ResponseCache(_Store):
         except UnicodeDecodeError:
             return None
 
-    def lookup(self, namespace: str, prompt: str, slot: int) -> str | None:
+    def lookup(self, namespace: str, prompt: str, n_samples: int) -> list[str | None] | None:
+        """The prompt's row, padded with None to n_samples slots; None when no slot is filled."""
         with self._lock:
-            row = self._row(self._key(namespace, prompt))
-            response = row[slot] if slot < len(row) else None
-            if response is None and self._legacy:
-                response = self._legacy_lookup(namespace, prompt, slot)
-            return response
-
-    def store(self, namespace: str, prompt: str, slot: int, response: str) -> None:
-        key = self._key(namespace, prompt)
-        with self._lock:
-            if key not in self._pending:
-                self._pending[key] = (namespace, prompt, list(self._row(key)))
-            row = self._pending[key][2]
-            row.extend([None] * (slot + 1 - len(row)))
-            row[slot] = response
-
-    def _flush(self) -> None:
-        for key, (namespace, prompt, row) in self._pending.items():
+            try:
+                row = json.loads(self._get(self._key(namespace, prompt)) or b"[]")
+            except ValueError:  # also bytes that are not UTF-8
+                row = []
+            if not (isinstance(row, list) and all(r is None or isinstance(r, str) for r in row)):
+                row = []
+            row += [None] * (n_samples - len(row))
             if self._legacy:
                 row = [
                     self._legacy_lookup(namespace, prompt, slot) if r is None else r
                     for slot, r in enumerate(row)
                 ]
-            data = json.dumps(row, ensure_ascii=False, separators=(",", ":"))
-            self._put(key, data.encode("utf-8"))
-        self._pending.clear()
-        self._read = (b"", [])
+        return row if any(r is not None for r in row) else None
 
-
-class PrefetchedResponses:
-    """One prompt's slots for a probe on a worker thread, which stands in for the cache.
-
-    The cached responses are looked up when this is made, on the thread
-    that owns the cache; lookup() returns them, and store() only keeps a
-    fresh response. write_to(cache) then stores the kept ones, in the order
-    they were fetched, on the cache's thread. The namespace and prompt are
-    the ones given here, and the arguments of lookup() and store() name the
-    same.
-    """
-
-    def __init__(self, cache: ResponseCache, namespace: str, prompt: str, n_samples: int):
-        self.prompt = prompt
-        self._cached = [cache.lookup(namespace, prompt, slot) for slot in range(n_samples)]
-        self._fresh: list[tuple[str, str, int, str]] = []
-
-    def lookup(self, namespace: str, prompt: str, slot: int) -> str | None:
-        return self._cached[slot]
-
-    def store(self, namespace: str, prompt: str, slot: int, response: str) -> None:
-        self._fresh.append((namespace, prompt, slot, response))
-
-    def write_to(self, cache: ResponseCache) -> None:
-        for entry in self._fresh:
-            cache.store(*entry)
-        self._fresh.clear()
+    def store(self, namespace: str, prompt: str, row: list[str | None]) -> None:
+        """Replace the prompt's row, without its trailing empty slots."""
+        while row and row[-1] is None:
+            row = row[:-1]
+        data = json.dumps(row, ensure_ascii=False, separators=(",", ":"))
+        self._put(self._key(namespace, prompt), data.encode("utf-8"))
 
 
 # Keys one read-ahead statement binds, and so the most rows held ahead of
@@ -388,17 +326,18 @@ def probe_rationales(
     client: LlmClient,
     document: Document,
     config: ProbeConfig,
-    cache: ResponseCache | PrefetchedResponses | None = None,
+    row: list[str | None] | None = None,
     discards: list[DiscardRecord] | None = None,
     prompt: str | None = None,
 ) -> CandidateSet:
     """Collect exactly config.n_samples parseable (rationale, summary) pairs.
 
-    A slot's cached response, if any, is attempt -1; it uses no retry and
-    is never stored again. Then the slots without one that parses are
-    filled in rounds 0 to config.max_retries: each round asks
-    client.complete_many once, for every slot still open, in slot order,
-    and a fresh response that parses is stored. A response that does not
+    row, if given, holds a cached response or None for each slot, as
+    ResponseCache.lookup returns it. A slot's cached response is attempt -1;
+    it uses no retry. Then the slots without one that parses are filled in
+    rounds 0 to config.max_retries: each round asks client.complete_many
+    once, for every slot still open, in slot order, and a fresh response
+    that parses is written into its slot of row. A response that does not
     parse, or whose rationale holds a reserved curriculum token, is recorded
     as discarded with its slot and its round as the attempt, never silently
     repaired; so the discards come round by round, each round in slot order.
@@ -408,7 +347,6 @@ def probe_rationales(
     """
     if prompt is None:
         prompt = render_probe_prompt(document)
-    namespace = client.cache_namespace
     accepted: dict[int, tuple[Rationale, str]] = {}
 
     def accept(slot: int, attempt: int, response: str) -> bool:
@@ -426,7 +364,7 @@ def probe_rationales(
 
     open_slots = []
     for slot in range(config.n_samples):
-        cached = cache.lookup(namespace, prompt, slot) if cache else None
+        cached = row[slot] if row is not None else None
         if cached is None or not accept(slot, -1, cached):
             open_slots.append(slot)
     for attempt in range(1 + config.max_retries):
@@ -437,8 +375,8 @@ def probe_rationales(
         for slot, response in zip(open_slots, responses, strict=True):
             if not accept(slot, attempt, response):
                 still_open.append(slot)
-            elif cache is not None:
-                cache.store(namespace, prompt, slot, response)
+            elif row is not None:
+                row[slot] = response
         open_slots = still_open
     if open_slots:
         raise InsufficientValidSamples(

@@ -125,6 +125,7 @@ def text_embedding(
 _ROW_BLOCK_ELEMENTS = 1 << 15
 
 _ZERO = "cosine similarity is undefined for an all-zero vector"
+_UNDERFLOW = "cosine similarity is undefined for a vector whose norm underflows to 0"
 _NON_FINITE = "cosine similarity is undefined for a vector with a non-finite value or norm"
 
 
@@ -135,7 +136,9 @@ def _shapes_differ(x_shape: tuple, y_shape: tuple) -> str:
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """The Euclidean norm of each row of a 2-d array, summed along the row
     without BLAS, so that its bits do not depend on the CPU's BLAS kernel."""
-    with np.errstate(over="ignore"):  # an overflowing norm is a NonFiniteVector
+    # An overflowing norm is a NonFiniteVector, and one that underflows to 0
+    # a ZeroVector.
+    with np.errstate(over="ignore", under="ignore"):
         return np.sqrt(np.add.reduce(rows * rows, axis=1))
 
 
@@ -153,7 +156,9 @@ def _row_cosines(x: np.ndarray, y: np.ndarray, denominators: np.ndarray) -> np.n
 
 def cosine_similarity(x: np.ndarray, y: np.ndarray) -> float:
     """The cosine of two vectors: the one-row case of a select pass's cosines,
-    with its checks in the same order (shape, zero, non-finite)."""
+    with its checks in the same order (shape, zero, non-finite). A zero norm
+    is an all-zero vector when either vector is all zero, and else a norm that
+    underflows."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
@@ -161,7 +166,7 @@ def cosine_similarity(x: np.ndarray, y: np.ndarray) -> float:
     x, y = x.reshape(1, -1), y.reshape(1, -1)
     x_norm, y_norm = _row_norms(x), _row_norms(y)
     if x_norm[0] == 0.0 or y_norm[0] == 0.0:
-        raise ZeroVector(_ZERO)
+        raise ZeroVector(_UNDERFLOW if x.any() and y.any() else _ZERO)
     denominator = _row_denominators(x_norm, y_norm)
     if not np.isfinite(denominator[0]):
         raise NonFiniteVector(_NON_FINITE)
@@ -358,8 +363,9 @@ def _pass_cosines(
     and each candidate's failure reason or None, given its three vector rows.
 
     A candidate fails as cosine_similarity would fail on its two pairs in
-    turn: on the shapes, then a zero norm, of (S_i, S_gt), then of (S_i, R_i),
-    and then on a non-finite norm product of either. Its sims stay 0.0.
+    turn: on the shapes, then an all-zero vector, then a norm that underflows
+    to 0, of (S_i, S_gt), then of (S_i, R_i), and then on a non-finite norm
+    product of either. Its sims stay 0.0.
     """
     d = matrix.shape[1]
     norms = np.empty(len(matrix))
@@ -379,15 +385,20 @@ def _pass_cosines(
         return lambda i: _shapes_differ(shape(summary[i]), shape(other[i]))
 
     zero = norms == 0.0
+    all_zero = zero.copy()
+    for i in np.flatnonzero(zero).tolist():
+        all_zero[i] = not (others[i] if i in others else matrix[i]).any()
     denominators = (
         _row_denominators(norms[summary], norms[truth]),
         _row_denominators(norms[summary], norms[rationale]),
     )
     checks = (
         (shape_ids[summary] != shape_ids[truth], differ(truth)),
-        (zero[summary] | zero[truth], lambda i: _ZERO),
+        (all_zero[summary] | all_zero[truth], lambda i: _ZERO),
+        (zero[summary] | zero[truth], lambda i: _UNDERFLOW),
         (shape_ids[summary] != shape_ids[rationale], differ(rationale)),
-        (zero[summary] | zero[rationale], lambda i: _ZERO),
+        (all_zero[summary] | all_zero[rationale], lambda i: _ZERO),
+        (zero[summary] | zero[rationale], lambda i: _UNDERFLOW),
         (~np.isfinite(denominators[0]) | ~np.isfinite(denominators[1]), lambda i: _NON_FINITE),
     )
     reasons: list[str | None] = [None] * len(summary)

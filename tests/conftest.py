@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from aspectsum.probe import probe_rationales, render_probe_prompt
 from aspectsum.rationale import Aspect, Document, Rationale, Triple
 
 # Word pools for generated rationales. Aspect words may contain anything but
@@ -117,6 +118,20 @@ def user_version(cache_dir: Path) -> int:
     """The cache file's PRAGMA user_version: 1 once responses share a row, 0 before."""
     with contextlib.closing(sqlite3.connect(cache_dir / "cache.sqlite")) as db:
         return db.execute("PRAGMA user_version").fetchone()[0]
+
+
+def probe_with_cache(client, document, config, cache, **kwargs):
+    """probe_rationales over the cached row of the document's prompt, as the probe
+    stage runs it: look the row up, probe with a copy, and store the copy if it changed."""
+    prompt = render_probe_prompt(document)
+    n = config.n_samples
+    cached = cache.lookup(client.cache_namespace, prompt, n) or [None] * n
+    row = list(cached)
+    try:
+        return probe_rationales(client, document, config, row=row, prompt=prompt, **kwargs)
+    finally:
+        if row != cached:
+            cache.store(client.cache_namespace, prompt, row)
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from aspectsum.clients import (
 from aspectsum.errors import TransportError
 from aspectsum.probe import ProbeConfig, ResponseCache, probe_rationales
 from aspectsum.rationale import Document
-from conftest import cache_rows
+from conftest import cache_rows, probe_with_cache
 
 
 class FakeResponse:
@@ -242,7 +242,7 @@ def test_more_samples_ask_only_for_the_new_slots_and_rewrite_the_row(monkeypatch
     (doc,) = documents(1)
     for n_samples in (2, 4):
         with ResponseCache(tmp_path) as cache:
-            cs = probe_rationales(client, doc, ProbeConfig(n_samples=n_samples), cache=cache)
+            cs = probe_with_cache(client, doc, ProbeConfig(n_samples=n_samples), cache)
         assert [c.summary for c in cs.candidates] == [f"summary {i}" for i in range(n_samples)]
     assert [r["json"]["n"] for r in session.requests] == [2, 2]
     (value,) = cache_rows(tmp_path, "responses").values()

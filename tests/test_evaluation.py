@@ -128,7 +128,7 @@ def test_corpus_report_shapes():
     obj = report.to_json()
     assert obj["count"] == 3
     assert len(obj["documents"]) == 3
-    table = report.to_table()
+    table = "".join(report.table_lines())
     assert table.count("\n") == 3 + 2  # header + rows + mean
     with pytest.raises(EmptyInput):
         evaluate_corpus([])

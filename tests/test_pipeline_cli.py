@@ -24,6 +24,7 @@ from aspectsum.config import PipelineConfig, build_config
 from aspectsum.curriculum import CANONICAL_STAGE_ORDER, Stage
 from aspectsum.errors import (
     DuplicateId,
+    InsufficientValidSamples,
     MissingPrerequisite,
     SchemaError,
     WorkspaceLocked,
@@ -910,10 +911,11 @@ def test_a_legacy_response_cache_is_read_without_a_provider(tmp_path, corpus_fil
     full = Workspace(tmp_path / "full")
     run_all(full, cfg, corpus_file, MockLlmClient(seed=cfg.seed))
     namespace = MockLlmClient(seed=cfg.seed).cache_namespace
-    slots = [(namespace, render_probe_prompt(doc), slot)
-             for doc in full.corpus() for slot in range(cfg.n_samples)]
     with ResponseCache(full.cache_dir) as cache:
-        responses = {key: cache.lookup(*key) for key in slots}
+        rows = {prompt: cache.lookup(namespace, prompt, cfg.n_samples)
+                for prompt in map(render_probe_prompt, full.corpus())}
+    responses = {(namespace, prompt, slot): response
+                 for prompt, row in rows.items() for slot, response in enumerate(row)}
     assert None not in responses.values()
 
     # A cache written when each response had a row of its own.
@@ -989,6 +991,41 @@ def test_probe_killed_at_a_completion_refetches_only_uncommitted_entries(tmp_pat
     assert ws.candidates_path.read_bytes() == full.candidates_path.read_bytes()
     assert cache_rows(ws.cache_dir, "responses") == cache_rows(full.cache_dir, "responses")
     assert [p.name for p in ws.cache_dir.iterdir()] == ["cache.sqlite"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failed_document_keeps_its_parsed_responses(tmp_path, corpus_file, jobs):
+    import threading
+
+    from aspectsum.probe import render_probe_prompt
+
+    cfg = small_config(n_samples=4, max_retries=1, jobs=jobs)
+    ws = Workspace(tmp_path / "ws")
+    stage_ingest(ws, cfg, corpus_file)
+    prompts = [render_probe_prompt(doc) for doc in ws.corpus()]
+    assert len(set(prompts)) == 6
+    last_probed = threading.Event()
+
+    class GarblesOneSlot(MockLlmClient):
+        """Garbles the last slot each round asks for the fourth document."""
+
+        def complete_many(self, prompt, n):
+            responses = super().complete_many(prompt, n)
+            if prompt == prompts[-1]:
+                last_probed.set()
+            if prompt == prompts[3]:
+                if jobs > 1:  # so each document handed out before it fails is finished
+                    last_probed.wait(timeout=10)
+                responses[-1] = "garbled"
+            return responses
+
+    with pytest.raises(InsufficientValidSamples, match="sample 3 did not parse after 1 retries"):
+        stage_probe(ws, cfg, GarblesOneSlot(seed=cfg.seed))
+    client = MockLlmClient(seed=cfg.seed)
+    stage_probe(ws, cfg, client)
+    # The failed document's parsed slots 0 to 2 were stored. Under --jobs 1
+    # the documents after it were never handed out, so they are asked for now.
+    assert client.completion_calls == (1 + 2 * 4 if jobs == 1 else 1)
 
 
 def test_every_cache_connection_is_closed_after_a_run(tmp_path, corpus_file):

@@ -27,7 +27,13 @@ from aspectsum.probe import (
     render_probe_prompt,
 )
 from aspectsum.rationale import Document, parse_rationale, serialize_rationale
-from conftest import cache_rows, user_version, write_cache_rows, write_legacy_cache
+from conftest import (
+    cache_rows,
+    probe_with_cache,
+    user_version,
+    write_cache_rows,
+    write_legacy_cache,
+)
 
 
 class ScriptedClient(LlmClient):
@@ -163,19 +169,18 @@ def row_slots(cache_dir) -> list[list]:
 
 def test_cache_round_trip(tmp_path):
     with ResponseCache(tmp_path) as cache:
-        assert cache.lookup("ns", "prompt", 0) is None
-        cache.store("ns", "prompt", 2, "payload\nlines")
-        cache.store("ns", "prompt", 0, "first")
-        assert cache.lookup("ns", "prompt", 2) == "payload\nlines"
-        assert cache.lookup("ns", "prompt", 1) is None  # a gap below the last slot
         assert cache.lookup("ns", "prompt", 3) is None
+        cache.store("ns", "prompt", ["first", None, "payload\nlines", None])
+        # A gap below the last slot; the row has at least n_samples slots.
+        assert cache.lookup("ns", "prompt", 4) == ["first", None, "payload\nlines", None]
+        assert cache.lookup("ns", "prompt", 2) == ["first", None, "payload\nlines"]
         # namespace and prompt each split the key
-        assert cache.lookup("other", "prompt", 2) is None
-        assert cache.lookup("ns", "prompt2", 2) is None
+        assert cache.lookup("other", "prompt", 3) is None
+        assert cache.lookup("ns", "prompt2", 3) is None
     # One file, with no journal left once closed, and one row of `responses`
     # for the prompt. Its key is the sha256 of the NUL-joined kind, namespace
     # and prompt; its value the zlib-compressed JSON array of the slots, null
-    # for a gap.
+    # for a gap and none for the empty slots after the last response.
     assert [p.name for p in tmp_path.iterdir()] == ["cache.sqlite"]
     key = hashlib.sha256("responses\x00ns\x00prompt".encode()).digest()
     assert not cache_rows(tmp_path, "entries")  # the embeddings' table
@@ -183,16 +188,16 @@ def test_cache_round_trip(tmp_path):
     assert row[0] == key
     assert zlib.decompress(row[1]) == b'["first",null,"payload\\nlines"]'
     with ResponseCache(tmp_path) as cache, EmbeddingCache(tmp_path) as vectors:
-        assert cache.lookup("ns", "prompt", 2) == "payload\nlines"  # persisted
+        assert cache.lookup("ns", "prompt", 3) == ["first", None, "payload\nlines"]  # persisted
         assert vectors.lookup("ns", "prompt") is None  # the kind splits the key too
 
 
 def test_cache_entries_are_durable_only_once_committed(tmp_path):
     cache = ResponseCache(tmp_path)
-    cache.store("ns", "p", 0, "kept")
+    cache.store("ns", "p", ["kept"])
     cache.commit()
-    cache.store("ns", "p", 1, "in flight")
-    assert cache.lookup("ns", "p", 1) == "in flight"  # its own connection sees the store
+    cache.store("ns", "p", ["kept", "in flight"])
+    assert cache.lookup("ns", "p", 2) == ["kept", "in flight"]  # its own connection sees it
     assert row_slots(tmp_path) == [["kept"]]  # another connection sees only the commit
     cache.close()  # close commits whatever was stored
     assert row_slots(tmp_path) == [["kept", "in flight"]]
@@ -202,7 +207,7 @@ def test_cache_entries_are_durable_only_once_committed(tmp_path):
 def test_damaged_cache_value_is_a_miss_and_store_overwrites_it(tmp_path, damage):
     vector = np.arange(5, dtype=np.float64) / 3
     with ResponseCache(tmp_path) as cache:
-        cache.store("ns", "p", 0, "whole response")
+        cache.store("ns", "p", ["whole response"])
     with EmbeddingCache(tmp_path) as vectors:
         vectors.store("ns", "text", vector)
     # Each row cut to half its bytes, or replaced by bytes that are not zlib.
@@ -211,9 +216,9 @@ def test_damaged_cache_value_is_a_miss_and_store_overwrites_it(tmp_path, damage)
                    for k, v in cache_rows(tmp_path, table).items()}
         write_cache_rows(tmp_path, damaged, table)
     with ResponseCache(tmp_path) as cache:
-        assert cache.lookup("ns", "p", 0) is None
-        cache.store("ns", "p", 0, "whole response")
-        assert cache.lookup("ns", "p", 0) == "whole response"
+        assert cache.lookup("ns", "p", 1) is None
+        cache.store("ns", "p", ["whole response"])
+        assert cache.lookup("ns", "p", 1) == ["whole response"]
     with EmbeddingCache(tmp_path) as vectors:
         assert vectors.lookup("ns", "text") is None
         vectors.store("ns", "text", vector)
@@ -249,17 +254,17 @@ def test_concurrent_use_of_one_key_sees_whole_responses(tmp_path):
     # Documents with equal text and summary share keys, so under --jobs two
     # workers can read and write one entry at once.
     cache = ResponseCache(tmp_path)
-    responses = [f"response {i}:" + "x" * (i * 397 % 6000) for i in range(16)]
+    rows = [[f"response {i}:" + "x" * (i * 397 % 6000)] for i in range(16)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=16) as pool:
             for _ in range(50):
-                futures = [pool.submit(cache.store, "ns", "p", 0, r) for r in responses]
-                futures += [pool.submit(cache.lookup, "ns", "p", 0) for _ in responses]
+                futures = [pool.submit(cache.store, "ns", "p", row) for row in rows]
+                futures += [pool.submit(cache.lookup, "ns", "p", 1) for _ in rows]
                 for future in futures:
-                    assert future.result(timeout=10) in responses + [None]
-                assert cache.lookup("ns", "p", 0) in responses
+                    assert future.result(timeout=10) in rows + [None]
+                assert cache.lookup("ns", "p", 1) in rows
     finally:
         sys.setswitchinterval(interval)
 
@@ -267,20 +272,20 @@ def test_concurrent_use_of_one_key_sees_whole_responses(tmp_path):
 def test_template_edit_invalidates_cache(tmp_path, sample_document, monkeypatch):
     cache = ResponseCache(tmp_path)
     cfg = ProbeConfig(n_samples=2)
-    probe_rationales(MockLlmClient(seed=3), sample_document, cfg, cache=cache)
+    probe_with_cache(MockLlmClient(seed=3), sample_document, cfg, cache)
     edited = PromptTemplate(PromptTemplate.load().body + "\nextra instruction")
     monkeypatch.setattr(PromptTemplate, "load", classmethod(lambda cls: edited))
     client = MockLlmClient(seed=3)
-    probe_rationales(client, sample_document, cfg, cache=cache)
+    probe_with_cache(client, sample_document, cfg, cache)
     assert client.completion_calls == 2
 
 
 def test_probe_cache_is_keyed_by_provider(tmp_path, sample_document):
     cache = ResponseCache(tmp_path)
     cfg = ProbeConfig(n_samples=2)
-    first = probe_rationales(MockLlmClient(seed=5), sample_document, cfg, cache=cache)
+    first = probe_with_cache(MockLlmClient(seed=5), sample_document, cfg, cache)
     client = MockLlmClient(seed=6)
-    second = probe_rationales(client, sample_document, cfg, cache=cache)
+    second = probe_with_cache(client, sample_document, cfg, cache)
     assert client.completion_calls == 2  # another seed is another provider
     assert first != second
 
@@ -289,18 +294,27 @@ def test_probe_uses_cache(tmp_path, sample_document):
     cache = ResponseCache(tmp_path)
     cfg = ProbeConfig(n_samples=3)
     client = MockLlmClient(seed=3)
-    first = probe_rationales(client, sample_document, cfg, cache=cache)
+    first = probe_with_cache(client, sample_document, cfg, cache)
     assert client.completion_calls == 3
     client2 = MockLlmClient(seed=3)
-    second = probe_rationales(client2, sample_document, cfg, cache=cache)
+    second = probe_with_cache(client2, sample_document, cfg, cache)
     assert client2.completion_calls == 0  # fully warm
     assert first == second
+
+
+def test_probe_fills_and_keeps_the_row_it_is_given(sample_document):
+    row = [None, GOOD, BAD]
+    client = ScriptedClient([GOOD, BAD, GOOD])
+    cs = probe_rationales(client, sample_document, ProbeConfig(n_samples=3), row=row)
+    assert len(cs.candidates) == 3
+    # Slot 1 came from the row; slots 0 and 2 hold the fresh responses that parsed.
+    assert (client.calls, row) == (3, [GOOD, GOOD, GOOD])
 
 
 def test_probe_refetches_only_missing_cache_entries(tmp_path, sample_document):
     cfg = ProbeConfig(n_samples=4)
     with ResponseCache(tmp_path) as cache:
-        probe_rationales(MockLlmClient(seed=3), sample_document, cfg, cache=cache)
+        probe_with_cache(MockLlmClient(seed=3), sample_document, cfg, cache)
     (key,) = cache_rows(tmp_path, "responses")
     (full,) = row_slots(tmp_path)
     assert len(full) == 4
@@ -308,7 +322,7 @@ def test_probe_refetches_only_missing_cache_entries(tmp_path, sample_document):
     write_cache_rows(tmp_path, {key: zlib.compress(json.dumps(gaps).encode())}, "responses")
     client = MockLlmClient(seed=3)
     with ResponseCache(tmp_path) as cache:
-        probe_rationales(client, sample_document, cfg, cache=cache)
+        probe_with_cache(client, sample_document, cfg, cache)
     assert client.completion_calls == 2
     # The fresh client's first two samples fill the gaps, and the row is rewritten whole.
     assert row_slots(tmp_path) == [[full[0], full[0], full[2], full[1]]]
@@ -328,15 +342,14 @@ def test_probe_refetches_only_missing_cache_entries(tmp_path, sample_document):
 )
 def test_damaged_response_row_is_a_miss_for_each_slot_and_is_overwritten(tmp_path, value):
     with ResponseCache(tmp_path) as cache:
-        cache.store("ns", "p", 0, "zero")
-        cache.store("ns", "p", 1, "one")
+        cache.store("ns", "p", ["zero", "one"])
     ((key, whole),) = cache_rows(tmp_path, "responses").items()
     damaged = whole[: len(whole) // 2] if value == "cut" else value
     write_cache_rows(tmp_path, {key: damaged}, "responses")
     with ResponseCache(tmp_path) as cache:
-        assert [cache.lookup("ns", "p", slot) for slot in range(3)] == [None] * 3
-        cache.store("ns", "p", 1, "fresh")
-        assert cache.lookup("ns", "p", 0) is None
+        assert cache.lookup("ns", "p", 3) is None  # a miss for every slot
+        cache.store("ns", "p", [None, "fresh", None])
+        assert cache.lookup("ns", "p", 3) == [None, "fresh", None]
     assert row_slots(tmp_path) == [[None, "fresh"]]
 
 
@@ -344,9 +357,10 @@ def test_a_fresh_file_reads_no_legacy_row(tmp_path):
     selects = []
     with ResponseCache(tmp_path) as cache:
         cache._db.set_trace_callback(lambda sql: selects.append(sql.startswith("SELECT")))
-        assert [cache.lookup("ns", "p", slot) for slot in range(4)] == [None] * 4
+        assert cache.lookup("ns", "p", 4) is None
+        assert cache.lookup("ns", "q", 4) is None
         cache._db.set_trace_callback(None)
-    assert sum(selects) == 1  # the prompt's row, read once for its four slots
+    assert sum(selects) == 2  # one SELECT per lookup of a prompt, for all its slots
     assert user_version(tmp_path) == 1
 
 
@@ -355,43 +369,43 @@ def test_a_legacy_file_is_read_but_its_rows_are_never_written(tmp_path):
     write_legacy_cache(tmp_path, old)
     legacy_rows = cache_rows(tmp_path)
     with ResponseCache(tmp_path) as cache:
-        assert [cache.lookup("ns", "p", slot) for slot in range(3)] == ["zero", "one", None]
-        cache.store("ns", "p", 2, "two")  # a third slot, as when n_samples grows
+        row = cache.lookup("ns", "p", 3)
+        assert row == ["zero", "one", None]
+        row[2] = "two"  # a third slot, as when n_samples grows
+        cache.store("ns", "p", row)
     assert user_version(tmp_path) == 0
     assert cache_rows(tmp_path) == legacy_rows
-    # The new row takes the old responses into the slots below the one stored.
+    # The new row holds the old responses that the lookup found.
     ((key, value),) = cache_rows(tmp_path, "responses").items()
     assert key == hashlib.sha256(b"responses\x00ns\x00p").digest()
     assert json.loads(zlib.decompress(value)) == ["zero", "one", "two"]
     with ResponseCache(tmp_path) as cache:
-        assert [cache.lookup("ns", "p", slot) for slot in range(3)] == ["zero", "one", "two"]
-        assert cache.lookup("ns", "q", 0) == "other"
+        assert cache.lookup("ns", "p", 3) == ["zero", "one", "two"]
+        assert cache.lookup("ns", "q", 1) == ["other"]
 
 
 def test_unparseable_cache_entry_is_refetched(tmp_path, sample_document):
     cache = ResponseCache(tmp_path)
     prompt = render_probe_prompt(sample_document)
-    cache.store(ScriptedClient.cache_namespace, prompt, 0, BAD)
+    cache.store(ScriptedClient.cache_namespace, prompt, [BAD])
     client = ScriptedClient([GOOD])
     discards = []
-    cs = probe_rationales(
-        client, sample_document, ProbeConfig(n_samples=1), cache=cache, discards=discards
+    cs = probe_with_cache(
+        client, sample_document, ProbeConfig(n_samples=1), cache, discards=discards
     )
     assert len(cs.candidates) == 1
     assert client.calls == 1
     # the bad entry was recorded and replaced by the fresh response
     assert discards[0].attempt == -1
-    assert cache.lookup(ScriptedClient.cache_namespace, prompt, 0) == GOOD
+    assert cache.lookup(ScriptedClient.cache_namespace, prompt, 1) == [GOOD]
 
 
 def test_unparseable_cache_entry_uses_no_retry(tmp_path, sample_document):
     cache = ResponseCache(tmp_path)
     prompt = render_probe_prompt(sample_document)
-    cache.store(ScriptedClient.cache_namespace, prompt, 0, BAD)
+    cache.store(ScriptedClient.cache_namespace, prompt, [BAD])
     client = ScriptedClient([GOOD])
-    cs = probe_rationales(
-        client, sample_document, ProbeConfig(n_samples=1, max_retries=0), cache=cache
-    )
+    cs = probe_with_cache(client, sample_document, ProbeConfig(n_samples=1, max_retries=0), cache)
     assert len(cs.candidates) == 1
     assert client.calls == 1
 
@@ -399,14 +413,14 @@ def test_unparseable_cache_entry_uses_no_retry(tmp_path, sample_document):
 def test_cached_and_fresh_discards_are_one_attempt_sequence(tmp_path, sample_document):
     cache = ResponseCache(tmp_path)
     prompt = render_probe_prompt(sample_document)
-    cache.store(ScriptedClient.cache_namespace, prompt, 0, BAD)
+    cache.store(ScriptedClient.cache_namespace, prompt, [BAD])
     client = ScriptedClient([BAD, GOOD])
     discards = []
     cfg = ProbeConfig(n_samples=1, max_retries=1)
-    probe_rationales(client, sample_document, cfg, cache=cache, discards=discards)
+    probe_with_cache(client, sample_document, cfg, cache, discards=discards)
     assert [d.attempt for d in discards] == [-1, 0]
     assert client.calls == 2
-    assert cache.lookup(ScriptedClient.cache_namespace, prompt, 0) == GOOD
+    assert cache.lookup(ScriptedClient.cache_namespace, prompt, 1) == [GOOD]
 
 
 @pytest.mark.parametrize(
@@ -420,16 +434,16 @@ def test_cached_and_fresh_discards_are_one_attempt_sequence(tmp_path, sample_doc
 def test_reserved_token_in_a_rationale_is_a_discard(tmp_path, sample_document, reserved, token):
     cache = ResponseCache(tmp_path)
     prompt = render_probe_prompt(sample_document)
-    cache.store(ScriptedClient.cache_namespace, prompt, 0, reserved)
+    cache.store(ScriptedClient.cache_namespace, prompt, [reserved])
     client = ScriptedClient([reserved, GOOD])
     discards = []
     cfg = ProbeConfig(n_samples=1, max_retries=1)
-    cs = probe_rationales(client, sample_document, cfg, cache=cache, discards=discards)
+    cs = probe_with_cache(client, sample_document, cfg, cache, discards=discards)
     # The cached response is attempt -1, and the slot retries.
     assert [(d.sample_index, d.attempt) for d in discards] == [(0, -1), (0, 0)]
     assert {d.reason for d in discards} == {f"rationale contains reserved token {token}"}
     assert cs.candidates[0].summary == "fine summary"
-    assert cache.lookup(ScriptedClient.cache_namespace, prompt, 0) == GOOD
+    assert cache.lookup(ScriptedClient.cache_namespace, prompt, 1) == [GOOD]
     cache.close()
 
 

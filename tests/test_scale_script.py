@@ -55,5 +55,5 @@ def test_scale_main_records_each_stage_and_the_manifest_bytes(tmp_path):
     manifests = [name for name in digests if name.startswith("manifests/")]
     assert len(manifests) == 12  # six examples files and six sidecars
     assert {"corpus/documents.jsonl", "ledger.jsonl", "curriculum/report.json"} <= set(digests)
-    assert not [name for name in digests if name.startswith("cache/")]
+    assert [name for name in digests if name.startswith("cache/")] == ["cache/cache.sqlite"]
     assert all(len(digest) == 64 for digest in digests.values())

@@ -85,8 +85,13 @@ def test_cosine_hand_value():
 
 
 def test_cosine_errors():
-    with pytest.raises(ZeroVector):
+    with pytest.raises(ZeroVector, match="all-zero vector"):
         cosine_similarity([0.0, 0.0], [1.0, 0.0])
+    # Not all zero, but 1e-170 squared underflows to 0: a reason of its own.
+    with pytest.raises(ZeroVector, match="norm underflows to 0"):
+        cosine_similarity([1e-170, 1e-170], [1.0, 0.0])
+    with pytest.raises(ZeroVector, match="all-zero vector"):  # an all-zero vector first
+        cosine_similarity([1e-170, 1e-170], [0.0, 0.0])
     with pytest.raises(DimensionMismatch):
         cosine_similarity([1.0], [1.0, 0.0])
     for bad in (math.nan, math.inf, -math.inf, 1e200):  # 1e200 squared overflows
@@ -551,6 +556,7 @@ def test_a_pass_equals_the_pairwise_functions_bit_for_bit(dimension, k, monkeypa
         candidate(9, 1).summary: np.full(dimension, math.nan),
         candidate(9, 2).summary: np.full(dimension, math.nan),
         serialize_rationale(candidate(9, 2).rationale): np.zeros(dimension),
+        candidate(11, 0).summary: np.full(dimension, 1e-170),  # its norm underflows
     }
     # Document 10's vectors all have the other dimension, so its candidates score.
     d10 = pairs[10][1]
@@ -569,8 +575,11 @@ def test_a_pass_equals_the_pairwise_functions_bit_for_bit(dimension, k, monkeypa
             tuple(r for r in rows if isinstance(r, selection.CandidateFailure)),
         ))
     zero = "cosine similarity is undefined for an all-zero vector"
-    assert [f.index for _, failures in expected for f in failures] == [1, 0, 2, 1, 0, 1, 2]
-    assert [f.reason for f in expected[8][1] + expected[9][1]] == [zero, _NON_FINITE, zero]
+    underflow = "cosine similarity is undefined for a vector whose norm underflows to 0"
+    assert [f.index for _, failures in expected for f in failures] == [1, 0, 2, 1, 0, 1, 2, 0]
+    assert [f.reason for f in expected[8][1] + expected[9][1] + expected[11][1]] == [
+        zero, _NON_FINITE, zero, underflow
+    ]
     assert len(expected[10][0]) == 3
 
     for chunk, cache in ((32, None), (1, EmbeddingCache(tmp_path))):
