@@ -36,7 +36,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--jobs",
         type=int,
-        help="worker threads for probe's completion requests; no artifact byte depends on it",
+        help=(
+            "worker threads for probe's completion requests; from 2, and where fork is "
+            "available, also helper processes that train the LDA model during run-all's "
+            "probe and fold in select's texts; no artifact byte depends on it"
+        ),
     )
     common.add_argument("--n-samples", type=int)
     common.add_argument("--lda-k", type=int)

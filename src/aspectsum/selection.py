@@ -17,7 +17,7 @@ with ties broken toward the lowest index.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +30,7 @@ from .errors import (
     NonFiniteVector,
     ZeroVector,
 )
+from .helpers import Helper
 from .probe import EmbeddingCache
 from .rationale import (
     CandidateSet,
@@ -41,7 +42,7 @@ from .rationale import (
     serialize_rationale,
 )
 # perfbench/tracing.py wraps infer_topics here by name; scoring uses the batched fold-in.
-from .topics import LdaModel, infer_topics, infer_topics_batch, kl_rows  # noqa: F401
+from .topics import LdaModel, infer_topics, kl_rows, start_fold_in  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -268,75 +269,114 @@ def select_each(
     provider: LlmClient,
     config: SelectionConfig,
     cache: EmbeddingCache | None = None,
+    helpers: Sequence[Helper] = (),
 ) -> Iterator[SelectionResult]:
     """Yield each document's golden candidate, in passes of _CHUNK_DOCUMENTS documents.
 
-    A pass takes its pairs from `pairs` only once the previous pass's
-    results have been taken. It folds in each of its distinct texts once,
-    in one batched call, and embeds each once: it looks each up in the
-    cache and hands the misses to one provider.embed_many call, on the
-    calling thread. Then it scores its documents and commits the cache.
+    A pass folds in each of its distinct texts once, in one batched call,
+    and embeds each once: it looks each up in the cache and hands the misses
+    to one provider.embed_many call, on the calling thread. Then it scores
+    its documents and commits the cache. A pass takes its pairs from `pairs`
+    only once the previous pass's results have been taken. With fold-in
+    helpers (topics.fold_in_helper, under this model and
+    config.fold_in_iterations) the helpers fold in a pass's texts while it
+    gathers its embeddings and the next pass's pairs are read, and the
+    previous pass is scored; so a pass's pairs are read before the previous
+    pass's results are taken.
     Every row is computed on its own, so the results do not depend on the
-    chunking. A provider error (such as TransportError) stops the stage, as
-    it stops probe; the vectors fetched so far stay in the cache, so the
-    next run asks only for the rest. A candidate whose vectors are
-    degenerate (of another dimension, all-zero, or with a non-finite value)
-    is excluded with a recorded reason, the same on every run; a document
-    with none left raises AllCandidatesFailed. A pass scores its candidates
-    as arrays: each sum runs along one row in a fixed order, so a score
-    equals that of the pairwise functions (cosine_similarity, kl_divergence
-    and the three score formulas) bit for bit.
+    chunking or the helpers. A provider error (such as TransportError) stops
+    the stage, as it stops probe; the vectors fetched so far stay in the
+    cache, so the next run asks only for the rest. A candidate whose vectors
+    are degenerate (of another dimension, all-zero, or with a non-finite
+    value) is excluded with a recorded reason, the same on every run; a
+    document with none left raises AllCandidatesFailed. A pass scores its
+    candidates as arrays: each sum runs along one row in a fixed order, so a
+    score equals that of the pairwise functions (cosine_similarity,
+    kl_divergence and the three score formulas) bit for bit.
     """
-    for chunk in batched(pairs, _CHUNK_DOCUMENTS):
-        results = _select_chunk(chunk, model, provider, config, cache)
+
+    def fold_in(rows: _PassRows):
+        return start_fold_in(model, rows.topic_texts, config.fold_in_iterations, helpers)
+
+    def embedded(rows: _PassRows):
+        # A provider error stops the stage here.
+        return _embedding_rows(provider, rows.vector_texts, cache)
+
+    def scored(rows: _PassRows, topics: np.ndarray, vectors) -> list[SelectionResult]:
+        results = _score_pass(rows, topics, *vectors, config)
         if cache is not None:
             cache.commit()
-        yield from results
+        return results
+
+    ahead = None  # with helpers: the last pass, its pending fold-in, and its vectors
+    for chunk in batched(pairs, _CHUNK_DOCUMENTS):
+        rows = _PassRows(chunk)
+        if not helpers:
+            topics = fold_in(rows)()
+            yield from scored(rows, topics, embedded(rows))
+        elif ahead is None:
+            ahead = rows, fold_in(rows), embedded(rows)
+        else:
+            last, topics, vectors = ahead[0], ahead[1](), ahead[2]
+            # Sent once the last answers are taken: a helper answers one request at a time.
+            pending = fold_in(rows)
+            yield from scored(last, topics, vectors)
+            ahead = rows, pending, embedded(rows)
+    if ahead is not None:
+        yield from scored(ahead[0], ahead[1](), ahead[2])
 
 
-def _select_chunk(
-    pairs: list[tuple[CandidateSet, Document]],
-    model: LdaModel,
-    provider: LlmClient,
+class _PassRows:
+    """A pass's pairs; its distinct topic texts and vector texts, each in
+    order of first use; and per candidate, in pass order, the rows of its
+    document, aspects and rationale texts (doc, asp, rat) and of its
+    summary, ground truth and serialized rationale (summ, truth, ser)."""
+
+    def __init__(self, pairs: list[tuple[CandidateSet, Document]]):
+        topic_rows: dict[str, int] = {}
+        vector_rows: dict[str, int] = {}
+        doc, asp, rat, summ, truth, ser = [], [], [], [], [], []
+        for cs, d in pairs:
+            doc_row = topic_rows.setdefault(d.text, len(topic_rows))
+            for c in cs.candidates:
+                doc.append(doc_row)
+                asp.append(topic_rows.setdefault(aspects_text(c.rationale), len(topic_rows)))
+                rat.append(topic_rows.setdefault(rationale_text(c.rationale), len(topic_rows)))
+                summ.append(vector_rows.setdefault(c.summary, len(vector_rows)))
+                truth.append(vector_rows.setdefault(d.ground_truth_summary, len(vector_rows)))
+                ser.append(
+                    vector_rows.setdefault(serialize_rationale(c.rationale), len(vector_rows))
+                )
+        self.pairs = pairs
+        self.topic_texts, self.vector_texts = list(topic_rows), list(vector_rows)
+        self.doc, self.asp, self.rat, self.summ, self.truth, self.ser = (
+            np.array(ids, dtype=np.intp) for ids in (doc, asp, rat, summ, truth, ser)
+        )
+
+
+def _score_pass(
+    rows: _PassRows,
+    topics: np.ndarray,
+    matrix: np.ndarray,
+    others: dict[int, np.ndarray],
     config: SelectionConfig,
-    cache: EmbeddingCache | None,
 ) -> list[SelectionResult]:
-    # Each distinct text's row, in order of first use; and per candidate, in
-    # pass order, the rows of its document, aspects and rationale texts (topic
-    # rows) and of its summary, ground truth and serialized rationale (vectors).
-    topic_rows: dict[str, int] = {}
-    vector_rows: dict[str, int] = {}
-    doc, asp, rat, summ, truth, ser = [], [], [], [], [], []
-    for cs, d in pairs:
-        doc_row = topic_rows.setdefault(d.text, len(topic_rows))
-        for c in cs.candidates:
-            doc.append(doc_row)
-            asp.append(topic_rows.setdefault(aspects_text(c.rationale), len(topic_rows)))
-            rat.append(topic_rows.setdefault(rationale_text(c.rationale), len(topic_rows)))
-            summ.append(vector_rows.setdefault(c.summary, len(vector_rows)))
-            truth.append(vector_rows.setdefault(d.ground_truth_summary, len(vector_rows)))
-            ser.append(vector_rows.setdefault(serialize_rationale(c.rationale), len(vector_rows)))
-    topics = infer_topics_batch(model, list(topic_rows), config.fold_in_iterations)
-    # A provider error stops the stage here.
-    matrix, others = _embedding_rows(provider, list(vector_rows), cache)
-
-    doc, asp, rat, summ, truth, ser = (
-        np.array(ids, dtype=np.intp) for ids in (doc, asp, rat, summ, truth, ser)
-    )
-    sims, reasons = _pass_cosines(matrix, others, summ, truth, ser)
+    """The pass's results from its topic rows and its vectors (_embedding_rows)."""
+    sims, reasons = _pass_cosines(matrix, others, rows.summ, rows.truth, rows.ser)
     summary = summary_score_from_sims(sims[0], sims[1], config.phi_alpha)
+    doc = topics[rows.doc]
     coherence = coherence_score_from_kl(
-        kl_rows(topics[doc], topics[asp]), kl_rows(topics[doc], topics[rat]), config.phi_beta
+        kl_rows(doc, topics[rows.asp]), kl_rows(doc, topics[rows.rat]), config.phi_beta
     )
     combined = combine_scores(summary, coherence, config.lambda_cs)
     # Taken in pass order: each document's zip below stops at its last candidate.
-    rows = zip(summary.tolist(), coherence.tolist(), combined.tolist(), reasons)
+    scores = zip(summary.tolist(), coherence.tolist(), combined.tolist(), reasons)
 
     results = []
-    for cs, d in pairs:
+    for cs, d in rows.pairs:
         scored: list[ScoredCandidate] = []
         failures: list[CandidateFailure] = []
-        for c, (s_score, c_score, total, reason) in zip(cs.candidates, rows):
+        for c, (s_score, c_score, total, reason) in zip(cs.candidates, scores):
             if reason is None:
                 scored.append(ScoredCandidate(c.index, s_score, c_score, total))
             else:

@@ -57,3 +57,28 @@ def test_scale_main_records_each_stage_and_the_manifest_bytes(tmp_path):
     assert {"corpus/documents.jsonl", "ledger.jsonl", "curriculum/report.json"} <= set(digests)
     assert [name for name in digests if name.startswith("cache/")] == ["cache/cache.sqlite"]
     assert all(len(digest) == 64 for digest in digests.values())
+
+
+def test_scale_jobs_runs_each_value_with_the_same_bytes_and_counts_helpers_apart(tmp_path):
+    out = tmp_path / "scale.json"
+    subprocess.run(
+        [
+            sys.executable, str(SCRIPT), "--docs", "20", "--jobs", "1", "2", "--out", str(out),
+            "--vocabulary", "300", "--doc-words", "40", "--summary-words", "8",
+        ],
+        check=True,
+        capture_output=True,
+    )
+    result = json.loads(out.read_text(encoding="utf-8"))
+    assert result["settings"]["jobs"] == [1, 2]
+    serial, parallel = result["runs"]
+    assert (serial["jobs"], parallel["jobs"]) == (1, 2)
+    assert parallel["workspace_sha256"] == serial["workspace_sha256"]
+    for run in (serial, parallel):
+        for name, stage in run["stages"].items():
+            assert 10 < stage["max_rss_mib"] < 1024
+            if run["jobs"] == 2 and name == "select":  # its fold-in helpers
+                assert stage["helpers_max_rss_mib"] > 10
+            else:
+                helpers = (stage["helpers_max_rss_mib"], stage["helpers_cpu_s"])
+                assert helpers == (0, 0), (run["jobs"], name)
