@@ -188,7 +188,9 @@ class OpenAiCompatClient(LlmClient):
             if not transient or attempt == REQUEST_ATTEMPTS:
                 raise error
             delay = RETRY_BASE_DELAY_S * 2 ** (attempt - 1)
-            if retry_after.isdigit():  # seconds; an HTTP date is not honoured
+            # Seconds in ASCII digits: an HTTP date is not honoured, and a
+            # digit such as "²" (latin-1 byte 0xB2) is no number int() reads.
+            if retry_after.isascii() and retry_after.isdigit():
                 delay = int(retry_after)
             self._sleep(min(delay, RETRY_MAX_DELAY_S))
         try:

@@ -27,10 +27,14 @@ import threading
 _caller_ends: set = set()
 
 
-def can_fork() -> bool:
-    """Whether a helper can be forked now: fork is available, one thread is
-    alive, and this process may have children."""
-    # Imported here, as by every use: its modules add 0.75 MiB to RSS under --jobs 1.
+def can_fork(jobs: int) -> bool:
+    """Whether `--jobs` calls for helpers and one can be forked now: jobs is 2
+    or more, fork is available, one thread is alive, and this process may
+    have children. The one place that rule is kept."""
+    if jobs < 2:
+        return False
+    # Imported only past the check above, as by every use: its modules add
+    # 0.75 MiB to RSS, which --jobs 1 never pays.
     import multiprocessing
 
     return (

@@ -45,7 +45,7 @@ from .probe import (
 from .rationale import Document, candidate_set_to_json, rationale_from_json
 from .selection import select_each, select_golden  # noqa: F401  (perfbench wraps select_golden)
 from .textutil import stable_digest, token_count
-from .topics import LdaModel, fold_in_helper, train_lda
+from .topics import LdaModel, fold_in_helpers, train_lda
 from .workspace import (
     Workspace,
     checked,
@@ -321,7 +321,7 @@ def _train(ws: Workspace, cfg: PipelineConfig) -> LdaModel:
 def _start_training(ws: Workspace, cfg: PipelineConfig) -> _Training | None:
     """A helper that trains the LDA model, under --jobs 2 or more, if the lda
     stage is stale and a helper can be forked; else None."""
-    if cfg.jobs < 2 or not can_fork():
+    if not can_fork(cfg.jobs):
         return None
     digest, _, current = _status(ws, cfg, "lda")
     if digest is None or current:
@@ -372,17 +372,11 @@ def _select(
             documents += 1
             yield result.to_json(selection_cfg)
 
-    with contextlib.ExitStack() as stack:
-        helpers = []
-        # Forked before the cache opens, once probe's threads are joined. At
-        # 2,000 scripts/scale.py documents (cnndm, fold-in 5, model current,
-        # 2 vCPUs), select --jobs 2 took 9.2 s with 2 helpers and 13.3 s with
-        # 1, against 14.0 s under --jobs 1; on topic-heavy, 1 helper was
-        # about 10 ms faster of 110 ms.
-        if cfg.jobs > 1 and can_fork():
-            fold_in = partial(fold_in_helper, model, selection_cfg.fold_in_iterations)
-            helpers = [stack.enter_context(fold_in()) for _ in range(cfg.jobs)]
-        cache = stack.enter_context(EmbeddingCache(ws.cache_dir))
+    # The helpers are forked before the cache opens, once probe's threads are joined.
+    with (
+        fold_in_helpers(model, selection_cfg.fold_in_iterations, cfg.jobs) as helpers,
+        EmbeddingCache(ws.cache_dir) as cache,
+    ):
         ws.write_jsonl(ws.selections_path, selection_lines())
     return {"documents": documents}
 

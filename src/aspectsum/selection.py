@@ -30,7 +30,6 @@ from .errors import (
     NonFiniteVector,
     ZeroVector,
 )
-from .helpers import Helper
 from .probe import EmbeddingCache
 from .rationale import (
     CandidateSet,
@@ -130,10 +129,6 @@ _UNDERFLOW = "cosine similarity is undefined for a vector whose norm underflows 
 _NON_FINITE = "cosine similarity is undefined for a vector with a non-finite value or norm"
 
 
-def _shapes_differ(x_shape: tuple, y_shape: tuple) -> str:
-    return f"vector shapes {x_shape} and {y_shape} differ"
-
-
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """The Euclidean norm of each row of a 2-d array, summed along the row
     without BLAS, so that its bits do not depend on the CPU's BLAS kernel."""
@@ -157,13 +152,13 @@ def _row_cosines(x: np.ndarray, y: np.ndarray, denominators: np.ndarray) -> np.n
 
 def cosine_similarity(x: np.ndarray, y: np.ndarray) -> float:
     """The cosine of two vectors: the one-row case of a select pass's cosines,
-    with its checks in the same order (shape, zero, non-finite). A zero norm
-    is an all-zero vector when either vector is all zero, and else a norm that
-    underflows."""
+    and the source of its failure reasons. It checks the shapes, then a zero
+    norm (an all-zero vector when either vector is all zero, and else a norm
+    that underflows), then a non-finite product of the norms."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
-        raise DimensionMismatch(_shapes_differ(x.shape, y.shape))
+        raise DimensionMismatch(f"vector shapes {x.shape} and {y.shape} differ")
     x, y = x.reshape(1, -1), y.reshape(1, -1)
     x_norm, y_norm = _row_norms(x), _row_norms(y)
     if x_norm[0] == 0.0 or y_norm[0] == 0.0:
@@ -269,29 +264,27 @@ def select_each(
     provider: LlmClient,
     config: SelectionConfig,
     cache: EmbeddingCache | None = None,
-    helpers: Sequence[Helper] = (),
+    helpers: Sequence = (),
 ) -> Iterator[SelectionResult]:
     """Yield each document's golden candidate, in passes of _CHUNK_DOCUMENTS documents.
 
-    A pass folds in each of its distinct texts once, in one batched call,
-    and embeds each once: it looks each up in the cache and hands the misses
-    to one provider.embed_many call, on the calling thread. Then it scores
-    its documents and commits the cache. A pass takes its pairs from `pairs`
-    only once the previous pass's results have been taken. With fold-in
-    helpers (topics.fold_in_helper, under this model and
-    config.fold_in_iterations) the helpers fold in a pass's texts while it
-    gathers its embeddings and the next pass's pairs are read, and the
-    previous pass is scored; so a pass's pairs are read before the previous
-    pass's results are taken.
+    A pass folds in each of its distinct texts once (topics.start_fold_in,
+    in the helpers that topics.fold_in_helpers made for this model and
+    config.fold_in_iterations, or in this process without) and embeds each
+    once: it looks each up in the cache and hands the misses to one
+    provider.embed_many call, on the calling thread. Then it scores its
+    documents and commits the cache. The passes overlap by one: a pass's
+    pairs are read and its fold-in started before the previous pass is
+    scored, and its embeddings gathered once that pass is let go.
     Every row is computed on its own, so the results do not depend on the
     chunking or the helpers. A provider error (such as TransportError) stops
     the stage, as it stops probe; the vectors fetched so far stay in the
     cache, so the next run asks only for the rest. A candidate whose vectors
     are degenerate (of another dimension, all-zero, or with a non-finite
-    value) is excluded with a recorded reason, the same on every run; a
-    document with none left raises AllCandidatesFailed. A pass scores its
-    candidates as arrays: each sum runs along one row in a fixed order, so a
-    score equals that of the pairwise functions (cosine_similarity,
+    value) is excluded with cosine_similarity's reason, the same on every
+    run; a document with none left raises AllCandidatesFailed. A pass scores
+    its candidates as arrays: each sum runs along one row in a fixed order,
+    so a score equals that of the pairwise functions (cosine_similarity,
     kl_divergence and the three score formulas) bit for bit.
     """
 
@@ -308,21 +301,17 @@ def select_each(
             cache.commit()
         return results
 
-    ahead = None  # with helpers: the last pass, its pending fold-in, and its vectors
+    ahead = None  # the pass read last: its rows, its pending fold-in and its vectors
     for chunk in batched(pairs, _CHUNK_DOCUMENTS):
         rows = _PassRows(chunk)
-        if not helpers:
-            topics = fold_in(rows)()
-            yield from scored(rows, topics, embedded(rows))
-        elif ahead is None:
-            ahead = rows, fold_in(rows), embedded(rows)
-        else:
-            last, topics, vectors = ahead[0], ahead[1](), ahead[2]
-            # Sent once the last answers are taken: a helper answers one request at a time.
-            pending = fold_in(rows)
-            yield from scored(last, topics, vectors)
-            ahead = rows, pending, embedded(rows)
-    if ahead is not None:
+        last, ahead = ahead and (ahead[0], ahead[1](), ahead[2]), None
+        # Sent once the last answers are taken: a helper answers one request at a time.
+        pending = fold_in(rows)
+        if last:
+            yield from scored(*last)
+        last = None  # let go first, so that no two passes' vectors are held at once
+        ahead = rows, pending, embedded(rows)
+    if ahead:
         yield from scored(ahead[0], ahead[1](), ahead[2])
 
 
@@ -402,62 +391,43 @@ def _pass_cosines(
     """sim(S_i, S_gt) and sim(S_i, R_i) of each candidate i, as a (2 x n) array,
     and each candidate's failure reason or None, given its three vector rows.
 
-    A candidate fails as cosine_similarity would fail on its two pairs in
-    turn: on the shapes, then an all-zero vector, then a norm that underflows
-    to 0, of (S_i, S_gt), then of (S_i, R_i), and then on a non-finite norm
-    product of either. Its sims stay 0.0.
+    A candidate whose three vectors are rows of matrix with nonzero, finite
+    norms is computed as arrays. Each other one goes through
+    cosine_similarity, and fails on the first of: a shape or zero failure of
+    (S_i, S_gt), any failure of (S_i, R_i), a non-finite (S_i, S_gt). A
+    failed candidate's sims are not read.
     """
     d = matrix.shape[1]
     norms = np.empty(len(matrix))
     step = max(1, _ROW_BLOCK_ELEMENTS // max(d, 1))
     for start in range(0, len(matrix), step):
         norms[start:start + step] = _row_norms(matrix[start:start + step])
-    shapes = {(d,): 0}
-    shape_ids = np.zeros(len(matrix), dtype=np.int64)
-    for i, vector in others.items():
-        norms[i] = _row_norms(vector.reshape(1, -1))[0]
-        shape_ids[i] = shapes.setdefault(vector.shape, len(shapes))
-
-    def differ(other: np.ndarray):
-        def shape(row: int) -> tuple:
-            return others[row].shape if row in others else (d,)
-
-        return lambda i: _shapes_differ(shape(summary[i]), shape(other[i]))
-
-    zero = norms == 0.0
-    all_zero = zero.copy()
-    for i in np.flatnonzero(zero).tolist():
-        all_zero[i] = not (others[i] if i in others else matrix[i]).any()
-    denominators = (
-        _row_denominators(norms[summary], norms[truth]),
-        _row_denominators(norms[summary], norms[rationale]),
-    )
-    checks = (
-        (shape_ids[summary] != shape_ids[truth], differ(truth)),
-        (all_zero[summary] | all_zero[truth], lambda i: _ZERO),
-        (zero[summary] | zero[truth], lambda i: _UNDERFLOW),
-        (shape_ids[summary] != shape_ids[rationale], differ(rationale)),
-        (all_zero[summary] | all_zero[rationale], lambda i: _ZERO),
-        (zero[summary] | zero[rationale], lambda i: _UNDERFLOW),
-        (~np.isfinite(denominators[0]) | ~np.isfinite(denominators[1]), lambda i: _NON_FINITE),
-    )
-    reasons: list[str | None] = [None] * len(summary)
-    failed = np.zeros(len(summary), dtype=bool)
-    for mask, reason in checks:
-        for i in np.flatnonzero(mask & ~failed).tolist():
-            reasons[i] = reason(i)
-        failed |= mask
+    # A vector kept in others has a zero row in matrix.
+    usable = (norms != 0.0) & np.isfinite(norms)
+    in_matrix = usable[summary] & usable[truth] & usable[rationale]
 
     sims = np.zeros((2, len(summary)))
-    in_matrix = np.flatnonzero(~failed & (shape_ids[summary] == 0))
-    for start in range(0, len(in_matrix), step):
-        block = in_matrix[start:start + step]
-        vectors = matrix[summary[block]]
-        for sim, other, denominator in zip(sims, (truth, rationale), denominators):
-            sim[block] = _row_cosines(vectors, matrix[other[block]], denominator[block])
-    for i in np.flatnonzero(~failed & (shape_ids[summary] != 0)).tolist():
-        sims[0, i] = cosine_similarity(others[summary[i]], others[truth[i]])
-        sims[1, i] = cosine_similarity(others[summary[i]], others[rationale[i]])
+    fast = np.flatnonzero(in_matrix)
+    for start in range(0, len(fast), step):
+        block = fast[start:start + step]
+        vectors, vector_norms = matrix[summary[block]], norms[summary[block]]
+        for sim, other in zip(sims, (truth[block], rationale[block])):
+            denominators = _row_denominators(vector_norms, norms[other])
+            sim[block] = _row_cosines(vectors, matrix[other], denominators)
+
+    reasons: list[str | None] = [None] * len(summary)
+    for i in np.flatnonzero(~in_matrix).tolist():
+        s_i, truth_i, rationale_i = (
+            others.get(row, matrix[row]) for row in (summary[i], truth[i], rationale[i])
+        )
+        try:
+            try:
+                sims[0, i] = cosine_similarity(s_i, truth_i)
+            except NonFiniteVector as exc:
+                reasons[i] = str(exc)  # unless (S_i, R_i) fails
+            sims[1, i] = cosine_similarity(s_i, rationale_i)
+        except (DimensionMismatch, ZeroVector, NonFiniteVector) as exc:
+            reasons[i] = str(exc)
     return sims, reasons
 
 

@@ -357,13 +357,15 @@ def test_retry_after_is_capped_and_a_date_falls_back_to_backoff(monkeypatch):
         [
             FakeResponse(429, {}, headers={"Retry-After": "3600"}),
             FakeResponse(503, {}, headers={"Retry-After": date}),
+            # A latin-1 header decodes byte 0xB2 to this non-ASCII digit.
+            FakeResponse(429, {}, headers={"Retry-After": "\u00b2"}),
             completion(),
         ],
         monkeypatch,
         sleep=sleeps.append,
     )
     assert client.complete("x") == "ok"
-    assert sleeps == [RETRY_MAX_DELAY_S, 2 * RETRY_BASE_DELAY_S]
+    assert sleeps == [RETRY_MAX_DELAY_S, 2 * RETRY_BASE_DELAY_S, 4 * RETRY_BASE_DELAY_S]
 
 
 def test_a_persistent_503_stops_at_the_attempt_bound(monkeypatch):

@@ -19,7 +19,7 @@ from aspectsum.config import build_config
 from aspectsum.errors import EmptyVocabulary, InsufficientValidSamples, TransportError
 from aspectsum.helpers import Helper
 from aspectsum.mock import MockLlmClient
-from aspectsum.topics import fold_in_helper, infer_topics_batch, start_fold_in, train_lda
+from aspectsum.topics import fold_in_helpers, infer_topics_batch, start_fold_in, train_lda
 from aspectsum.workspace import Workspace
 from conftest import synthetic_records, write_jsonl
 
@@ -177,14 +177,12 @@ def test_fold_in_split_between_helpers_equals_one_batch(started):
     model = train_lda([r["document"] for r in synthetic_records(9)], k=3, iterations=5, seed=1)
     whole = infer_topics_batch(model, texts, 7)
     for n in (1, 2, 3, 9):  # 9 helpers for 7 texts: some get none
-        workers = [fold_in_helper(model, 7) for _ in range(n)]
-        try:
+        with fold_in_helpers(model, 7, n) as workers:
+            assert len(workers) == (0 if n == 1 else n)
             rows = start_fold_in(model, texts, 7, workers)
             assert np.array_equal(rows(), whole)
             assert np.array_equal(start_fold_in(model, [], 7, workers)(), whole[:0])
-        finally:
-            for worker in workers:
-                worker.close()
+    assert len(started) == 2 + 3 + 9
     assert_all_reaped(started)
 
 

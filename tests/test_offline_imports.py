@@ -1,4 +1,5 @@
-"""The network stack is loaded only when an HTTP provider is built."""
+"""The network stack is loaded only when an HTTP provider is built, and
+multiprocessing only when --jobs calls for helper processes."""
 
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ from conftest import synthetic_records, write_jsonl
 
 NETWORK_MODULES = ("requests", "urllib3", "ssl", "http.client", "charset_normalizer", "idna")
 
-# Prints, after each step, which of the network modules are loaded.
+# Prints, after each step, which of the network modules are loaded, and at
+# the end whether multiprocessing is.
 _PROBE = """
 import json, sys
 network = {network!r}
@@ -32,7 +34,9 @@ import aspectsum.cli
 steps["import aspectsum.cli"] = loaded()
 code = aspectsum.cli.main({argv!r})
 steps["run-all --mock-llm"] = loaded()
-print(json.dumps({{"code": code, "steps": steps}}))
+print(json.dumps({{
+    "code": code, "steps": steps, "multiprocessing": "multiprocessing" in sys.modules
+}}))
 """
 
 
@@ -40,7 +44,7 @@ def test_offline_run_loads_no_network_module(tmp_path):
     corpus = write_jsonl(tmp_path / "corpus.jsonl", synthetic_records(6))
     argv = [
         "run-all", "--workspace", str(tmp_path / "ws"), "--input", str(corpus), "--mock-llm",
-        "--n-samples", "2", "--lda-k", "3", "--lda-iterations", "10",
+        "--n-samples", "2", "--lda-k", "3", "--lda-iterations", "10", "--jobs", "1",
     ]
     src = str(Path(aspectsum.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -56,6 +60,9 @@ def test_offline_run_loads_no_network_module(tmp_path):
         "import aspectsum.cli": [],
         "run-all --mock-llm": [],
     }
+    # helpers.can_fork returns before importing it under --jobs 1: its modules
+    # add 0.75 MiB to RSS.
+    assert result["multiprocessing"] is False
 
 
 class _Response:

@@ -1360,11 +1360,12 @@ def test_stage_memory_is_bounded_by_its_window(stage_peaks, stage, window):
     assert large - small < window * stage_peaks["record"]
 
 
-def test_select_error_past_its_first_pass_keeps_the_old_selections(tmp_path, monkeypatch):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_select_error_past_its_first_pass_keeps_the_old_selections(tmp_path, monkeypatch, jobs):
     from aspectsum import selection
 
     ws = Workspace(tmp_path / "ws")
-    cfg = small_config()
+    cfg = small_config(jobs=jobs)
     client = MockLlmClient(seed=cfg.seed)
     stage_ingest(ws, cfg, write_jsonl(tmp_path / "corpus.jsonl", synthetic_records(9)))
     stage_probe(ws, cfg, client)
@@ -1373,7 +1374,9 @@ def test_select_error_past_its_first_pass_keeps_the_old_selections(tmp_path, mon
 
     monkeypatch.setattr(selection, "_CHUNK_DOCUMENTS", 2)
     lines = ws.candidates_path.read_text(encoding="utf-8").split("\n")
-    lines[6] = lines[6][:40]  # in the fourth pass; the first three are written
+    # In the fourth pass: a pass is read before the one before it is scored,
+    # so the first two are written.
+    lines[6] = lines[6][:40]
     ws.candidates_path.write_text("\n".join(lines), encoding="utf-8")
     written = []
     write_text = Workspace.write_text
@@ -1387,7 +1390,7 @@ def test_select_error_past_its_first_pass_keeps_the_old_selections(tmp_path, mon
     with pytest.raises(SchemaError) as err:
         stage_select(ws, cfg, client)
     assert str(err.value).startswith(f"{ws.candidates_path}, line 7: invalid JSON")
-    assert len(written) == 6
+    assert len(written) == 4
     assert ws.selections_path.read_bytes() == before
     assert not list(ws.root.rglob("*.part"))
 
